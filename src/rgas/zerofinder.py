@@ -2,9 +2,19 @@
 
 The zeros are assumed to lie on Re s = 1/2 (Riemann hypothesis, as the model
 requires); their ordinates gamma_k are found as sign changes of the rotated
-real function Z(t) = exp(i theta(t)) zeta(1/2 + it), scanned on a grid of
-Gram points with escalating local refinement where Gram's law fails, and the
-result is audited against the smooth counting formula.
+real function Z(t) = exp(i theta(t)) zeta(1/2 + it).
+
+`find_zeros` brackets them on a grid of 8 cells per Gram interval.  From
+t = 200 on it evaluates Z by the Riemann-Siegel formula with Gabcke's C0..C4
+corrections, which costs O(sqrt(t)) terms, and falls back to Euler-Maclaurin
+wherever |Z| is within the Riemann-Siegel error bound, so every sign on the
+grid is the Euler-Maclaurin sign.  Completeness is judged by Gram blocks:
+by Rosser's rule a block between consecutive good Gram points holds as many
+zeros as it spans Gram intervals, and only the blocks that show fewer sign
+changes are rescanned at 64, 512 and 4096 cells per interval.  The brackets
+are narrowed by vectorized Illinois regula falsi on the same fast kernel and
+polished by two secant steps on Euler-Maclaurin, and the table is audited
+against the smooth counting formula.
 
 Zero tables are persisted as plain text:
 
@@ -45,7 +55,6 @@ __all__ = [
     "gram_point",
     "find_zeros",
     "zero_count_estimate",
-    "counting_smooth",
     "save_table",
     "load_table",
 ]
@@ -58,12 +67,20 @@ _REALNESS_TOL = 1e-9  # |Im(e^{i theta} zeta(1/2+it))| beyond this flags kernel 
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Ascending positive ordinates of nontrivial zeros with metadata."""
+    """Ascending positive ordinates of nontrivial zeros with metadata.
+
+    The work counters are those of the search that computed the table: Z
+    evaluations by Euler-Maclaurin and by Riemann-Siegel, and Gram intervals
+    rescanned on a finer grid (summed over levels).  They are 0 for loaded
+    tables and heads."""
 
     gammas: np.ndarray
     abs_error: float
     count: int
     source: str  # "computed" | "loaded"
+    em_evaluations: int = 0
+    rs_evaluations: int = 0
+    escalated_intervals: int = 0
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gammas, dtype=np.float64)
@@ -161,6 +178,83 @@ def hardy_eval(t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> HardyEval:
 
 
 # ----------------------------------------------------------------------
+# Riemann-Siegel Z (zero search only)
+# ----------------------------------------------------------------------
+
+_RS_MIN_T = 200.0  # Gabcke's remainder bound holds from here; below, Euler-Maclaurin is cheap
+
+# Taylor coefficients of Psi(1/2 + x), Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p,
+# in the even powers x^0, x^2, ..., x^50 (Psi is even about p = 1/2; the odd
+# coefficients vanish).  Generated once with mpmath.taylor at 60 digits.
+_PSI_TAYLOR = (
+    0.3826834323650898, 1.7489618723100817, 2.118025207685496, -0.8707216670511481,
+    -3.4733112243465167, -1.6626947308999325, 1.216731288919232, 1.3014304161007977,
+    0.03051102182736167, -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+    0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
+    -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
+    -2.3025650027239108e-05, -9.380006601906792e-06, 6.323514947609108e-07,
+    6.551022819231502e-07, 2.210523745552697e-08, -3.322316176445629e-08,
+    -3.734910989933656e-09, 1.2445067060797738e-09,
+)
+
+
+def _rs_correction_polys() -> tuple[np.ndarray, ...]:
+    """Gabcke's C0..C4 as polynomials in x = p - 1/2 (ascending coefficients),
+    each a combination of derivatives of Psi (Edwards, ch. 7)."""
+    psi = np.zeros(2 * len(_PSI_TAYLOR) - 1)
+    psi[::2] = _PSI_TAYLOR
+    d = [psi]  # d[j]: coefficients of the j-th derivative, zero-padded
+    for _ in range(12):
+        d.append(np.append(d[-1][1:] * np.arange(1.0, psi.size), 0.0))
+    pi2 = math.pi**2
+    return (
+        d[0],
+        -d[3] / (96.0 * pi2),
+        d[2] / (64.0 * pi2) + d[6] / (18432.0 * pi2**2),
+        -d[1] / (64.0 * pi2) - d[5] / (3840.0 * pi2**2) - d[9] / (5308416.0 * pi2**3),
+        d[0] / (128.0 * pi2) + 19.0 * d[4] / (24576.0 * pi2**2)
+        + 11.0 * d[8] / (5898240.0 * pi2**3) + d[12] / (2038431744.0 * pi2**4),
+    )
+
+
+_RS_CORRECTIONS = _rs_correction_polys()
+
+
+def _z_rs(t: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel Z(t) for t >= 200: the main sum
+    2 sum_{n <= sqrt(t/2pi)} n^{-1/2} cos(theta - t ln n) plus the C0..C4
+    remainder terms.  It differs from Euler-Maclaurin Z by at most
+    `_rs_error_bound(t)`."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    chunk = 4096  # bounds the (points x terms) phase matrix to a few MB
+    for lo in range(0, t.size, chunk):
+        seg = t[lo : lo + chunk]
+        tau = np.sqrt(seg / _TWO_PI)
+        n_max = np.floor(tau)
+        n = np.arange(1.0, float(n_max.max()) + 1.0)
+        terms = np.cos(_theta_many(seg)[:, None] - seg[:, None] * np.log(n)) / np.sqrt(n)
+        main = 2.0 * np.sum(np.where(n <= n_max[:, None], terms, 0.0), axis=1)
+        x = tau - n_max - 0.5
+        inv_tau = 1.0 / tau
+        remainder = np.zeros_like(seg)
+        for poly in reversed(_RS_CORRECTIONS):
+            remainder = remainder * inv_tau + np.polynomial.polynomial.polyval(x, poly)
+        sign = np.where(n_max % 2.0 == 1.0, 1.0, -1.0)  # (-1)^(N-1)
+        out[lo : lo + chunk] = main + sign * remainder / np.sqrt(tau)
+    return out
+
+
+def _rs_error_bound(t: np.ndarray) -> np.ndarray:
+    """Bound on |Z_RS(t) - Z_EM(t)| for t >= 200: Gabcke's 0.017 t^(-11/4)
+    for the remainder after C4, plus rounding: theta and t ln n are of size
+    t ln t, so the phases carry absolute errors growing like t.  The
+    rounding term is about 5 times the largest difference seen between the
+    two kernels on t in [3000, 1e4]."""
+    return 0.017 * t**-2.75 + 5e-14 * t
+
+
+# ----------------------------------------------------------------------
 # counting
 # ----------------------------------------------------------------------
 
@@ -170,11 +264,6 @@ def zero_count_estimate(t: float) -> float:
         raise DomainError("counting estimate needs T > 2 pi")
     x = t / _TWO_PI
     return x * math.log(x) - x + 0.875
-
-
-def counting_smooth(t: float) -> float:
-    """theta(T)/pi + 1: the exact smooth part of the counting function."""
-    return riemann_siegel_theta(t) / math.pi + 1.0
 
 
 def gram_point(n: int) -> float:
@@ -212,85 +301,196 @@ def _gram_points(n_lo: int, n_hi: int) -> np.ndarray:
 # zero search
 # ----------------------------------------------------------------------
 
-def _brackets_on_grid(grid: np.ndarray, z: np.ndarray) -> list[tuple[float, float, float, float]]:
-    sign_change = z[:-1] * z[1:] < 0.0
-    idx = np.flatnonzero(sign_change)
-    return [(float(grid[i]), float(grid[i + 1]), float(z[i]), float(z[i + 1])) for i in idx]
+_GRAM_BUFFER = 6  # Gram points searched beyond g_count for a good one
+_LEVELS = (8, 64, 512, 4096)  # cells per Gram interval, base grid then rescans
+_ILLINOIS_RTOL = 1e-9  # fast-kernel brackets are narrowed to width <= this * t
+_ILLINOIS_MAX_ITER = 100
 
 
-def _subdivide(gram: np.ndarray, per_interval: np.ndarray) -> np.ndarray:
-    """Grid over [gram[0], gram[-1]] with per_interval[i] cells in interval i."""
-    pieces = [np.array([gram[0]])]
-    for i in range(gram.size - 1):
-        k = int(per_interval[i])
-        pieces.append(np.linspace(gram[i], gram[i + 1], k + 1)[1:])
-    return np.concatenate(pieces)
+class _Search:
+    """Z evaluations of one zero search, with their counts.  The fast kernel
+    is Riemann-Siegel from t = 200 on and Euler-Maclaurin below."""
+
+    def __init__(self, opts: EvalOptions) -> None:
+        self.opts = opts
+        self.em_evaluations = 0
+        self.rs_evaluations = 0
+
+    def em(self, t: np.ndarray) -> np.ndarray:
+        self.em_evaluations += t.size
+        return _z_many(t, self.opts)
+
+    def fast(self, t: np.ndarray) -> np.ndarray:
+        out = np.empty_like(t)
+        rs = t >= _RS_MIN_T
+        if rs.any():
+            self.rs_evaluations += int(np.count_nonzero(rs))
+            out[rs] = _z_rs(t[rs])
+        if not rs.all():
+            out[~rs] = self.em(t[~rs])
+        return out
+
+    def error(self, t: np.ndarray) -> np.ndarray:
+        """Bound on |fast(t) - em(t)|; below t = 200 it covers the rounding
+        noise between Euler-Maclaurin evaluations with different cutoffs."""
+        return np.where(t >= _RS_MIN_T, _rs_error_bound(t), 5e-14 * t)
+
+    def signs(self, t: np.ndarray) -> np.ndarray:
+        """Z with the Euler-Maclaurin sign: the fast kernel, re-evaluated by
+        Euler-Maclaurin wherever it is within its error bound of 0."""
+        z = self.fast(t)
+        near = (t >= _RS_MIN_T) & (np.abs(z) <= _rs_error_bound(t))
+        if near.any():
+            z[near] = self.em(t[near])
+        return z
+
+    def scan(self, gram: np.ndarray, zg: np.ndarray, idx: np.ndarray, level: int):
+        """Grid rows over the Gram intervals `idx` (array indices into
+        `gram`), `level` cells each; the row ends are the Gram points and
+        keep their values `zg`."""
+        lo, hi = gram[idx], gram[idx + 1]
+        t = lo[:, None] + (hi - lo)[:, None] * (np.arange(level + 1) / level)
+        t[:, 0], t[:, -1] = lo, hi
+        z = np.empty_like(t)
+        z[:, 0], z[:, -1] = zg[idx], zg[idx + 1]
+        z[:, 1:-1] = self.signs(t[:, 1:-1].ravel()).reshape(idx.size, level - 1)
+        return t, z
+
+
+def _sign_changes(z: np.ndarray) -> np.ndarray:
+    return z[..., :-1] * z[..., 1:] < 0.0
+
+
+def _gram_blocks(search: _Search, count: int):
+    """Gram points g_-1..g_m with their Z values, and the array index of the
+    last good Gram point at or above g_count, extending m until there is one.
+    g_n is good when (-1)^n Z(g_n) > 0."""
+    m_hi = count + _GRAM_BUFFER
+    while True:
+        gram = _gram_points(-1, m_hi)
+        zg = search.signs(gram)
+        parity = np.where(np.arange(-1, m_hi + 1) % 2 == 0, 1.0, -1.0)
+        good = np.flatnonzero(parity * zg > 0.0)
+        top = good[good >= count + 1]  # array index n + 1 holds g_n
+        if top.size:
+            return gram, zg, good, int(top[-1])
+        m_hi += _GRAM_BUFFER
+
+
+def _bracket(search: _Search, gram, zg, good, last: int, count: int):
+    """Brackets (a, b, Z(a), Z(b)) of the first `count` zeros, and the number
+    of Gram intervals rescanned.  Every Gram block below the good Gram point
+    `gram[last]` must show as many sign changes as it spans Gram intervals
+    (Rosser's rule); only the blocks that fall short are rescanned on the
+    finer levels."""
+    t_base, z_base = search.scan(gram, zg, np.arange(last), _LEVELS[0])
+    t_rows, z_rows = list(t_base), list(z_base)
+    changes = np.count_nonzero(_sign_changes(z_base), axis=1)
+    ends = good[(good > 0) & (good <= last)]
+    starts = np.concatenate(([0], ends[:-1]))
+    escalated = 0
+    for level in _LEVELS[1:] + (None,):
+        short = np.flatnonzero(np.add.reduceat(changes, starts) < ends - starts)
+        if short.size == 0:
+            break
+        if level is None:
+            b = int(short[0])
+            raise MissedZeroError(
+                f"Gram block g_{starts[b] - 1}..g_{ends[b] - 1} holds fewer than "
+                f"{ends[b] - starts[b]} sign changes at {_LEVELS[-1]} cells per interval"
+            )
+        idx = np.concatenate([np.arange(starts[b], ends[b]) for b in short])
+        t, z = search.scan(gram, zg, idx, level)
+        changes[idx] = np.count_nonzero(_sign_changes(z), axis=1)
+        for i, row_t, row_z in zip(idx, t, z):
+            t_rows[i], z_rows[i] = row_t, row_z
+        escalated += idx.size
+
+    t_lo = np.concatenate([t[:-1] for t in t_rows])
+    t_hi = np.concatenate([t[1:] for t in t_rows])
+    z_lo = np.concatenate([z[:-1] for z in z_rows])
+    z_hi = np.concatenate([z[1:] for z in z_rows])
+    hit = np.flatnonzero(z_lo * z_hi < 0.0)[:count]
+    return t_lo[hit], t_hi[hit], z_lo[hit], z_hi[hit], escalated
+
+
+def _illinois(search: _Search, a, b, fa, fb):
+    """Vectorized Illinois regula falsi (Dowell & Jarratt 1971) on the fast
+    kernel, over the brackets still wider than _ILLINOIS_RTOL * t.  Returns
+    the final bracket ends."""
+    a, b, fb = a.copy(), b.copy(), fb.copy()
+    wa = fa.copy()  # Z(a), halved each time a is retained
+    active = np.flatnonzero(np.abs(b - a) > _ILLINOIS_RTOL * b)
+    for _ in range(_ILLINOIS_MAX_ITER):
+        if active.size == 0:
+            return a, b
+        aa, bb, wwa, ffb = a[active], b[active], wa[active], fb[active]
+        c = bb - ffb * (bb - aa) / (ffb - wwa)
+        fc = search.fast(c)
+        flip = fc * ffb < 0.0
+        a[active] = np.where(flip, bb, aa)
+        wa[active] = np.where(flip, ffb, 0.5 * wwa)
+        b[active], fb[active] = c, fc
+        keep = (np.abs(c - a[active]) > _ILLINOIS_RTOL * c) & (fc != 0.0)
+        active = active[keep]
+    raise AccuracyError(f"Illinois iteration left {active.size} brackets unconverged")
+
+
+def _polish(search: _Search, a, b) -> np.ndarray:
+    """Euler-Maclaurin roots from fast-kernel brackets: widen each bracket by
+    the fast kernel's error over the slope of Z, confirm the sign change on
+    Euler-Maclaurin, and take two secant steps.  The slope is a central
+    difference over _ILLINOIS_RTOL * t, because the final Illinois bracket
+    can be so narrow that rounding dominates its end values."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mid = 0.5 * (lo + hi)
+    h = _ILLINOIS_RTOL * mid
+    f = search.fast(np.concatenate([mid - h, mid + h]))
+    slope = np.abs(f[mid.size :] - f[: mid.size]) / (2.0 * h)
+    pad = 2.0 * search.error(hi) / slope
+    lo, hi = lo - pad, hi + pad
+    f = search.em(np.concatenate([lo, hi]))
+    flo, fhi = f[: lo.size], f[lo.size :]
+    if np.any(flo * fhi >= 0.0):
+        bad = int(np.flatnonzero(flo * fhi >= 0.0)[0])
+        raise AccuracyError(
+            f"no Euler-Maclaurin sign change on [{lo[bad]:.12g}, {hi[bad]:.12g}]"
+        )
+    c1 = hi - fhi * (hi - lo) / (fhi - flo)
+    f1 = search.em(c1)
+    left = f1 * flo < 0.0  # the root lies between lo and c1
+    other = np.where(left, lo, hi)
+    f_other = np.where(left, flo, fhi)
+    return c1 - f1 * (c1 - other) / (f1 - f_other)
 
 
 def find_zeros(count: int, opts: EvalOptions = DEFAULT_OPTIONS) -> ZeroTable:
-    """First `count` zero ordinates, bracketed on a Gram-point grid (8 cells
-    per interval, escalating to 64 and 512 where the counting formula shows
-    a deficit), refined by 40 lockstep bisections and one secant polish, and
-    audited against the smooth counting formula."""
+    """First `count` zero ordinates.  Sign changes of Z on 8 cells per Gram
+    interval (Riemann-Siegel from t = 200, Euler-Maclaurin below and where
+    Riemann-Siegel cannot settle the sign) bracket them; Gram blocks short of
+    Rosser's count are rescanned at 64, 512 and 4096 cells.  Illinois regula
+    falsi narrows each bracket to 1e-9 t, two Euler-Maclaurin secant steps
+    polish it, and the table is audited against the smooth counting formula."""
     if count < 1:
         raise DomainError("count must be >= 1")
     if count > _MAX_ZEROS:
         raise DomainError(f"zero search supports at most {_MAX_ZEROS} zeros")
 
-    buffer = 6
-    m_hi = count + buffer
-    gram = _gram_points(-1, m_hi)  # g_-1 .. g_{m_hi}
-    expected_total = m_hi + 1  # N(g_n) should be n + 1 when all are found
+    search = _Search(opts)
+    gram, zg, good, last = _gram_blocks(search, count)
+    lo, hi, zlo, zhi, escalated = _bracket(search, gram, zg, good, last, count)
+    raw = _polish(search, *_illinois(search, lo, hi, zlo, zhi))
 
-    per_interval = np.full(gram.size - 1, 8, dtype=np.int64)
-    brackets: list[tuple[float, float, float, float]] = []
-    for level in (8, 64, 512, 4096):
-        grid = _subdivide(gram, per_interval)
-        z = _z_many(grid, opts)
-        brackets = _brackets_on_grid(grid, z)
-        if len(brackets) >= expected_total:
-            break
-        # cumulative deficit per Gram interval drives targeted escalation
-        lefts = np.array([b[0] for b in brackets])
-        deficient = []
-        for i in range(gram.size - 1):
-            cum_found = int(np.searchsorted(lefts, gram[i + 1], side="left"))
-            if cum_found < i + 2:
-                deficient.append(i)
-        if not deficient:
-            break
-        for i in deficient:
-            for j in (i - 1, i, i + 1):
-                if 0 <= j < per_interval.size:
-                    per_interval[j] = max(per_interval[j], level * 8)
-    if len(brackets) < expected_total:
-        raise MissedZeroError(
-            f"found {len(brackets)} sign changes below g_{m_hi}, expected {expected_total}"
-        )
-
-    lo = np.array([b[0] for b in brackets[: count + 1]])
-    hi = np.array([b[1] for b in brackets[: count + 1]])
-    zlo = np.array([b[2] for b in brackets[: count + 1]])
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        zm = _z_many(mid, opts)
-        take_left = np.sign(zm) == np.sign(zlo)
-        lo = np.where(take_left, mid, lo)
-        zlo = np.where(take_left, zm, zlo)
-        hi = np.where(take_left, hi, mid)
-    # one secant polish on the final bracket
-    zhi = _z_many(hi, opts)
-    zlo = _z_many(lo, opts)
-    denom = zhi - zlo
-    secant = np.where(np.abs(denom) > 0.0, hi - zhi * (hi - lo) / np.where(denom == 0.0, 1.0, denom), 0.5 * (lo + hi))
-    secant = np.clip(secant, lo, hi)
-
-    raw = secant[:count]
     quantized = np.array([_quantize(g) for g in raw])
     g_max = float(quantized[-1])
     half_ulp = 0.5 * 10.0 ** (math.floor(math.log10(g_max)) - 11)
     abs_error = max(1e-11, half_ulp)
-    table = ZeroTable(quantized, abs_error, count, "computed")
+    table = ZeroTable(
+        quantized, abs_error, count, "computed",
+        em_evaluations=search.em_evaluations,
+        rs_evaluations=search.rs_evaluations,
+        escalated_intervals=escalated,
+    )
 
     # audit against the counting formula at a spread of checkpoints
     for k in range(9, count, max(1, count // 8)):

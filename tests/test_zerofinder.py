@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -43,6 +44,23 @@ class TestHardyZ:
         assert abs(rotated.imag) < 1e-9
 
 
+class TestRiemannSiegel:
+    def test_agrees_with_euler_maclaurin(self):
+        rng = np.random.default_rng(20140131)
+        t = np.concatenate(([200.0, 1e4], rng.uniform(200.0, 1e4, 300)))
+        diff = np.abs(zf._z_rs(t) - zf._z_many(t))
+        assert np.all(diff <= zf._rs_error_bound(t))
+
+    def test_psi_taylor_coefficients(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            psi = lambda p: mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
+            coeffs = mp.taylor(psi, mp.mpf(1) / 2, 2 * len(zf._PSI_TAYLOR) - 2)
+        assert all(abs(c) < 1e-25 for c in coeffs[1::2])
+        for fresh, embedded in zip(coeffs[::2], zf._PSI_TAYLOR):
+            assert embedded == pytest.approx(float(fresh), rel=1e-15)
+
+
 class TestFindZeros:
     def test_first_two_ordinates(self, zeros200):
         assert zeros200.gammas[0] == pytest.approx(oracles.GAMMA_1, abs=1e-6)
@@ -66,6 +84,39 @@ class TestFindZeros:
     def test_determinism_and_consistency_with_head(self, zeros3000):
         small = zf.find_zeros(30)
         assert np.array_equal(small.gammas, zeros3000.gammas[:30])
+
+    def test_gram_law_shortfall_is_not_escalated(self, zeros3000):
+        # For these counts the base grid shows one sign change fewer below
+        # g_{N+6} than N + 7, only because Gram's law fails there; only Gram
+        # blocks short of Rosser's count may be rescanned, not the range.
+        for n in (120, 2139):
+            table = zf.find_zeros(n)
+            assert np.array_equal(table.gammas, zeros3000.gammas[:n])
+            assert table.escalated_intervals <= 200
+
+    def test_short_gram_block_is_rescanned(self):
+        # The 8-cell grid misses the close pair of zeros in the Gram block
+        # g_4763..g_4765; that block alone is rescanned at 64 cells.
+        table = zf.find_zeros(4770)
+        assert table.escalated_intervals == 2
+        assert table.count_below(zf.gram_point(4765)) == 4766
+
+    def test_table_bytes_are_stable(self, zeros3000, tmp_path):
+        p = tmp_path / "zeros-3000.txt"
+        zf.save_table(zeros3000, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "adb60bf06c1b1ee545dfb83144fe7412425c77f491f9a811e2b08a86e2627c7c"
+        )
+
+    def test_work_counters(self, zeros3000, tmp_path):
+        assert zeros3000.em_evaluations <= 20_000
+        assert zeros3000.escalated_intervals <= 200
+        assert zeros3000.rs_evaluations > 0
+        head = zeros3000.head(10)
+        p = tmp_path / "z.txt"
+        zf.save_table(head, p)
+        for table in (head, zf.load_table(p)):
+            assert (table.em_evaluations, table.rs_evaluations, table.escalated_intervals) == (0, 0, 0)
 
     def test_count_bounds(self):
         with pytest.raises(DomainError):
