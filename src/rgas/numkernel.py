@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_OPTIONS",
     "zeta",
     "zeta_derivative",
-    "zeta_truncation_estimate",
     "log_zeta_principal",
     "zeta_log_derivative",
     "hurwitz_zeta",
@@ -390,17 +389,6 @@ def zeta_derivative(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
         return chi * (logslope * z1 - d1)
     _, d = _zeta_em_many(np.array([s]), opts, want_derivative=True)
     return complex(d[0])
-
-
-def zeta_truncation_estimate(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """The Euler-Maclaurin truncation-error estimate used internally for
-    zeta(s) at these options (Re s >= 0 only)."""
-    s = complex(s)
-    if s.real < 0.0:
-        raise DomainError("estimate applies to the direct branch, Re s >= 0")
-    n = _em_cutoff(abs(s.imag), 1.0, opts)
-    _, _, est, _ = _hurwitz_em(np.array([s]), 1.0, n, want_derivative=False)
-    return float(est[0])
 
 
 def _principal_log(w: complex) -> complex:

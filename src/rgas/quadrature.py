@@ -4,8 +4,10 @@ Panel rule: embedded Gauss(7)/Kronrod(15) pair; the reported panel error is
 the raw |K15 - G7| difference, which is deliberately conservative so that the
 returned ``abs_error`` bounds the true error on well-behaved integrands.
 
-Integrands must be vectorized: they receive a 1-d numpy array of nodes and
-return an array of values (real or complex).
+Integrands must be vectorized and elementwise: they receive one 1-d numpy
+array holding the nodes of many panels at once (every panel of the initial
+grid, or both halves of a split panel) and return an array of the same
+length whose k-th value depends on the k-th node alone (real or complex).
 
 Three entry points:
   * ``integrate``            finite interval, optional endpoint-log grading;
@@ -74,22 +76,30 @@ class QuadResult:
     converged: bool
 
 
-def _panel(f, a: float, b: float):
-    """One GK15 pass over [a, b]: returns (I15, err_est)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _NODES
-    y = np.asarray(f(x))
-    if not np.all(np.isfinite(y)):
-        raise DomainError(f"integrand not finite inside [{a!r}, {b!r}]")
-    i15 = h * np.sum(_WK * y)
-    i7 = h * np.sum(_WGAUSS * y[_GAUSS_IDX])
-    if np.iscomplexobj(y):
-        i15, i7 = complex(i15), complex(i7)
-    else:
-        i15, i7 = float(i15), float(i7)
-    err = abs(i15 - i7) + 50.0 * np.finfo(float).eps * abs(i15)
-    return i15, err
+def _panels(f, edges):
+    """One GK15 pass over each panel [edges[i], edges[i+1]] from a single
+    call of f on the nodes of all panels.  Returns a list of
+    (lo, hi, I15, err_est), one per panel, in the order of the edges."""
+    lo = np.asarray(edges[:-1], dtype=np.float64)
+    hi = np.asarray(edges[1:], dtype=np.float64)
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = c[:, None] + h[:, None] * _NODES
+    y = np.asarray(f(x.reshape(-1))).reshape(x.shape)
+    finite = np.all(np.isfinite(y), axis=1)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise DomainError(f"integrand not finite inside [{edges[k]!r}, {edges[k + 1]!r}]")
+    # a row sum over C-contiguous rows rounds as np.sum does on one panel's
+    # values; the fancy-indexed Gauss columns are not C-contiguous, and a
+    # row sum over them accumulates in another order
+    gauss = np.ascontiguousarray(y[:, _GAUSS_IDX])
+    i15 = (h * np.sum(_WK * y, axis=1)).tolist()
+    i7 = (h * np.sum(_WGAUSS * gauss, axis=1)).tolist()
+    return [
+        (a, b, k15, abs(k15 - g7) + 50.0 * np.finfo(float).eps * abs(k15))
+        for a, b, k15, g7 in zip(edges[:-1], edges[1:], i15, i7)
+    ]
 
 
 def _graded_edges(a: float, b: float, singular_left: bool, singular_right: bool):
@@ -137,7 +147,6 @@ def integrate(
     if not a < b:
         raise DomainError("integrate requires a < b")
     edges, slivers = _graded_edges(a, b, singular_left, singular_right)
-    panels = []
     evals = 0
     sliver_bound = 0.0
     for endpoint, delta, direction in slivers:
@@ -147,10 +156,8 @@ def integrate(
         fval = np.asarray(f(np.array([probe])))[0]
         evals += 1
         sliver_bound += 3.0 * delta * abs(complex(fval))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
-        evals += 15
-        panels.append((lo, hi, val, err))
+    panels = _panels(f, edges)
+    evals += 15 * len(panels)
 
     min_width = (b - a) * 1e-14
     while True:
@@ -172,11 +179,8 @@ def integrate(
             )
         panels.remove(worst)
         lo, hi = worst[0], worst[1]
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err = _panel(f, *seg)
-            evals += 15
-            panels.append((seg[0], seg[1], val, err))
+        panels.extend(_panels(f, [lo, 0.5 * (lo + hi), hi]))
+        evals += 30
 
     panels.sort(key=lambda p: p[0])
     value = sum(p[2] for p in panels)

@@ -39,11 +39,11 @@ from .numkernel import (
     EvalOptions,
     _digamma_many,
     _log_abs_zeta_real_many,
+    _zeta_em_many,
     _zeta_log_derivative_real_many,
     digamma,
     exp_integral_ei,
     zeta,
-    zeta_log_derivative,
 )
 from .quadrature import QuadResult, integrate, integrate_exp_weight, principal_value
 from .superzeta import (
@@ -53,7 +53,7 @@ from .superzeta import (
     _tail_start,
     sum_inverse_rho,
 )
-from .zerofinder import ZeroTable
+from .zerofinder import ZeroTable, _fields_equal
 
 __all__ = [
     "EnsembleSpec",
@@ -117,6 +117,8 @@ class EnsembleSpec:
                 raise DomainError("continuum spec needs a positive rate")
         else:
             raise DomainError("kind must be 'discrete' or 'continuum'")
+
+    __eq__ = _fields_equal
 
     @staticmethod
     def discrete(omegas, masses, volume: float = 1.0) -> "EnsembleSpec":
@@ -194,28 +196,51 @@ def _require_below_hagedorn(spec: EnsembleSpec, beta: float) -> None:
         )
 
 
-def free_energy_discrete(spec: EnsembleSpec, beta: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """-(1/(beta V)) sum_k P_k ln zeta(omega_k beta) for beta omega_1 > 1."""
+def _discrete_sums(
+    spec: EnsembleSpec, beta: float, opts: EvalOptions, with_energy: bool
+) -> tuple[float, float | None]:
+    """f(beta) and, when asked, eps(beta) from one Euler-Maclaurin call on
+    all omega_k beta.  The value-only call keeps the accuracy gate of zeta;
+    with the energy it is the gate of zeta'."""
     _require_below_hagedorn(spec, beta)
-    ln_z = np.log(np.array([zeta(complex(w * beta), opts).real for w in spec.omegas]))
-    return float(-(spec.masses @ ln_z) / (beta * spec.volume))
+    s = (spec.omegas * beta).astype(np.complex128)
+    if with_energy:
+        z, d = _zeta_em_many(s, opts, want_derivative=True)
+    else:
+        z, d = _zeta_em_many(s, opts), None
+    # contiguous copy: np.log on the strided .real view may round differently
+    ln_z = np.log(np.ascontiguousarray(z.real))
+    f = float(-(spec.masses @ ln_z) / (beta * spec.volume))
+    if d is None:
+        return f, None
+    zld = d.real / z.real
+    return f, float(-(spec.masses @ (spec.omegas * zld)) / spec.volume)
+
+
+def free_energy_discrete(spec: EnsembleSpec, beta: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+    """-(1/(beta V)) sum_k P_k ln zeta(omega_k beta) for beta omega_1 > 1.
+
+    All omega_k beta go to the zeta kernel in one vectorized call; raises
+    HagedornError at or beyond the Hagedorn point beta omega_1 <= 1."""
+    return _discrete_sums(spec, beta, opts, with_energy=False)[0]
 
 
 def energy_entropy_discrete(
     spec: EnsembleSpec, beta: float, opts: EvalOptions = DEFAULT_OPTIONS
 ) -> tuple[float, float]:
     """Energy density (1/V) sum_k P_k omega_k (-zeta'/zeta)(omega_k beta) and
-    entropy density beta (eps - f)."""
-    _require_below_hagedorn(spec, beta)
-    zld = np.array([zeta_log_derivative(complex(w * beta), opts).real for w in spec.omegas])
-    eps = float(-(spec.masses @ (spec.omegas * zld)) / spec.volume)
-    f = free_energy_discrete(spec, beta, opts)
+    entropy density beta (eps - f).
+
+    zeta and zeta' at all omega_k beta come from one vectorized kernel call
+    that also yields f, so f is not evaluated a second time."""
+    f, eps = _discrete_sums(spec, beta, opts, with_energy=True)
     return eps, beta * (eps - f)
 
 
 def hagedorn_scan(spec: EnsembleSpec, beta_grid) -> list[HagedornPoint]:
     """Free energy along a beta grid, flagging the divergent points
-    beta omega_1 <= 1 instead of raising."""
+    beta omega_1 <= 1 instead of raising; each finite point is one
+    free_energy_discrete call (one kernel call)."""
     if spec.kind != "discrete":
         raise DomainError("hagedorn_scan is for discrete ensembles")
     out = []
@@ -260,8 +285,8 @@ def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -
         return np.exp(-kappa * sv) * _log_abs_zeta_real_many(sv)
 
     def im_integrand(sv):
-        signs = np.sign(_zeta_sign_vector(sv))
-        return np.exp(-kappa * sv) * np.where(signs < 0.0, math.pi, 0.0)
+        # every node lies inside 0 < s < 1, where zeta < 0
+        return np.exp(-kappa * sv) * math.pi
 
     # keep panels no wider than the exponential scale so no mass is skipped;
     # s_max puts the ln-zeta Dirichlet tail (~2^-s) below double precision
@@ -279,12 +304,6 @@ def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -
 
     pref = -lam / (beta * beta * vol)
     return complex(pref * re_val, pref * im_val)
-
-
-def _zeta_sign_vector(sv: np.ndarray) -> np.ndarray:
-    from .numkernel import _zeta_em_many
-
-    return _zeta_em_many(np.asarray(sv, dtype=np.complex128), DEFAULT_OPTIONS).real
 
 
 def _q_many(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
@@ -600,9 +619,8 @@ def energy_breakdown(
 def thermo_point(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> ThermoPoint:
     """Free energy, energy, and entropy densities at one temperature."""
     if spec.kind == "discrete":
-        f = free_energy_discrete(spec, beta)
-        eps, entropy = energy_entropy_discrete(spec, beta)
-        return ThermoPoint(beta, complex(f, 0.0), eps, entropy, frozenset())
+        f, eps = _discrete_sums(spec, beta, DEFAULT_OPTIONS, with_energy=True)
+        return ThermoPoint(beta, complex(f, 0.0), eps, beta * (eps - f), frozenset())
     f = free_energy_continuum(spec, beta, tol)
     eps = energy_oracle(spec, beta, tol)
     entropy = beta * (eps - f.real)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,18 @@ _MAX_ZEROS = 10_000
 _REALNESS_TOL = 1e-9  # |Im(e^{i theta} zeta(1/2+it))| beyond this flags kernel trouble
 
 
+def _fields_equal(a, b):
+    """Value equality for dataclasses with array fields: arrays compare by
+    np.array_equal, other fields by ==.  The generated __eq__ compares field
+    tuples, and numpy refuses a truth value for the array comparison."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    )
+
+
 @dataclass(frozen=True)
 class ZeroTable:
     """Ascending positive ordinates of nontrivial zeros with metadata.
@@ -94,6 +106,8 @@ class ZeroTable:
             raise DomainError("source must be 'computed' or 'loaded'")
         g.setflags(write=False)
         object.__setattr__(self, "gammas", g)
+
+    __eq__ = _fields_equal
 
     def count_below(self, t: float) -> int:
         return int(np.searchsorted(self.gammas, t, side="right"))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -124,6 +126,41 @@ class TestThermoCommand:
         assert "refusing to rescale" in err
 
 
+SPEC_ROWS = "# omega,probability\n1.0,0.5\n2.0,0.3\n3.5,0.2\n"
+
+# sha256 of stdout; these bytes predate the batched kernel calls, which must
+# leave every printed digit as it was
+PINNED_DIGESTS = [
+    (
+        ("thermo", "--lam", "1", "--beta-min", "0.5", "--beta-max", "4", "--steps", "8"),
+        "6dcb96b5dd9a2e225160254126a586ff1976f70376d3cfb5042486e12ff18f5a",
+    ),
+    (
+        ("thermo", "--lam", "0.05", "--beta-min", "0.1", "--beta-max", "10", "--steps", "5",
+         "--format", "json"),
+        "2334cb7957f871bc50023d9295258826d1040d00e48e9434a9ec7144c9df9cba",
+    ),
+    (
+        ("thermo", "--spec-file", "SPEC", "--beta-min", "0.5", "--beta-max", "3", "--steps", "11"),
+        "71e3a208ab488f9089a72da3b1ddd69ccfa49b89f007c7860fd47fa9a210f7bb",
+    ),
+    (
+        ("hagedorn", "--spec-file", "SPEC", "--beta-min", "0.5", "--beta-max", "3",
+         "--steps", "11", "--format", "json"),
+        "285c6684bdc0e8b3107711140f094255504a54de51c21c3d69476e44ec8bdfc8",
+    ),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv,digest", PINNED_DIGESTS)
+    def test_stdout_bytes(self, capsys, tmp_path, argv, digest):
+        spec = tmp_path / "ensemble.csv"
+        spec.write_text(SPEC_ROWS)
+        code, out, _ = run_cli(capsys, *[str(spec) if a == "SPEC" else a for a in argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
 class TestBreakdownCommand:
     def test_fields_and_contract(self, capsys):
         code, out, _ = run_cli(
@@ -231,11 +268,14 @@ class TestEnvironmentDefaults:
 
 class TestSubprocessEntry:
     def test_module_invocation(self):
+        # run from the directory holding the imported package, so the child
+        # finds the same rgas whether or not PYTHONPATH names it
         proc = subprocess.run(
             [sys.executable, "-m", "rgas", "eval", "--fn", "zeta", "--re", "3"],
             capture_output=True,
             text=True,
             timeout=120,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "fn,re,im,value_re,value_im"

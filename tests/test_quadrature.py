@@ -63,6 +63,44 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             q.integrate(np.sin, 1.0, 0.0, 1e-8)
 
+    def test_one_integrand_call_per_panel_set(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.log(1.0 - x)
+
+        res = q.integrate(f, 0.5, 1.0, 1e-10, singular_right=True)
+        assert res.value == -0.8465735902538438
+        assert res.abs_error == 7.806077598422514e-11
+        assert res.evaluations == 586
+        # the sliver probe, then every graded panel at once
+        assert len(calls) == 2
+        assert sum(calls) == res.evaluations
+
+    def test_panels_match_single_panel_rounding(self):
+        def reference(f, a, b):
+            # one GK15 pass over [a, b] alone: the per-panel rule, row by row
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            y = np.asarray(f(c + h * q._NODES))
+            i15 = h * np.sum(q._WK * y)
+            i7 = h * np.sum(q._WGAUSS * y[q._GAUSS_IDX])
+            i15, i7 = (complex(i15), complex(i7)) if np.iscomplexobj(y) else (float(i15), float(i7))
+            return i15, abs(i15 - i7) + 50.0 * np.finfo(float).eps * abs(i15)
+
+        rng = np.random.default_rng(11)
+        integrands = (
+            lambda x: np.exp(-x) * np.log(x),
+            lambda x: np.exp(7j * x) * np.log(x),
+            lambda x: 1.0 / (1.0 + 25.0 * x * x),
+        )
+        for f in integrands:
+            for n_panels in (1, 2, 7, 40, 300):
+                edges = sorted(rng.uniform(0.01, 3.0, n_panels + 1).tolist())
+                got = q._panels(f, edges)
+                assert [p[:2] for p in got] == list(zip(edges[:-1], edges[1:]))
+                assert [p[2:] for p in got] == [reference(f, a, b) for a, b in zip(edges[:-1], edges[1:])]
+
     def test_nonfinite_integrand_rejected(self):
         def bad(x):
             with np.errstate(invalid="ignore"):

@@ -28,6 +28,15 @@ class TestEnsembleSpec:
         with pytest.raises(DomainError):
             th.EnsembleSpec.continuum(-1.0)
 
+    def test_value_equality(self):
+        spec = th.EnsembleSpec.discrete([1.5, 2.0], [0.5, 0.5])
+        assert spec == th.EnsembleSpec.discrete([1.5, 2.0], [0.5, 0.5])
+        assert spec != th.EnsembleSpec.discrete([1.5, 2.5], [0.5, 0.5])
+        assert spec != th.EnsembleSpec.discrete([1.5, 2.0], [0.5, 0.5], volume=2.0)
+        assert spec != th.EnsembleSpec.continuum(1.0)
+        assert th.EnsembleSpec.continuum(1.0) == th.EnsembleSpec.continuum(1.0)
+        assert th.EnsembleSpec.continuum(1.0) != th.EnsembleSpec.continuum(2.0)
+
 
 class TestDiscreteFreeEnergy:
     def test_single_copy(self):
@@ -82,6 +91,55 @@ class TestDiscreteEnergyEntropy:
         for beta in np.linspace(1.1, 6.0, 12):
             eps, _ = th.energy_entropy_discrete(SINGLE, float(beta))
             assert eps > 0.0
+
+
+def _random_spec(seed: int, k: int, volume: float = 1.0) -> th.EnsembleSpec:
+    rng = np.random.default_rng(seed)
+    omegas = np.sort(rng.uniform(0.5, 5.0, size=k))
+    masses = rng.dirichlet(np.ones(k))
+    return th.EnsembleSpec.discrete(omegas, masses, volume)
+
+
+class TestDiscreteBatching:
+    """One Euler-Maclaurin call per beta, with the rounding of the one-point
+    scalar path it replaced."""
+
+    @staticmethod
+    def scalar_reference(spec, beta):
+        ln_z = np.log(np.array([nk.zeta(complex(w * beta)).real for w in spec.omegas]))
+        f = float(-(spec.masses @ ln_z) / (beta * spec.volume))
+        zld = np.array([nk.zeta_log_derivative(complex(w * beta)).real for w in spec.omegas])
+        eps = float(-(spec.masses @ (spec.omegas * zld)) / spec.volume)
+        return f, eps, beta * (eps - f)
+
+    def test_equals_scalar_loop(self):
+        for seed, k, volume in ((1, 1, 1.0), (2, 7, 1.0), (3, 50, 2.5), (4, 200, 1.0)):
+            spec = _random_spec(seed, k, volume)
+            for beta in np.linspace(1.0001, 3.0, 5) / float(spec.omegas[0]):
+                beta = float(beta)
+                f, eps, entropy = self.scalar_reference(spec, beta)
+                assert th.free_energy_discrete(spec, beta) == f
+                assert th.energy_entropy_discrete(spec, beta) == (eps, entropy)
+                point = th.thermo_point(spec, beta)
+                assert (point.f, point.eps, point.entropy) == (complex(f, 0.0), eps, entropy)
+
+    def test_one_kernel_call_per_beta(self, monkeypatch):
+        calls = []
+        original = nk._hurwitz_em
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nk, "_hurwitz_em", counted)
+        spec = _random_spec(5, 50)
+        beta = 2.0 / float(spec.omegas[0])
+        th.thermo_point(spec, beta)
+        assert len(calls) == 1
+        calls.clear()
+        points = th.hagedorn_scan(spec, [0.5 / float(spec.omegas[0]), beta])
+        assert [p.divergent for p in points] == [True, False]
+        assert len(calls) == 1
 
 
 class TestHagedornScan:

@@ -195,6 +195,12 @@ class TestZeroTable:
         with pytest.raises(DomainError):
             zeros200.head(0)
 
+    def test_value_equality(self):
+        table = zf.find_zeros(2)
+        assert table == zf.find_zeros(2)
+        assert not table != zf.find_zeros(2)
+        assert table != table.head(1)
+
 
 class TestHardyEval:
     def test_fields_consistent(self):
