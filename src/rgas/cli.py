@@ -75,6 +75,17 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float options: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _env_float(name: str, fallback: float) -> float:
     raw = os.environ.get(name)
     if raw is None:
@@ -450,13 +461,13 @@ def _build_parser(tol_default: float, zeros_default: int) -> argparse.ArgumentPa
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add_common(sp, betas: bool = False) -> None:
-        sp.add_argument("--tolerance", "--tol", type=float, default=tol_default)
-        sp.add_argument("--volume", type=float, default=1.0)
+        sp.add_argument("--tolerance", "--tol", type=_finite_float, default=tol_default)
+        sp.add_argument("--volume", type=_finite_float, default=1.0)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None)
         if betas:
-            sp.add_argument("--beta-min", type=float, required=True)
-            sp.add_argument("--beta-max", type=float, required=True)
+            sp.add_argument("--beta-min", type=_finite_float, required=True)
+            sp.add_argument("--beta-max", type=_finite_float, required=True)
             sp.add_argument("--steps", type=int, required=True)
 
     sp = sub.add_parser("zeros", help="compute or reuse a zero table")
@@ -467,22 +478,22 @@ def _build_parser(tol_default: float, zeros_default: int) -> argparse.ArgumentPa
 
     sp = sub.add_parser("eval", help="evaluate a special-function kernel")
     sp.add_argument("--fn", choices=sorted(_EVAL_FUNCS), required=True)
-    sp.add_argument("--re", type=float, required=True)
-    sp.add_argument("--im", type=float, default=0.0)
-    sp.add_argument("--q", type=float, default=1.0)
+    sp.add_argument("--re", type=_finite_float, required=True)
+    sp.add_argument("--im", type=_finite_float, default=0.0)
+    sp.add_argument("--q", type=_finite_float, default=1.0)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
     sp.set_defaults(handler=_cmd_eval)
 
     sp = sub.add_parser("thermo", help="free energy / energy / entropy scan")
-    sp.add_argument("--lam", type=float, default=None)
+    sp.add_argument("--lam", type=_finite_float, default=None)
     sp.add_argument("--spec-file", default=None)
     add_common(sp, betas=True)
     sp.set_defaults(handler=_cmd_thermo)
 
     sp = sub.add_parser("breakdown", help="six-term energy decomposition")
-    sp.add_argument("--lam", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--lam", type=_finite_float, required=True)
+    sp.add_argument("--beta", type=_finite_float, required=True)
     sp.add_argument("--zeros-count", type=int, default=None)
     sp.add_argument("--zeros-file", default=None)
     sp.set_defaults(zeros_default=zeros_default)
@@ -495,7 +506,7 @@ def _build_parser(tol_default: float, zeros_default: int) -> argparse.ArgumentPa
     sp.set_defaults(handler=_cmd_hagedorn)
 
     sp = sub.add_parser("validate", help="run the identity suite")
-    sp.add_argument("--tolerance", "--tol", type=float, default=tol_default)
+    sp.add_argument("--tolerance", "--tol", type=_finite_float, default=tol_default)
     sp.add_argument("--zeros-count", type=int, default=zeros_default)
     sp.set_defaults(handler=_cmd_validate)
     return p

@@ -63,6 +63,9 @@ _B2K = (
 _EM_ORDER = 12
 _B_OVER_FACT = tuple(_B2K[k - 1] / math.factorial(2 * k) for k in range(1, _EM_ORDER + 2))
 
+# Shifts j = 0..2J of the rising product in the truncation estimate.
+_RISING_SHIFTS = np.arange(2 * _EM_ORDER + 1, dtype=np.float64)
+
 # Stirling tail coefficients B_{2n} / (2n (2n-1)) for log-gamma.
 _STIRLING = tuple(_B2K[n - 1] / (2 * n * (2 * n - 1)) for n in range(1, _EM_ORDER + 1))
 
@@ -113,9 +116,15 @@ def _em_cutoff(im_max: float, base: float, opts: EvalOptions, re_min: float = 0.
 def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
     """Euler-Maclaurin evaluation of zeta(s, a) for an array of complex s.
 
-    Returns ``(value, estimate)`` or ``(value, derivative, estimate)`` where
-    ``estimate`` bounds the truncation error (first omitted correction term
-    times the standard |s+2J+1| / (Re s + 2J+1) factor).
+    Returns ``(value, derivative, estimate, floor)``; ``derivative`` is None
+    unless ``want_derivative``.  ``estimate`` bounds the error: the first
+    omitted correction term times the standard |s+2J+1| / (Re s + 2J+1)
+    factor, plus ``floor``, the rounding floor of the summed pieces.
+
+    The estimate only gates accuracy (``_check_est``, the zero finder's
+    chunk check), so its rising product of |s+j| is one vectorized reduction
+    whose last bits may differ from a step-by-step product; ``value`` and
+    ``derivative`` keep a fixed order of operations.
     """
     s = np.asarray(s, dtype=np.complex128)
     shape = s.shape
@@ -146,8 +155,10 @@ def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
     for k in range(1, _EM_ORDER + 1):
         if k > 1:
             for j in (2 * k - 3, 2 * k - 2):
-                dp = dp * (sf + j) + p
-                p = p * (sf + j)
+                sj = sf + j
+                if want_derivative:
+                    dp = dp * sj + p
+                p = p * sj
         w_pow = w_pow * inv_w2
         coef = _B_OVER_FACT[k - 1]
         value = value + coef * p * w_pow
@@ -156,16 +167,15 @@ def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
 
     # error estimate: the k = J+1 correction term, plus a summation-rounding
     # floor proportional to the absolute mass of the evaluated pieces; the
-    # rising-product factors are clamped away from zero so an exact hit on a
-    # negative integer cannot silence the estimate
-    p = np.maximum(np.abs(sf), 1.0).astype(np.complex128)
-    for j in range(1, 2 * _EM_ORDER + 1):
-        p = p * np.maximum(np.abs(sf + j), 1.0)
+    # rising-product factors |s+j|, j = 0..2J, are clamped away from zero so
+    # an exact hit on a negative integer cannot silence the estimate
+    shifted = np.hypot(sf.real[:, None] + _RISING_SHIFTS, sf.imag[:, None])
+    rising = np.prod(np.maximum(shifted, 1.0), axis=1)
     w_pow = w_pow * inv_w2
     re_s = sf.real
     denom = re_s + 2 * _EM_ORDER + 1
     factor = np.abs(sf + (2 * _EM_ORDER + 1)) / np.where(denom > 0.5, denom, 0.5)
-    est = abs(_B_OVER_FACT[_EM_ORDER]) * np.abs(p) * np.abs(w_pow) * np.maximum(factor, 1.0)
+    est = abs(_B_OVER_FACT[_EM_ORDER]) * rising * np.abs(w_pow) * np.maximum(factor, 1.0)
     abs_mass = np.abs(powers).sum(axis=1) + np.abs(pole) + 0.5 * np.abs(w_ms)
     floor = 8.0 * np.finfo(float).eps * abs_mass
 
@@ -214,11 +224,11 @@ def _log_sin_pi(z: complex) -> complex:
     if abs(z.imag) <= 1.0:
         return cmath.log(cmath.sin(math.pi * z))
     if z.imag > 0:
-        # sin(pi z) = -exp(-i pi z) (1 - exp(2 i pi z)) / (2 i)
+        # sin(pi z) = (i/2) exp(-i pi z) (1 - exp(2 i pi z))
         return (
             -1j * math.pi * z
             + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-            - cmath.log(2j)
+            + cmath.log(0.5j)
         )
     return _log_sin_pi(z.conjugate()).conjugate()
 

@@ -31,6 +31,7 @@ against the oracle-checked energy decomposition.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,10 +111,12 @@ class ZeroSumResult:
     tail: TailEstimate
 
 
+@functools.lru_cache(maxsize=64)
 def _tail_start(count: int) -> float:
     """T* with smooth counting theta(T*)/pi + 1 = count, i.e. the Gram point
     g_{count-1}: starting the density tail there cancels the boundary term
-    of the counting-function fluctuation."""
+    of the counting-function fluctuation.  A pure function of the table
+    size, solved once per size."""
     return float(_gram_points(count - 1, count - 1)[0])
 
 

@@ -40,6 +40,7 @@ from .errors import AccuracyError, DomainError, MissedZeroError, TableFormatErro
 from .numkernel import (
     DEFAULT_OPTIONS,
     EvalOptions,
+    _LOG_PI,
     _em_cutoff,
     _hurwitz_em,
     _log_gamma_many,
@@ -48,10 +49,8 @@ from .numkernel import (
 
 __all__ = [
     "ZeroTable",
-    "HardyEval",
     "riemann_siegel_theta",
     "hardy_z",
-    "hardy_eval",
     "gram_point",
     "find_zeros",
     "zero_count_estimate",
@@ -59,7 +58,6 @@ __all__ = [
     "load_table",
 ]
 
-_LOG_PI = math.log(math.pi)
 _TWO_PI = 2.0 * math.pi
 _MAX_ZEROS = 10_000
 _REALNESS_TOL = 1e-9  # |Im(e^{i theta} zeta(1/2+it))| beyond this flags kernel trouble
@@ -174,21 +172,6 @@ def hardy_z(t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """Hardy's real rotation of zeta on the critical line; its sign changes
     bracket the zero ordinates."""
     return float(_z_many(np.array([float(t)]), opts)[0])
-
-
-@dataclass(frozen=True)
-class HardyEval:
-    """One rotated evaluation on the critical line: e^{i theta} zeta(1/2+it)
-    is real up to kernel accuracy, checked at construction."""
-
-    t: float
-    z_value: float
-    theta: float
-
-
-def hardy_eval(t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> HardyEval:
-    """Z(t) together with the rotation angle theta(t)."""
-    return HardyEval(t=float(t), z_value=hardy_z(t, opts), theta=riemann_siegel_theta(t))
 
 
 # ----------------------------------------------------------------------

@@ -128,8 +128,10 @@ class TestThermoCommand:
 
 SPEC_ROWS = "# omega,probability\n1.0,0.5\n2.0,0.3\n3.5,0.2\n"
 
-# sha256 of stdout; these bytes predate the batched kernel calls, which must
-# leave every printed digit as it was
+# sha256 of stdout; these bytes predate the batched kernel calls and the
+# once-per-process invariants of the breakdown, which must leave every printed
+# digit as it was (the three breakdowns stop at 40, 80 and 160 pair-integral
+# panels)
 PINNED_DIGESTS = [
     (
         ("thermo", "--lam", "1", "--beta-min", "0.5", "--beta-max", "4", "--steps", "8"),
@@ -149,6 +151,18 @@ PINNED_DIGESTS = [
          "--steps", "11", "--format", "json"),
         "285c6684bdc0e8b3107711140f094255504a54de51c21c3d69476e44ec8bdfc8",
     ),
+    (
+        ("breakdown", "--lam", "1", "--beta", "1", "--zeros-count", "300"),
+        "9b5cb4e35bca05399a4ca0df2613bd3f99297c6f7dd984f7476b7bed2efd66c9",
+    ),
+    (
+        ("breakdown", "--lam", "0.03", "--beta", "0.9", "--zeros-count", "500"),
+        "38e82b64f15ede9db80490defa2c4279bff011d9668bae0ec4cc814893ce8430",
+    ),
+    (
+        ("breakdown", "--lam", "0.02", "--beta", "3", "--zeros-count", "500"),
+        "186398dd03d093c9fd6f1b4b0e7d35fe6dd4a9084f91e1d3e61eaedba6efacc3",
+    ),
 ]
 
 
@@ -160,6 +174,37 @@ class TestPinnedOutput:
         code, out, _ = run_cli(capsys, *[str(spec) if a == "SPEC" else a for a in argv])
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--fn", "zeta", "--re", "nan"),
+            ("eval", "--fn", "zeta", "--re", "2", "--im", "inf"),
+            ("thermo", "--lam", "1", "--beta-min", "inf", "--beta-max", "inf", "--steps", "1"),
+            ("thermo", "--lam", "nan", "--beta-min", "1", "--beta-max", "2", "--steps", "2"),
+            ("breakdown", "--lam", "1", "--beta", "1", "--volume", "inf"),
+        ],
+    )
+    def test_argument_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("rows", ["1.0,0.5\nnan,0.5\n", "1.0,0.5\n2.0,nan\n"])
+    def test_spec_file_is_usage_error(self, capsys, tmp_path, rows):
+        spec = tmp_path / "ensemble.csv"
+        spec.write_text(rows)
+        code, out, err = run_cli(
+            capsys, "thermo", "--spec-file", str(spec), "--beta-min", "1",
+            "--beta-max", "2", "--steps", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestBreakdownCommand:
     def test_fields_and_contract(self, capsys):

@@ -66,6 +66,69 @@ class TestZeta:
             true_err = abs(complex(coarse[0] - fine[0]))
             assert true_err <= float(est[0]) + 1e-15
 
+    @staticmethod
+    def step_by_step_estimate(s, a, n, want_derivative):
+        """The truncation estimate with its rising product taken one factor
+        at a time."""
+        sf = np.asarray(s, dtype=np.complex128)
+        ln_n = np.log(np.arange(0, n, dtype=np.float64) + a)
+        powers = np.exp(-sf[:, None] * ln_n[None, :])
+        w = a + n
+        ln_w = math.log(w)
+        w_ms = np.exp(-sf * ln_w)
+        pole = w * w_ms / (sf - 1.0)
+        w_pow = w_ms * w
+        for _ in range(nk._EM_ORDER + 1):
+            w_pow = w_pow / (w * w)
+        p = np.maximum(np.abs(sf), 1.0).astype(np.complex128)
+        for j in range(1, 2 * nk._EM_ORDER + 1):
+            p = p * np.maximum(np.abs(sf + j), 1.0)
+        denom = sf.real + 2 * nk._EM_ORDER + 1
+        factor = np.abs(sf + (2 * nk._EM_ORDER + 1)) / np.where(denom > 0.5, denom, 0.5)
+        est = abs(nk._B_OVER_FACT[nk._EM_ORDER]) * np.abs(p) * np.abs(w_pow) * np.maximum(factor, 1.0)
+        floor = 8.0 * np.finfo(float).eps * (
+            np.abs(powers).sum(axis=1) + np.abs(pole) + 0.5 * np.abs(w_ms)
+        )
+        return est * (ln_w + 1.0) + floor if want_derivative else est + floor
+
+    def test_estimate_matches_step_by_step_product(self):
+        rng = np.random.default_rng(11)
+        s = rng.uniform(-6.0, 6.0, 200) + 1j * rng.uniform(-3000.0, 3000.0, 200)
+        near_integers = -np.arange(1.0, 6.0)
+        s = np.concatenate(
+            [s, near_integers + 1e-9, near_integers - 1e-12 + 1e-10j, rng.uniform(-6.0, 6.0, 40) + 0j]
+        )
+        for want_derivative in (False, True):
+            for n in (21, 120, 1510):
+                est = nk._hurwitz_em(s, 1.0, n, want_derivative)[2]
+                ref = self.step_by_step_estimate(s, 1.0, n, want_derivative)
+                assert np.max(np.abs(est - ref) / ref) <= 1e-12
+
+
+class TestNegativeHalfPlaneAgainstMpmath:
+    """Re s < 0 with |Im s| > 2, where the reflection formula evaluates
+    log Gamma through the large-|Im| branch of log sin(pi z)."""
+
+    POINTS = (-0.5 + 3.0j, -1.0 + 30.0j, -3.3 - 7.0j, -5.9 + 2.5j, -0.01 - 40.0j)
+
+    def test_zeta_and_derivative(self):
+        mp = pytest.importorskip("mpmath")
+        for s in self.POINTS:
+            with mp.workdps(30):
+                ref, ref_d = complex(mp.zeta(s)), complex(mp.zeta(s, derivative=1))
+            assert abs(nk.zeta(s) - ref) <= 1e-12 * abs(ref)
+            assert abs(nk.zeta_derivative(s) - ref_d) <= 1e-12 * abs(ref_d)
+
+    def test_log_gamma(self):
+        mp = pytest.importorskip("mpmath")
+        for s in self.POINTS + (-0.5 + 1.5j,):
+            with mp.workdps(30):
+                ref = complex(mp.loggamma(s))
+            value = nk.log_gamma(s)
+            assert value.real == pytest.approx(ref.real, abs=1e-12 * max(1.0, abs(ref.real)))
+            turns = (value.imag - ref.imag) / (2.0 * PI)
+            assert abs(turns - round(turns)) <= 1e-12 * max(1.0, abs(ref.imag))
+
 
 class TestZetaDerivative:
     def test_value_at_2_against_log_sum_oracle(self):

@@ -28,6 +28,22 @@ class TestEnsembleSpec:
         with pytest.raises(DomainError):
             th.EnsembleSpec.continuum(-1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: th.EnsembleSpec.discrete([1.0, math.nan], [0.5, 0.5]),
+            lambda: th.EnsembleSpec.discrete([1.0, math.inf], [0.5, 0.5]),
+            lambda: th.EnsembleSpec.discrete([1.0, 2.0], [math.nan, 0.5]),
+            lambda: th.EnsembleSpec.continuum(math.inf),
+            lambda: th.EnsembleSpec.continuum(math.nan),
+            lambda: th.EnsembleSpec.continuum(1.0, volume=math.inf),
+        ],
+        ids=["nan-omega", "inf-omega", "nan-mass", "inf-rate", "nan-rate", "inf-volume"],
+    )
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
     def test_value_equality(self):
         spec = th.EnsembleSpec.discrete([1.5, 2.0], [0.5, 0.5])
         assert spec == th.EnsembleSpec.discrete([1.5, 2.0], [0.5, 0.5])
@@ -318,6 +334,18 @@ class TestPrintedForms:
         with pytest.raises(DomainError):
             th.series_coefficient(1)
 
+    def test_series_truncation_past_underflow(self):
+        # x^k underflows before the smallest term at x = 0.011 (near k = 2/x)
+        x = 0.011
+        _, k_opt, omitted = th._series_optimally_truncated(x, 1.0)
+        assert abs(k_opt - 2.0 / x) <= 2.0
+        assert omitted > 0.0
+        # at x = 0.005 the smallest term lies past the index cap
+        assert th._series_optimally_truncated(0.005, 1.0)[1] == th._SERIES_END - 1
+        # k! is past the float range from k = 171, and zeta(k) past the table
+        assert th.series_partial(1.0, 200.0, 250).optimal_index == 250
+        assert th.series_partial(1.0, 1000.0, 450).optimal_index == 450
+
 
 class TestScan:
     def test_points_finite_no_flags(self):
@@ -347,3 +375,93 @@ class TestScan:
         for point, bd in scan:
             assert bd is not None
             assert bd.oracle == pytest.approx(point.eps, abs=1e-6)
+
+
+def _pair_integrals_reference(gammas, beta, lam, tol):
+    """The 40 -> 80 -> 160 panel loop with every level run on the whole
+    table; also returns the level it stopped at and its largest error."""
+    omega_max = 45.0 / lam + 1.0 / beta
+    g2c = gammas * gammas
+
+    def accumulate(n_panels):
+        dense = np.linspace(0.0, 4.0 / lam, max(8, n_panels // 4) + 1)
+        sparse = np.linspace(4.0 / lam, omega_max, n_panels + 1)[1:]
+        edges = np.concatenate([dense, sparse])
+        vals = np.zeros(g2c.size)
+        errs = np.zeros(g2c.size)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            om = c + hw * q._NODES
+            u = beta * om - 0.5
+            frame = (om * np.exp(-lam * om) * 2.0 * u)[None, :] / (
+                u[None, :] ** 2 + g2c[:, None]
+            )
+            i15 = hw * frame @ q._WK
+            i7 = hw * frame[:, q._GAUSS_IDX] @ q._WGAUSS
+            vals += i15
+            errs += np.abs(i15 - i7)
+        return vals, errs
+
+    n_panels = 40
+    for _ in range(3):
+        vals, errs = accumulate(n_panels)
+        if float(np.max(errs)) <= tol:
+            break
+        n_panels *= 2
+    return vals, float(np.sum(errs)), min(n_panels, 160), float(np.max(errs))
+
+
+class TestBreakdownInvariants:
+    """Each invariant of the breakdown computed once, with the values of
+    computing it every time."""
+
+    def test_zeta_table_equals_scalar(self):
+        table = th._zeta_at_integers()
+        assert not table.flags.writeable
+        for k in range(2, th._SERIES_END):
+            assert table[k] == nk.zeta(complex(k)).real
+
+    @pytest.mark.parametrize(
+        "lam,beta,count,level,converged",
+        [
+            (1.0, 1.0, 300, 40, True),
+            (0.03, 0.9, 500, 80, True),
+            (0.02, 2.0, 500, 160, True),
+            (0.011, 5.9, 500, 160, False),
+        ],
+    )
+    def test_pair_integrals_equal_level_loop(self, zeros3000, lam, beta, count, level, converged):
+        gammas = zeros3000.head(count).gammas
+        tol = 1e-9
+        ref_vals, ref_err, ref_level, ref_max = _pair_integrals_reference(gammas, beta, lam, tol)
+        assert (ref_level, ref_max <= tol) == (level, converged)
+        vals, err = th._eps3_pair_integrals(gammas, beta, lam, tol)
+        assert np.array_equal(vals, ref_vals)
+        assert err == ref_err
+
+    def test_pair_integrals_at_the_tolerance_boundary(self, zeros3000):
+        # tol 1% above and below the 40-panel error: the loop stops at 40 and
+        # at 80 panels, and the screen must skip neither level
+        gammas = zeros3000.head(500).gammas
+        error_40 = _pair_integrals_reference(gammas, 0.9, 0.03, math.inf)[3]
+        for tol, level in ((error_40 * 1.01, 40), (error_40 * 0.99, 80)):
+            ref_vals, ref_err, ref_level, _ = _pair_integrals_reference(gammas, 0.9, 0.03, tol)
+            assert ref_level == level
+            vals, err = th._eps3_pair_integrals(gammas, 0.9, 0.03, tol)
+            assert np.array_equal(vals, ref_vals)
+            assert err == ref_err
+
+    def test_kernel_calls_of_repeated_breakdown(self, monkeypatch, zeros3000):
+        spec = th.EnsembleSpec.continuum(50.0)
+        table = zeros3000.head(500)
+        th.energy_breakdown(spec, 1.0, table)
+        calls = []
+        original = nk._hurwitz_em
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nk, "_hurwitz_em", counted)
+        th.energy_breakdown(spec, 1.0, table)
+        assert len(calls) <= 6

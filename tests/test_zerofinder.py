@@ -200,11 +200,3 @@ class TestZeroTable:
         assert table == zf.find_zeros(2)
         assert not table != zf.find_zeros(2)
         assert table != table.head(1)
-
-
-class TestHardyEval:
-    def test_fields_consistent(self):
-        ev = zf.hardy_eval(50.0)
-        assert ev.t == 50.0
-        assert ev.z_value == pytest.approx(zf.hardy_z(50.0), abs=0.0)
-        assert ev.theta == pytest.approx(zf.riemann_siegel_theta(50.0), abs=0.0)
