@@ -227,13 +227,17 @@ def _beta_grid(args) -> np.ndarray:
 
 
 def _thermo_rows(spec: thermo.EnsembleSpec, betas: np.ndarray, tol: float):
+    """One row per beta; the finite ones come from a single thermo_scan, and
+    discrete betas at or past the Hagedorn point are flagged, not computed."""
+    betas = [float(b) for b in betas]
+    divergent = [spec.kind == "discrete" and b * float(spec.omegas[0]) <= 1.0 for b in betas]
+    points = iter(thermo.thermo_scan(spec, [b for b, d in zip(betas, divergent) if not d], tol))
     rows = []
-    for b in betas:
-        b = float(b)
-        if spec.kind == "discrete" and b * float(spec.omegas[0]) <= 1.0:
+    for b, d in zip(betas, divergent):
+        if d:
             rows.append((b, math.nan, math.nan, math.nan, math.nan, "hagedorn_divergent"))
             continue
-        point = thermo.thermo_point(spec, b, tol)
+        point = next(points)
         rows.append(
             (
                 b,

@@ -494,11 +494,27 @@ def hurwitz_finite_part(q: float) -> float:
 _EI_CROSSOVER = 32.0
 
 
+def _ei_asymptotic_sum(x: float) -> float:
+    """sum k!/x^k of Ei(x) ~ exp(x)/x * sum k!/x^k, cut before its smallest
+    term."""
+    total = 1.0
+    term = 1.0
+    for k in range(1, int(abs(x)) + 1):
+        nxt = term * k / x
+        if abs(nxt) >= abs(term):
+            break
+        term = nxt
+        total += term
+    return total
+
+
 def exp_integral_ei(x: float) -> float:
     """Exponential integral Ei(x) for real x != 0.
 
     Power series gamma + ln|x| + sum x^k / (k k!) for |x| <= 32, optimally
-    truncated asymptotic expansion exp(x)/x * sum k!/x^k beyond."""
+    truncated asymptotic expansion exp(x)/x * sum k!/x^k beyond, as
+    exp(x - ln x) * sum where exp(x) overflows.  Raises AccuracyError where
+    Ei(x) exceeds the float range (x above ~716.4)."""
     if x == 0.0:
         raise PoleError("Ei is singular at x = 0")
     ax = abs(x)
@@ -512,13 +528,25 @@ def exp_integral_ei(x: float) -> float:
             if abs(inc) < 1e-17 * max(1.0, abs(total)):
                 break
         return total
-    # asymptotic branch, smallest-term truncation
-    total = 1.0
-    term = 1.0
-    for k in range(1, int(ax) + 1):
-        nxt = term * k / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        total += term
-    return math.exp(x) / x * total
+    try:
+        scale = math.exp(x)
+    except OverflowError:
+        try:
+            value = math.exp(x - math.log(x)) * _ei_asymptotic_sum(x)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise AccuracyError(f"Ei({x!r}) exceeds the float range") from None
+        return value
+    return scale / x * _ei_asymptotic_sum(x)
+
+
+def _exp_neg_ei(x: float, scale: float = 1.0) -> float:
+    """scale * exp(-x) * Ei(x) for real x != 0: that product, left to right,
+    where exp(|x|) is a finite float; else scale times the asymptotic sum
+    over x, which needs neither exponential."""
+    try:
+        math.exp(abs(x))
+    except OverflowError:
+        return scale * (_ei_asymptotic_sum(x) / x)
+    return scale * math.exp(-x) * exp_integral_ei(x)

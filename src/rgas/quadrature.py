@@ -15,6 +15,35 @@ Three entry points:
                              density on [0, inf);
   * ``principal_value``      Cauchy principal values through a simple pole,
                              by symmetric subtraction of the smooth factor.
+
+Step generators.  The adaptive loop is written once, as the generator
+``_adaptive``: it yields an array of nodes (a sliver probe, a panel set or
+a split panel), is sent the integrand's values there and finally returns
+the QuadResult.  ``integrate`` answers each yield with a plain callable.
+
+Batch steps run many integrals in lockstep, so that an expensive kernel is
+called once per round for all of them.  A batch step generator yields a
+list of requests (kernel, s), a vectorized elementwise kernel and the 1-d
+array it is wanted at, and is sent the list of answers in the same order:
+
+  * ``ask(kernel, s)``         one request; returns kernel(s);
+  * ``integrate_steps``        ``integrate`` whose integrand is itself a
+                               batch step generator (``yield from ask(...)``);
+  * ``principal_value_steps``  ``principal_value`` likewise, both halves in
+                               lockstep;
+  * ``gather(jobs)``           advances every job one step per round and
+                               returns their results; on failure it raises
+                               the error of the first failing job in list
+                               order, as a sequential loop would;
+  * ``serve(job)``             runs a job: each round, one call per kernel on
+                               the concatenated nodes, cut into chunks of at
+                               most ``_MAX_BATCH`` = 1024 nodes.
+
+Because kernels are elementwise, every integral receives the values it
+would receive alone, makes the same splits and sums in the same order: a
+lockstep run returns the QuadResults of running the integrals one by one.
+``principal_value`` runs the same steps but calls h once per request, on
+that request's nodes alone, as a sequential loop would.
 """
 
 from __future__ import annotations
@@ -65,6 +94,9 @@ _WGAUSS = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
 
 _GRADE_LEVELS = 60  # geometric grading (ratio 1/2) toward a log endpoint
 
+# rounding floor added to each panel's |K15 - G7|, relative to |K15|
+_PANEL_ROUNDING = 50.0 * np.finfo(float).eps
+
 
 @dataclass
 class QuadResult:
@@ -76,16 +108,17 @@ class QuadResult:
     converged: bool
 
 
-def _panels(f, edges):
-    """One GK15 pass over each panel [edges[i], edges[i+1]] from a single
-    call of f on the nodes of all panels.  Returns a list of
-    (lo, hi, I15, err_est), one per panel, in the order of the edges."""
+def _panel_steps(edges):
+    """One GK15 pass over each panel [edges[i], edges[i+1]]: yields the
+    nodes of all panels as one array and is sent the integrand there.
+    Returns a list of (lo, hi, I15, err_est), one per panel, in the order
+    of the edges."""
     lo = np.asarray(edges[:-1], dtype=np.float64)
     hi = np.asarray(edges[1:], dtype=np.float64)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _NODES
-    y = np.asarray(f(x.reshape(-1))).reshape(x.shape)
+    y = np.asarray((yield x.reshape(-1))).reshape(x.shape)
     finite = np.all(np.isfinite(y), axis=1)
     if not np.all(finite):
         k = int(np.argmin(finite))
@@ -97,9 +130,20 @@ def _panels(f, edges):
     i15 = (h * np.sum(_WK * y, axis=1)).tolist()
     i7 = (h * np.sum(_WGAUSS * gauss, axis=1)).tolist()
     return [
-        (a, b, k15, abs(k15 - g7) + 50.0 * np.finfo(float).eps * abs(k15))
+        (a, b, k15, abs(k15 - g7) + _PANEL_ROUNDING * abs(k15))
         for a, b, k15, g7 in zip(edges[:-1], edges[1:], i15, i7)
     ]
+
+
+def _drive(steps, f):
+    """Run a step generator to its result, answering each node array x with
+    f(x)."""
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(f(x))
+        except StopIteration as stop:
+            return stop.value
 
 
 def _graded_edges(a: float, b: float, singular_left: bool, singular_right: bool):
@@ -132,18 +176,16 @@ def _graded_edges(a: float, b: float, singular_left: bool, singular_right: bool)
     return edges, slivers
 
 
-def integrate(
-    f,
+def _adaptive(
     a: float,
     b: float,
     tol: float = 1e-10,
     singular_left: bool = False,
     singular_right: bool = False,
     max_panels: int = 4096,
-) -> QuadResult:
-    """Adaptive bisection of [a, b] until the summed |K15 - G7| estimates
-    drop below tol/2.  Integrable endpoint singularities (log-type) should be
-    flagged so the initial panels are graded toward them."""
+):
+    """The GK15 loop of ``integrate`` as a generator: yields node arrays, is
+    sent the integrand's values there, and returns the QuadResult."""
     if not a < b:
         raise DomainError("integrate requires a < b")
     edges, slivers = _graded_edges(a, b, singular_left, singular_right)
@@ -153,10 +195,10 @@ def integrate(
         # integrable singularity: bound the uncovered sliver by 3 * width *
         # |f| sampled just inside the first resolved panel
         probe = endpoint + direction * 0.6 * delta
-        fval = np.asarray(f(np.array([probe])))[0]
+        fval = np.asarray((yield np.array([probe])))[0]
         evals += 1
         sliver_bound += 3.0 * delta * abs(complex(fval))
-    panels = _panels(f, edges)
+    panels = yield from _panel_steps(edges)
     evals += 15 * len(panels)
 
     min_width = (b - a) * 1e-14
@@ -179,13 +221,28 @@ def integrate(
             )
         panels.remove(worst)
         lo, hi = worst[0], worst[1]
-        panels.extend(_panels(f, [lo, 0.5 * (lo + hi), hi]))
+        panels.extend((yield from _panel_steps([lo, 0.5 * (lo + hi), hi])))
         evals += 30
 
     panels.sort(key=lambda p: p[0])
     value = sum(p[2] for p in panels)
     abs_error = float(sum(p[3] for p in panels)) + sliver_bound
     return QuadResult(value, abs_error, evals, abs_error <= tol)
+
+
+def integrate(
+    f,
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+    singular_left: bool = False,
+    singular_right: bool = False,
+    max_panels: int = 4096,
+) -> QuadResult:
+    """Adaptive bisection of [a, b] until the summed |K15 - G7| estimates
+    drop below tol/2.  Integrable endpoint singularities (log-type) should be
+    flagged so the initial panels are graded toward them."""
+    return _drive(_adaptive(a, b, tol, singular_left, singular_right, max_panels), f)
 
 
 def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
@@ -207,14 +264,10 @@ def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
     return QuadResult(res.value, res.abs_error + tail, res.evaluations + 3, res.converged)
 
 
-def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> QuadResult:
-    """PV integral of h(x) / (x - pole) over (a, b), a < pole < b.
-
-    Uses the symmetric subtraction
-      PV = int (h(x) - h(pole)) / (x - pole) dx + h(pole) ln((b-pole)/(pole-a)),
-    which leaves a smooth integrand; b may be math.inf, in which case the
-    finite part is taken symmetric around the pole and the remainder is
-    integrated on geometrically growing panels (h must decay)."""
+def principal_value_steps(h, pole: float, a: float, b: float, tol: float = 1e-10):
+    """``principal_value`` as a batch step generator (see ``serve``); h is a
+    step integrand: h(x) yields requests and returns the values at x.  The
+    two halves around the pole advance together."""
     if not a < pole:
         raise DomainError("principal_value requires a < pole < b")
     infinite = math.isinf(b)
@@ -222,15 +275,19 @@ def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> Q
     if not pole < b_eff:
         raise DomainError("principal_value requires a < pole < b")
 
-    h_pole = complex(np.asarray(h(np.array([pole])))[0])
+    h_pole = complex(np.asarray((yield from h(np.array([pole]))))[0])
     if h_pole.imag == 0.0:
         h_pole = h_pole.real
 
     def smooth(x):
-        return (np.asarray(h(x)) - h_pole) / (x - pole)
+        return (np.asarray((yield from h(x))) - h_pole) / (x - pole)
 
-    left = integrate(smooth, a, pole, tol / 3.0)
-    right = integrate(smooth, pole, b_eff, tol / 3.0)
+    left, right = yield from gather(
+        [
+            integrate_steps(smooth, a, pole, tol / 3.0),
+            integrate_steps(smooth, pole, b_eff, tol / 3.0),
+        ]
+    )
     log_term = h_pole * math.log((b_eff - pole) / (pole - a))
     value = left.value + right.value + log_term
     err = left.abs_error + right.abs_error
@@ -239,14 +296,14 @@ def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> Q
 
     if infinite:
         def full(x):
-            return np.asarray(h(x)) / (x - pole)
+            return np.asarray((yield from h(x))) / (x - pole)
 
         lo = b_eff
         width = max(pole - a, 1.0)
         quiet = 0
         for _ in range(64):
             hi = lo + width
-            piece = integrate(full, lo, hi, tol / 8.0)
+            piece = yield from integrate_steps(full, lo, hi, tol / 8.0)
             value += piece.value
             err += piece.abs_error
             evals += piece.evaluations
@@ -262,3 +319,144 @@ def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> Q
             raise ConvergenceError("principal_value: semi-infinite tail did not settle")
 
     return QuadResult(value, float(err), evals, converged and err <= tol)
+
+
+def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> QuadResult:
+    """PV integral of h(x) / (x - pole) over (a, b), a < pole < b.
+
+    Uses the symmetric subtraction
+      PV = int (h(x) - h(pole)) / (x - pole) dx + h(pole) ln((b-pole)/(pole-a)),
+    which leaves a smooth integrand; b may be math.inf, in which case the
+    finite part is taken symmetric around the pole and the remainder is
+    integrated on geometrically growing panels (h must decay)."""
+    steps = principal_value_steps(lambda x: ask(h, x), pole, a, b, tol)
+    return _run(steps, lambda requests: [h(x) for _, x in requests])
+
+
+# ----------------------------------------------------------------------
+# batch steps: many adaptive integrals in lockstep
+# ----------------------------------------------------------------------
+
+# Most nodes one kernel call receives from ``serve``; a round holding more
+# is cut into chunks of this size, which bounds the kernels' work arrays.
+_MAX_BATCH = 1024
+
+
+def ask(kernel, s):
+    """Batch step: request kernel(s) and return it.  Raises what the kernel
+    raised on s alone."""
+    (value,) = yield [(kernel, s)]
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def integrate_steps(
+    integrand,
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+    singular_left: bool = False,
+    singular_right: bool = False,
+    max_panels: int = 4096,
+):
+    """``integrate`` as a batch step generator; integrand(x) is a step
+    integrand that yields requests and returns the values at x."""
+    steps = _adaptive(a, b, tol, singular_left, singular_right, max_panels)
+    x = next(steps)
+    while True:
+        y = yield from integrand(x)
+        try:
+            x = steps.send(y)
+        except StopIteration as stop:
+            return stop.value
+
+
+def gather(jobs):
+    """Batch step generator that advances every job one step per round and
+    returns their results in order.
+
+    When jobs raise, the error raised is that of the first failing job in
+    list order, the one a loop running the jobs one after another would
+    meet: jobs after a failed one are dropped, earlier ones run on."""
+    jobs = list(jobs)
+    results = [None] * len(jobs)
+    pending = {}  # job index -> its requests of this round, ascending
+    failure = None
+
+    def advance(i, answers):
+        """Step job i (send None starts it); False once it has raised."""
+        nonlocal failure
+        try:
+            pending[i] = jobs[i].send(answers)
+        except StopIteration as stop:
+            results[i] = stop.value
+            pending.pop(i, None)
+        except Exception as exc:
+            failure = exc
+            for j in [j for j in pending if j >= i]:
+                del pending[j]
+            return False
+        return True
+
+    for i in range(len(jobs)):
+        if not advance(i, None):
+            break
+    while pending:
+        order = list(pending.items())
+        answers = yield [r for _, requests in order for r in requests]
+        pos = 0
+        for i, requests in order:
+            if not advance(i, answers[pos : pos + len(requests)]):
+                break
+            pos += len(requests)
+    if failure is not None:
+        raise failure
+    return results
+
+
+def serve(job):
+    """Run a batch step generator to its result.
+
+    Each round's requests are grouped by kernel; every group is one
+    concatenated node array, evaluated in chunks of at most ``_MAX_BATCH``
+    nodes and split back.  Kernels must be elementwise, so a request gets the
+    values it would get alone.  When a group's evaluation raises, each of
+    its requests is evaluated alone and answered with its values or with the
+    exception it raised, which ``ask`` raises inside the requesting job."""
+    return _run(job, _answer)
+
+
+def _run(job, answer):
+    """Run a batch step generator, answering each round's list of requests
+    with answer(requests)."""
+    try:
+        requests = next(job)
+        while True:
+            requests = job.send(answer(requests))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _answer(requests):
+    answers = [None] * len(requests)
+    groups = {}
+    for k, (kernel, _) in enumerate(requests):
+        groups.setdefault(kernel, []).append(k)
+    for kernel, ks in groups.items():
+        nodes = np.concatenate([requests[k][1] for k in ks])
+        try:
+            values = np.concatenate(
+                [kernel(nodes[i : i + _MAX_BATCH]) for i in range(0, nodes.size, _MAX_BATCH)]
+            )
+        except Exception:
+            for k in ks:
+                try:
+                    answers[k] = kernel(requests[k][1])
+                except Exception as exc:
+                    answers[k] = exc
+            continue
+        sizes = np.cumsum([requests[k][1].size for k in ks])[:-1]
+        for k, part in zip(ks, np.split(values, sizes)):
+            answers[k] = part
+    return answers

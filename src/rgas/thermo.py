@@ -23,6 +23,13 @@ principal-value quadrature of
 Closed forms printed in terms of Ei and the factorially divergent series
 sum g(k) (beta/lam)^k are also provided verbatim ("printed" forms) with
 their deviations from the oracle reported, never asserted.
+
+A continuum beta grid is one ``thermo_scan``: the integrals behind f and
+eps at every beta are batch step generators (see ``quadrature``) run in
+lockstep, so each round makes one call of each real-axis kernel (ln|zeta|,
+zeta'/zeta and (s-1) zeta'/zeta) on the nodes of all of them.  The kernels
+are elementwise, so every point equals the one computed alone, and the
+first error raised is the one a beta-by-beta loop would meet.
 """
 
 from __future__ import annotations
@@ -40,14 +47,22 @@ from .numkernel import (
     EULER_GAMMA,
     EvalOptions,
     _digamma_many,
+    _exp_neg_ei,
     _log_abs_zeta_real_many,
     _zeta_em_many,
     _zeta_log_derivative_real_many,
     digamma,
-    exp_integral_ei,
     zeta,
 )
-from .quadrature import QuadResult, integrate, integrate_exp_weight, principal_value
+from .quadrature import (
+    ask,
+    gather,
+    integrate,
+    integrate_exp_weight,
+    integrate_steps,
+    principal_value_steps,
+    serve,
+)
 from .superzeta import (
     EXPANSION_CONSTANT,
     SuperzetaParams,
@@ -75,6 +90,7 @@ __all__ = [
     "series_coefficient",
     "series_partial",
     "thermo_point",
+    "thermo_scan",
     "energy_scan",
 ]
 
@@ -138,13 +154,23 @@ class EnsembleSpec:
 @dataclass(frozen=True)
 class ThermoPoint:
     """One temperature point: complex free energy density, energy density,
-    entropy density, and status flags."""
+    entropy density, and status flags.
+
+    For the continuum, ``abs_error`` holds the quadrature error budgets of f
+    and eps (each the sum of its integrals' estimates, scaled like the
+    density; eps includes the oracle's Dirichlet-tail bound) and
+    ``converged`` whether every integral met its tolerance.  Neither is
+    printed or enforced.  A discrete point has no quadrature: its
+    ``abs_error`` is None, and its zeta values pass the Euler-Maclaurin
+    accuracy gate or raise."""
 
     beta: float
     f: complex
     eps: float
     entropy: float
     flags: frozenset[str] = field(default_factory=frozenset)
+    abs_error: tuple[float, float] | None = None
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -273,13 +299,9 @@ def free_energy_im_closed_form(spec: EnsembleSpec, beta: float) -> float:
     return -math.pi / (beta * spec.volume) * (1.0 - math.exp(-spec.rate / beta))
 
 
-def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -> complex:
-    """-(lam/(beta^2 V)) int_0^inf exp(-lam s / beta) log zeta(s) ds.
-
-    The real part integrates ln |zeta| with geometric panel grading into the
-    integrable logarithmic singularity at s = 1 from both sides; the
-    imaginary part integrates the principal-branch phase (exactly +pi where
-    zeta < 0, i.e. on 0 < s < 1)."""
+def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
+    """Batch steps of free_energy_continuum; returns (f, abs_error,
+    converged) with the error budget of f summed over its integrals."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     if not beta > 0.0:
@@ -288,7 +310,7 @@ def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -
     kappa = lam / beta
 
     def re_integrand(sv):
-        return np.exp(-kappa * sv) * _log_abs_zeta_real_many(sv)
+        return np.exp(-kappa * sv) * (yield from ask(_log_abs_zeta_real_many, sv))
 
     def im_integrand(sv):
         # every node lies inside 0 < s < 1, where zeta < 0
@@ -298,21 +320,42 @@ def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -
     # s_max puts the ln-zeta Dirichlet tail (~2^-s) below double precision
     mid = min(0.5, 40.0 / kappa)
     s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
-    re_val = (
-        integrate(re_integrand, 0.0, mid, tol / 4.0).value
-        + integrate(re_integrand, mid, 1.0, tol / 4.0, singular_right=True).value
-        + integrate(re_integrand, 1.0, s_max, tol / 4.0, singular_left=True).value
+    re = yield from gather(
+        [
+            integrate_steps(re_integrand, 0.0, mid, tol / 4.0),
+            integrate_steps(re_integrand, mid, 1.0, tol / 4.0, singular_right=True),
+            integrate_steps(re_integrand, 1.0, s_max, tol / 4.0, singular_left=True),
+        ]
     )
-    im_val = (
-        integrate(im_integrand, 0.0, mid, tol / 4.0).value
-        + integrate(im_integrand, mid, 1.0, tol / 4.0).value
-    )
+    # no kernel behind the phase: these run directly, after the real part
+    im = [
+        integrate(im_integrand, 0.0, mid, tol / 4.0),
+        integrate(im_integrand, mid, 1.0, tol / 4.0),
+    ]
+    re_val = re[0].value + re[1].value + re[2].value
+    im_val = im[0].value + im[1].value
 
     pref = -lam / (beta * beta * vol)
-    return complex(pref * re_val, pref * im_val)
+    parts = re + im
+    return (
+        complex(pref * re_val, pref * im_val),
+        abs(pref) * sum(r.abs_error for r in parts),
+        all(r.converged for r in parts),
+    )
 
 
-def _q_many(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -> complex:
+    """-(lam/(beta^2 V)) int_0^inf exp(-lam s / beta) log zeta(s) ds.
+
+    The real part integrates ln |zeta| with geometric panel grading into the
+    integrable logarithmic singularity at s = 1 from both sides, its three
+    integrals in lockstep with one ln|zeta| kernel call per round; the
+    imaginary part integrates the principal-branch phase (exactly +pi where
+    zeta < 0, i.e. on 0 < s < 1)."""
+    return serve(_free_energy_steps(spec, beta, tol))[0]
+
+
+def _q_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """(s-1) * (zeta'/zeta)(s) for real s > 0, smooth through s = 1 where it
     equals the pole residue -1."""
     s = np.asarray(s, dtype=np.float64)
@@ -325,14 +368,8 @@ def _q_many(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     return out
 
 
-def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
-    """Ground truth for the average energy density:
-
-        -(lam/V) PV int_0^inf omega e^(-lam omega) (zeta'/zeta)(beta omega) d omega
-
-    with the simple pole at omega = 1/beta handled by principal value after
-    extracting the smooth factor omega e^(-lam omega) (beta omega - 1)
-    (zeta'/zeta)(beta omega) / beta."""
+def _energy_steps(spec: EnsembleSpec, beta: float, tol: float):
+    """Batch steps of energy_oracle; returns (eps, abs_error, converged)."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     if not beta > 0.0:
@@ -343,32 +380,32 @@ def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
     omega_max = pole + 45.0 / lam
 
     def h(om):
-        om = np.asarray(om, dtype=np.float64)
-        return om * np.exp(-lam * om) * _q_many(beta * om, DEFAULT_OPTIONS) / beta
+        return om * np.exp(-lam * om) * (yield from ask(_q_many, beta * om)) / beta
 
     def full(om):
-        om = np.asarray(om, dtype=np.float64)
-        return om * np.exp(-lam * om) * _zeta_log_derivative_real_many(beta * om)
+        return om * np.exp(-lam * om) * (yield from ask(_zeta_log_derivative_real_many, beta * om))
 
-    total = 0.0
-    err = 0.0
+    def pieces(edges):
+        return [
+            integrate_steps(full, lo, hi, tol / 5.0)
+            for lo, hi in zip(edges[:-1], edges[1:])
+            if hi > lo
+        ]
+
     left_edges = sorted({0.0, min(pole - d, 40.0 / lam), pole - d})
-    for lo, hi in zip(left_edges[:-1], left_edges[1:]):
-        if hi > lo:
-            res = integrate(full, lo, hi, tol / 5.0)
-            total += res.value
-            err += res.abs_error
-    pv = principal_value(h, pole, pole - d, pole + d, tol / 5.0)
-    total += pv.value
-    err += pv.abs_error
     # the zeta'/zeta structure lives on the omega scale 1/beta; keep a panel
     # edge at its far end so wide panels cannot overlook it
     right_edges = sorted({pole + d, min(pole + 42.0 / beta, omega_max), omega_max})
-    for lo, hi in zip(right_edges[:-1], right_edges[1:]):
-        if hi > lo:
-            res = integrate(full, lo, hi, tol / 5.0)
-            total += res.value
-            err += res.abs_error
+    parts = yield from gather(
+        pieces(left_edges)
+        + [principal_value_steps(h, pole, pole - d, pole + d, tol / 5.0)]
+        + pieces(right_edges)
+    )
+    total = 0.0
+    err = 0.0
+    for res in parts:
+        total += res.value
+        err += res.abs_error
     # Dirichlet tail: |zeta'/zeta(s)| <= 1.4 ln 2 2^-s beyond omega_max, so
     # the remainder integrates omega e^(-decay omega) in closed form
     decay = lam + beta * math.log(2.0)
@@ -380,7 +417,19 @@ def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
     )
     if err > max(tol, 1e-12) * 50.0:
         raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
-    return float(-(lam / vol) * total)
+    return float(-(lam / vol) * total), (lam / vol) * err, all(r.converged for r in parts)
+
+
+def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
+    """Ground truth for the average energy density:
+
+        -(lam/V) PV int_0^inf omega e^(-lam omega) (zeta'/zeta)(beta omega) d omega
+
+    with the simple pole at omega = 1/beta handled by principal value after
+    extracting the smooth factor omega e^(-lam omega) (beta omega - 1)
+    (zeta'/zeta)(beta omega) / beta.  The pieces left of, around and right
+    of the pole run in lockstep, one kernel call per kernel and round."""
+    return serve(_energy_steps(spec, beta, tol))[0]
 
 
 # ----------------------------------------------------------------------
@@ -486,8 +535,8 @@ def thermal_part_printed_form(beta: float, lam: float, volume: float = 1.0) -> f
     x = lam / beta
     return (
         1.0 / (beta * volume)
-        - lam / (beta * beta * volume) * math.exp(-x) * exp_integral_ei(x)
-        + lam / (4.0 * beta * beta * volume) * math.exp(-0.25 * x) * exp_integral_ei(0.25 * x)
+        - _exp_neg_ei(x, lam / (beta * beta * volume))
+        + _exp_neg_ei(0.25 * x, lam / (4.0 * beta * beta * volume))
     )
 
 
@@ -614,7 +663,7 @@ def energy_breakdown(
 
     eps1 = -EXPANSION_CONSTANT / lv
     x = lam / beta
-    eps2 = 1.0 / (beta * vol) - lam / (beta * beta * vol) * math.exp(-x) * exp_integral_ei(x)
+    eps2 = 1.0 / (beta * vol) - _exp_neg_ei(x, lam / (beta * beta * vol))
 
     pair_vals, pair_err = _eps3_pair_integrals(zeros.gammas, beta, lam, tol * 0.1)
     tail_corr, tail_bound = _eps3_tail(zeros.count, beta, lam)
@@ -649,7 +698,7 @@ def energy_breakdown(
     eps3_printed = (
         EULER_GAMMA / (2.0 * lv)
         - series_sum / (beta * vol)
-        + lam / (4.0 * beta * beta * vol) * math.exp(-0.25 * x) * exp_integral_ei(0.25 * x)
+        + _exp_neg_ei(0.25 * x, lam / (4.0 * beta * beta * vol))
     )
     eps5_printed = -EULER_GAMMA / (2.0 * lv) + series_sum / (beta * vol)
     thermal_printed = thermal_part_printed_form(beta, lam, vol)
@@ -686,15 +735,35 @@ def energy_breakdown(
 # ----------------------------------------------------------------------
 
 def thermo_point(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> ThermoPoint:
-    """Free energy, energy, and entropy densities at one temperature."""
+    """Free energy, energy, and entropy densities at one temperature; a
+    continuum point is a one-point thermo_scan."""
     if spec.kind == "discrete":
         f, eps = _discrete_sums(spec, beta, DEFAULT_OPTIONS, with_energy=True)
         return ThermoPoint(beta, complex(f, 0.0), eps, beta * (eps - f), frozenset())
-    f = free_energy_continuum(spec, beta, tol)
-    eps = energy_oracle(spec, beta, tol)
+    return thermo_scan(spec, [beta], tol)[0]
+
+
+def _point_steps(spec: EnsembleSpec, beta: float, tol: float):
+    """Batch steps of a continuum thermo point: f and eps in lockstep."""
+    (f, f_err, f_ok), (eps, eps_err, eps_ok) = yield from gather(
+        [_free_energy_steps(spec, beta, tol), _energy_steps(spec, beta, tol)]
+    )
     entropy = beta * (eps - f.real)
     flags = frozenset({"complex_branch_active"}) if f.imag != 0.0 else frozenset()
-    return ThermoPoint(beta, f, eps, entropy, flags)
+    return ThermoPoint(beta, f, eps, entropy, flags, (f_err, eps_err), f_ok and eps_ok)
+
+
+def thermo_scan(spec: EnsembleSpec, beta_grid, tol: float = 1e-9) -> list[ThermoPoint]:
+    """The thermo points of a beta grid, equal to thermo_point at each beta.
+
+    A continuum grid is one lockstep run of every integral behind every
+    point (f and eps at each beta), one kernel call per kernel and round; on
+    failure it raises what the first failing point raises, f before eps.  A
+    discrete grid is a loop of thermo_point, one kernel call per beta."""
+    betas = [float(b) for b in beta_grid]
+    if spec.kind == "discrete":
+        return [thermo_point(spec, b, tol) for b in betas]
+    return serve(gather([_point_steps(spec, b, tol) for b in betas]))
 
 
 def energy_scan(

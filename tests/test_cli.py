@@ -63,6 +63,11 @@ class TestEvalCommand:
         assert code == 3
         assert "pole" in err.lower()
 
+    def test_ei_overflow_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--fn", "ei", "--re", "800")
+        assert (code, out) == (3, "")
+        assert "float range" in err
+
     def test_json_matches_csv(self, capsys):
         _, out_csv, _ = run_cli(capsys, "eval", "--fn", "digamma", "--re", "2")
         _, out_json, _ = run_cli(capsys, "eval", "--fn", "digamma", "--re", "2", "--format", "json")
@@ -128,10 +133,10 @@ class TestThermoCommand:
 
 SPEC_ROWS = "# omega,probability\n1.0,0.5\n2.0,0.3\n3.5,0.2\n"
 
-# sha256 of stdout; these bytes predate the batched kernel calls and the
-# once-per-process invariants of the breakdown, which must leave every printed
-# digit as it was (the three breakdowns stop at 40, 80 and 160 pair-integral
-# panels)
+# sha256 of stdout; these bytes predate the batched kernel calls, the
+# lockstep continuum scan and the once-per-process invariants of the
+# breakdown, which must leave every printed digit as it was (the three
+# breakdowns stop at 40, 80 and 160 pair-integral panels)
 PINNED_DIGESTS = [
     (
         ("thermo", "--lam", "1", "--beta-min", "0.5", "--beta-max", "4", "--steps", "8"),
@@ -162,6 +167,15 @@ PINNED_DIGESTS = [
     (
         ("breakdown", "--lam", "0.02", "--beta", "3", "--zeros-count", "500"),
         "186398dd03d093c9fd6f1b4b0e7d35fe6dd4a9084f91e1d3e61eaedba6efacc3",
+    ),
+    (
+        ("thermo", "--lam", "1", "--beta-min", "0.05", "--beta-max", "20", "--steps", "200"),
+        "5ff5d3ab4c0aa263a79afd83c33c127fe418c07a949e8e47afd762fd4bda21a4",
+    ),
+    (
+        ("thermo", "--lam", "0.02", "--beta-min", "0.3", "--beta-max", "6", "--steps", "24",
+         "--format", "json"),
+        "559327eecc11f11f39496f983aa287fc60b583b94572afd9a0ca0a6ee3748610",
     ),
 ]
 
@@ -222,6 +236,16 @@ class TestBreakdownCommand:
         assert abs(payload["total"] - payload["oracle"]) <= 1e-6 * abs(payload["oracle"])
         assert payload["eps1_printed"] == pytest.approx(2.837877, abs=1e-6)
         assert np.isfinite(payload["deviation_thermal"])
+
+    def test_lambda_over_beta_past_the_exp_range(self, capsys):
+        # e^(lam/beta) overflows a float; e^(-x) Ei(x) does not
+        code, out, _ = run_cli(
+            capsys, "breakdown", "--lam", "100", "--beta", "0.1", "--zeros-count", "300"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["total"] - payload["oracle"]) <= payload["abs_error"]
+        assert np.isfinite(payload["thermal_printed"])
 
     def test_zeros_file_reuse(self, capsys, tmp_path):
         zfile = tmp_path / "z.csv"

@@ -342,6 +342,39 @@ class TestExponentialIntegral:
         with pytest.raises(PoleError):
             nk.exp_integral_ei(0.0)
 
+    def test_overflow_is_an_accuracy_error(self):
+        for x in (716.5, 800.0, 1e6):
+            with pytest.raises(AccuracyError):
+                nk.exp_integral_ei(x)
+
+    def test_finite_past_the_exp_range(self):
+        # Ei(x) ~ e^x / x stays a finite float until x ~ 716.4, past e^x
+        below = nk.exp_integral_ei(709.78)
+        assert nk.exp_integral_ei(709.79) == pytest.approx(below * math.exp(0.01), rel=1e-4)
+        for x in (710.0, 713.0, 716.3):
+            value = nk.exp_integral_ei(x)
+            series = 1.0 + 1.0 / x + 2.0 / x**2 + 6.0 / x**3 + 24.0 / x**4 + 120.0 / x**5
+            expect = math.exp(x - math.log(x)) * series
+            assert math.isfinite(value)
+            assert value == pytest.approx(expect, rel=1e-12)
+
+    def test_scaled_ei_is_the_product_where_finite(self):
+        rng = np.random.default_rng(5)
+        for x in np.concatenate([rng.uniform(-700.0, 709.78, 200), [0.25, 32.0, 709.78]]):
+            x = float(x)
+            for scale in (1.0, 0.37):
+                assert nk._exp_neg_ei(x, scale) == scale * math.exp(-x) * nk.exp_integral_ei(x)
+
+    def test_scaled_ei_past_the_float_range(self):
+        # the asymptotic sum over x continues the product across x ~ 709.78
+        below = nk._exp_neg_ei(709.78)
+        above = nk._exp_neg_ei(709.79)
+        assert above == pytest.approx(below, rel=2e-5)
+        for x in (710.0, 1e3, 1e5, -710.0, -1e4):
+            # e^-x Ei(x) = 1/x (1 + 1/x + 2/x^2 + 6/x^3 + ...)
+            expect = (1.0 + 1.0 / x + 2.0 / x**2 + 6.0 / x**3 + 24.0 / x**4) / x
+            assert nk._exp_neg_ei(x) == pytest.approx(expect, rel=1e-12)
+
 
 class TestFunctionalEquationGrid:
     def test_residual_on_strip_grid(self):

@@ -97,7 +97,7 @@ class TestIntegrate:
         for f in integrands:
             for n_panels in (1, 2, 7, 40, 300):
                 edges = sorted(rng.uniform(0.01, 3.0, n_panels + 1).tolist())
-                got = q._panels(f, edges)
+                got = q._drive(q._panel_steps(edges), f)
                 assert [p[:2] for p in got] == list(zip(edges[:-1], edges[1:]))
                 assert [p[2:] for p in got] == [reference(f, a, b) for a, b in zip(edges[:-1], edges[1:])]
 
@@ -171,3 +171,115 @@ class TestPrincipalValue:
     def test_pole_on_boundary_rejected(self):
         with pytest.raises(DomainError):
             q.principal_value(lambda x: x, 0.0, 0.0, 2.0, 1e-8)
+
+    def test_h_sees_one_side_of_the_pole_per_call(self):
+        calls = []
+
+        def h(x):
+            calls.append(np.array(x))
+            return np.cos(25.0 * x)
+
+        q.principal_value(h, 1.0, 0.0, 2.0, 1e-12)
+        assert calls[0].tolist() == [1.0]
+        assert len(calls) > 3
+        for x in calls[1:]:
+            assert np.all(x < 1.0) or np.all(x > 1.0)
+
+    def test_failing_h_is_called_once(self):
+        calls = []
+
+        def h(x):
+            calls.append(x.size)
+            if x.size > 1:
+                raise ValueError("h fails on panels")
+            return np.ones_like(x)
+
+        with pytest.raises(ValueError, match="h fails on panels"):
+            q.principal_value(h, 1.0, 0.0, 2.0, 1e-10)
+        # the pole probe, then the left half's panel set, which raises
+        assert len(calls) == 2 and calls[0] == 1
+
+
+def _as_steps(f):
+    """A plain integrand as a batch step integrand with f as the kernel."""
+    return lambda x: q.ask(f, x)
+
+
+class TestBatchSteps:
+    def test_served_integrals_equal_integrate(self):
+        # every closed form at once, in lockstep, returns the QuadResult of
+        # integrating it alone
+        jobs, expected = [], []
+        for f, a, b, _, kw in CLOSED_FORMS:
+            jobs.append(q.integrate_steps(_as_steps(f), a, b, 1e-10, **kw))
+            expected.append(q.integrate(f, a, b, 1e-10, **kw))
+        assert q.serve(q.gather(jobs)) == expected
+
+    def test_served_principal_values_equal_principal_value(self):
+        cases = [
+            (lambda x: np.cos(x), 1.0, 0.0, 2.0),
+            (lambda x: x * np.exp(-x), 1.0, 0.0, math.inf),
+            (lambda x: np.exp(3j * x), 0.7, 0.1, 1.5),
+        ]
+        jobs = [q.principal_value_steps(_as_steps(h), p, a, b, 1e-11) for h, p, a, b in cases]
+        got = q.serve(q.gather(jobs))
+        assert got == [q.principal_value(h, p, a, b, 1e-11) for h, p, a, b in cases]
+
+    def test_kernel_calls_are_grouped_and_capped(self):
+        sizes = []
+
+        def kernel(x):
+            sizes.append(x.size)
+            return np.sin(x)
+
+        ends = [1.0 + k for k in range(6)]
+        jobs = [q.integrate_steps(_as_steps(kernel), 0.0, b, 1e-12, singular_left=True) for b in ends]
+        results = q.serve(q.gather(jobs))
+        assert results == [q.integrate(np.sin, 0.0, b, 1e-12, singular_left=True) for b in ends]
+        assert max(sizes) == q._MAX_BATCH
+        # rounds: sliver probes, then the graded panels (cut into chunks)
+        assert sizes[0] == 6
+
+    def test_gather_raises_the_first_failure_in_list_order(self):
+        ran = []
+
+        def job(name, fail_at, rounds=5):
+            for k in range(rounds):
+                (value,) = yield [(np.negative, np.array([float(k)]))]
+                ran.append((name, k))
+                if k == fail_at:
+                    raise ValueError(name)
+            return name
+
+        # job b fails first in time, but job a comes first in list order
+        with pytest.raises(ValueError, match="^a$"):
+            q.serve(q.gather([job("a", 3), job("b", 0), job("c", None)]))
+        assert ("a", 3) in ran
+        # c comes after the failure of b and is dropped in that round
+        assert [r for r in ran if r[0] == "c"] == []
+        ran.clear()
+        assert q.serve(q.gather([job("a", None), job("b", None, 2)])) == ["a", "b"]
+
+    def test_failing_kernel_is_attributed_to_its_request(self):
+        def kernel(x):
+            if np.any(x < 0.0):
+                raise DomainError(f"negative node {float(np.min(x))!r}")
+            return np.sqrt(x)
+
+        def job(shift):
+            return q.integrate_steps(_as_steps(kernel), shift, shift + 1.0, 1e-10)
+
+        # the second and third jobs reach negative nodes; the error is the one
+        # the second raises when its kernel call is made alone
+        with pytest.raises(DomainError) as alone:
+            q.integrate(kernel, -0.5, 0.5, 1e-10)
+        with pytest.raises(DomainError) as batched:
+            q.serve(q.gather([job(0.0), job(-0.5), job(-3.0)]))
+        assert str(batched.value) == str(alone.value)
+        assert q.serve(q.gather([job(0.0), job(2.0)])) == [
+            q.integrate(kernel, 0.0, 1.0, 1e-10),
+            q.integrate(kernel, 2.0, 3.0, 1e-10),
+        ]
+
+    def test_empty_gather(self):
+        assert q.serve(q.gather([])) == []

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgas import numkernel as nk
 from rgas import quadrature as q
 from rgas import thermo as th
-from rgas.errors import DomainError, HagedornError
+from rgas.errors import AccuracyError, DomainError, HagedornError
 
 import oracles
 
@@ -347,6 +349,15 @@ class TestPrintedForms:
         assert th.series_partial(1.0, 1000.0, 450).optimal_index == 450
 
 
+class TestBreakdownPastTheExpRange:
+    @pytest.mark.parametrize("lam,beta,count", [(100.0, 0.1, 3000), (90.0, 0.11, 500), (60.0, 0.08, 200)])
+    def test_total_matches_oracle(self, zeros3000, lam, beta, count):
+        bd = th.energy_breakdown(th.EnsembleSpec.continuum(lam), beta, zeros3000.head(count))
+        assert abs(bd.total - bd.oracle) <= bd.abs_error
+        assert bd.eps2 == 1.0 / beta - nk._exp_neg_ei(lam / beta, lam / (beta * beta))
+        assert math.isfinite(th.thermal_part_printed_form(beta, lam))
+
+
 class TestScan:
     def test_points_finite_no_flags(self):
         scan = th.energy_scan(CONT, np.linspace(0.5, 4.0, 16), None, 1e-8)
@@ -465,3 +476,214 @@ class TestBreakdownInvariants:
         monkeypatch.setattr(nk, "_hurwitz_em", counted)
         th.energy_breakdown(spec, 1.0, table)
         assert len(calls) <= 6
+
+
+def _reference_point(spec, beta, tol):
+    """A continuum thermo point from every integral run on its own, one after
+    another, in the order of the sequential algorithm (plain callables; the
+    kernels are looked up on the thermo module at call time)."""
+    lam, vol = spec.rate, spec.volume
+    kappa = lam / beta
+
+    def re_f(sv):
+        return np.exp(-kappa * sv) * th._log_abs_zeta_real_many(sv)
+
+    def im_f(sv):
+        return np.exp(-kappa * sv) * math.pi
+
+    mid = min(0.5, 40.0 / kappa)
+    s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
+    re = [
+        q.integrate(re_f, 0.0, mid, tol / 4.0),
+        q.integrate(re_f, mid, 1.0, tol / 4.0, singular_right=True),
+        q.integrate(re_f, 1.0, s_max, tol / 4.0, singular_left=True),
+    ]
+    im = [q.integrate(im_f, 0.0, mid, tol / 4.0), q.integrate(im_f, mid, 1.0, tol / 4.0)]
+    pref = -lam / (beta * beta * vol)
+    re_val = re[0].value + re[1].value + re[2].value
+    f = complex(pref * re_val, pref * (im[0].value + im[1].value))
+
+    pole = 1.0 / beta
+    d = 0.5 * pole
+    omega_max = pole + 45.0 / lam
+
+    def h(om):
+        return om * np.exp(-lam * om) * th._q_many(beta * om) / beta
+
+    def full(om):
+        return om * np.exp(-lam * om) * th._zeta_log_derivative_real_many(beta * om)
+
+    def pieces(edges):
+        return [q.integrate(full, lo, hi, tol / 5.0) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+
+    parts = pieces(sorted({0.0, min(pole - d, 40.0 / lam), pole - d}))
+    parts.append(q.principal_value(h, pole, pole - d, pole + d, tol / 5.0))
+    parts += pieces(sorted({pole + d, min(pole + 42.0 / beta, omega_max), omega_max}))
+    total = 0.0
+    err = 0.0
+    for res in parts:
+        total += res.value
+        err += res.abs_error
+    decay = lam + beta * math.log(2.0)
+    err += (
+        1.4
+        * math.log(2.0)
+        * math.exp(-decay * omega_max)
+        * (omega_max / decay + 1.0 / (decay * decay))
+    )
+    if err > max(tol, 1e-12) * 50.0:
+        raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
+    eps = float(-(lam / vol) * total)
+    flags = frozenset({"complex_branch_active"}) if f.imag != 0.0 else frozenset()
+    return th.ThermoPoint(
+        beta,
+        f,
+        eps,
+        beta * (eps - f.real),
+        flags,
+        (abs(pref) * sum(r.abs_error for r in re + im), (lam / vol) * err),
+        all(r.converged for r in re + im + parts),
+    )
+
+
+def _scan_cases():
+    rng = np.random.default_rng(2027)
+    cases = [
+        (1.0, 0.5, 4.0, 8, 1e-9),
+        (0.05, 0.1, 10.0, 5, 1e-8),  # small kappa: unconverged slivers
+        (0.01, 0.05, 0.05, 1, 1e-8),
+        (100.0, 20.0, 20.0, 1, 1e-9),
+        (0.02, 0.3, 6.0, 3, 1e-9),
+        (3.0, 0.05, 0.07, 2, 1e-10),
+    ]
+    for _ in range(26):
+        lam = float(np.exp(rng.uniform(math.log(0.01), math.log(100.0))))
+        b_lo, b_hi = sorted(np.exp(rng.uniform(math.log(0.05), math.log(20.0), 2)).tolist())
+        cases.append((lam, b_lo, b_hi, int(rng.integers(1, 4)), float(rng.choice([1e-8, 1e-9]))))
+    return cases
+
+
+class TestThermoScan:
+    def test_equals_the_sequential_points(self):
+        unconverged = 0
+        for lam, b_lo, b_hi, steps, tol in _scan_cases():
+            spec = th.EnsembleSpec.continuum(lam)
+            betas = np.linspace(b_lo, b_hi, steps) if steps > 1 else np.array([b_lo])
+            scan = th.thermo_scan(spec, betas, tol)
+            assert scan == [_reference_point(spec, float(b), tol) for b in betas]
+            unconverged += sum(not p.converged for p in scan)
+            assert all(0.0 < e < math.inf for p in scan for e in p.abs_error)
+        assert unconverged > 0
+
+    def test_equals_thermo_point_and_public_parts(self):
+        spec = th.EnsembleSpec.continuum(0.3, volume=2.0)
+        betas = np.linspace(0.2, 5.0, 6)
+        scan = th.thermo_scan(spec, betas, 1e-9)
+        assert scan == [th.thermo_point(spec, float(b), 1e-9) for b in betas]
+        for point in scan:
+            assert point.f == th.free_energy_continuum(spec, point.beta, 1e-9)
+            assert point.eps == th.energy_oracle(spec, point.beta, 1e-9)
+        assert th.energy_scan(spec, betas, None, 1e-9) == [(p, None) for p in scan]
+
+    def test_small_kappa_budget_is_carried(self):
+        point = th.thermo_point(th.EnsembleSpec.continuum(0.05), 0.1, 1e-8)
+        assert not point.converged
+        f_err, eps_err = point.abs_error
+        assert f_err > 0.0 and eps_err > 0.0
+        assert th.thermo_point(SINGLE, 2.0).abs_error is None
+
+    def test_kernel_calls_of_a_continuum_scan(self, monkeypatch):
+        sizes = []
+        original = nk._hurwitz_em
+
+        def counted(s, *args, **kwargs):
+            sizes.append(np.asarray(s).size)
+            return original(s, *args, **kwargs)
+
+        monkeypatch.setattr(nk, "_hurwitz_em", counted)
+        th.thermo_scan(CONT, np.linspace(0.5, 4.0, 8), 1e-8)
+        assert len(sizes) <= 25
+        # one round holds ~9,400 nodes; no kernel call may take more than 1024
+        assert max(sizes) <= 1024
+
+    def test_discrete_scan_is_a_loop_of_points(self):
+        spec = _random_spec(8, 20)
+        betas = np.linspace(1.1, 3.0, 4) / float(spec.omegas[0])
+        assert th.thermo_scan(spec, betas) == [th.thermo_point(spec, float(b)) for b in betas]
+        with pytest.raises(HagedornError):
+            th.thermo_scan(spec, [0.5 / float(spec.omegas[0])])
+        assert th.thermo_scan(CONT, []) == []
+
+    @pytest.mark.parametrize("moduli", [(5003, 3001), (20011, 1999), (7919, 104729), (401, 97)])
+    def test_first_error_is_the_sequential_one(self, monkeypatch, moduli):
+        # kernels that fail on a pseudo-random set of nodes: the scan raises
+        # what a beta-by-beta loop, f before eps, raises first
+        def poisoned(kernel, modulus, label):
+            def fake(s, *args):
+                s = np.ascontiguousarray(s, dtype=np.float64)
+                bad = s.view(np.uint64) % modulus == 0
+                if np.any(bad):
+                    raise AccuracyError(f"{label} {float(s[bad][0])!r}")
+                return kernel(s, *args)
+
+            return fake
+
+        for name, modulus, label in (
+            ("_log_abs_zeta_real_many", moduli[0], "f"),
+            ("_zeta_log_derivative_real_many", moduli[1], "eps"),
+        ):
+            monkeypatch.setattr(th, name, poisoned(getattr(th, name), modulus, label))
+        betas = [0.3, 0.7, 1.1, 2.0, 3.5, 6.0]
+        with pytest.raises(AccuracyError) as sequential:
+            for b in betas:
+                _reference_point(CONT, b, 1e-9)
+        with pytest.raises(AccuracyError) as batched:
+            th.thermo_scan(CONT, betas, 1e-9)
+        assert str(batched.value) == str(sequential.value)
+
+    def test_first_domain_error_wins(self):
+        with pytest.raises(DomainError, match="continuum ensemble required"):
+            th.energy_oracle(SINGLE, 1.0)
+        with pytest.raises(DomainError, match="beta must be positive"):
+            th.thermo_scan(CONT, [1.0, -1.0, 2.0])
+
+
+class TestKernelContract:
+    """The batch engine concatenates the nodes of many integrals into one
+    kernel call, cut into chunks: a kernel's value at s must not depend on
+    the batch around it."""
+
+    KERNELS = (nk._log_abs_zeta_real_many, nk._zeta_log_derivative_real_many, th._q_many)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(min_value=1e-3, max_value=80.0).filter(lambda s: s != 1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1, 2, 15, 1023, 1024, 1025, 2100]),
+        st.sampled_from(["first", "last", "chunk_end", "chunk_start", "random"]),
+    )
+    def test_value_alone_equals_value_in_a_batch(self, s, seed, size, where):
+        rng = np.random.default_rng(seed)
+        batch = rng.uniform(1e-3, 60.0, size)
+        batch[batch == 1.0] = 2.0
+        k = {
+            "first": 0,
+            "last": size - 1,
+            "chunk_end": min(q._MAX_BATCH - 1, size - 1),
+            "chunk_start": min(q._MAX_BATCH, size - 1),
+            "random": int(rng.integers(0, size)),
+        }[where]
+        batch[k] = s
+        for kernel in self.KERNELS:
+            alone = kernel(np.array([s]))[0]
+            whole = kernel(batch)
+            chunked = np.concatenate(
+                [kernel(batch[i : i + q._MAX_BATCH]) for i in range(0, size, q._MAX_BATCH)]
+            )
+            assert whole[k] == alone
+            assert np.array_equal(whole, chunked)
+
+    def test_pole_node_of_q(self):
+        batch = np.array([0.5, 1.0, 2.0])
+        assert th._q_many(batch)[1] == -1.0
+        assert th._q_many(batch)[2] == th._q_many(np.array([2.0]))[0]
