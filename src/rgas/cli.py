@@ -12,6 +12,7 @@ variables RGAS_TOL and RGAS_ZEROS; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -86,33 +87,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _env_float(name: str, fallback: float) -> float:
+def _env_default(name: str, fallback, kind, what: str):
+    """The environment's value of `name` as `kind`, or the fallback."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise DomainError(f"environment {name}={raw!r} is not a number") from exc
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"environment {name}={raw!r} is not an integer") from exc
-
-
-def _check_tolerance(tol: float) -> float:
-    if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
-        raise DomainError(
-            f"tolerance {tol:g} outside the supported range "
-            f"[{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]"
-        )
-    return tol
+        raise DomainError(f"environment {name}={raw!r} is not {what}") from exc
 
 
 def _load_discrete_spec(path: str, volume: float) -> thermo.EnsembleSpec:
@@ -140,17 +123,18 @@ def _load_discrete_spec(path: str, volume: float) -> thermo.EnsembleSpec:
     return thermo.EnsembleSpec.discrete(omegas, masses, volume)
 
 
+def _load_head(path: str, count: int | None) -> zerofinder.ZeroTable:
+    """The table in the file, cut to its first `count` ordinates if given."""
+    table = zerofinder.load_table(path)
+    return table.head(count) if count and count < table.count else table
+
+
 def _get_zero_table(args, default_count: int) -> zerofinder.ZeroTable:
     """Explicit --zeros-count slices a loaded file; the default only sizes a
     fresh computation."""
-    if getattr(args, "zeros_file", None):
-        table = zerofinder.load_table(args.zeros_file)
-        count = getattr(args, "zeros_count", None)
-        if count is not None and count < table.count:
-            return table.head(count)
-        return table
-    count = getattr(args, "zeros_count", None)
-    return zerofinder.find_zeros(count if count is not None else default_count)
+    if args.zeros_file:
+        return _load_head(args.zeros_file, args.zeros_count)
+    return zerofinder.find_zeros(args.zeros_count or default_count)
 
 
 # ----------------------------------------------------------------------
@@ -159,9 +143,7 @@ def _get_zero_table(args, default_count: int) -> zerofinder.ZeroTable:
 
 def _cmd_zeros(args) -> int:
     if args.infile:
-        table = zerofinder.load_table(args.infile)
-        if args.count and args.count < table.count:
-            table = table.head(args.count)
+        table = _load_head(args.infile, args.count)
     else:
         if not args.count or args.count < 1:
             raise DomainError("zeros: --count must be a positive integer")
@@ -457,7 +439,9 @@ def _cmd_validate(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def _build_parser(tol_default: float, zeros_default: int) -> argparse.ArgumentParser:
+    """Built once per pair of defaults; parse_args leaves a parser as it was."""
     p = argparse.ArgumentParser(
         prog="rgas",
         description="Thermodynamics of the bosonic randomized Riemann gas.",
@@ -518,23 +502,26 @@ def _build_parser(tol_default: float, zeros_default: int) -> argparse.ArgumentPa
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        tol_default = _env_float("RGAS_TOL", 1e-8)
-        zeros_default = _env_int("RGAS_ZEROS", 100)
+        tol_default = _env_default("RGAS_TOL", 1e-8, float, "a number")
+        zeros_default = _env_default("RGAS_ZEROS", 100, int, "an integer")
     except DomainError as exc:
         print(f"rgas: {exc}", file=sys.stderr)
         return 2
-    parser = _build_parser(tol_default, zeros_default)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(tol_default, zeros_default).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "tolerance"):
-            _check_tolerance(args.tolerance)
+        tol = getattr(args, "tolerance", _TOL_RANGE[0])
+        if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
+            raise DomainError(
+                f"tolerance {tol:g} outside the supported range "
+                f"[{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]"
+            )
         if getattr(args, "zeros_count", 1) is not None and getattr(args, "zeros_count", 1) < 1:
             raise DomainError("zeros count must be >= 1")
         return args.handler(args)
-    except (DomainError, TableFormatError, HagedornError, FileNotFoundError) as exc:
+    except (DomainError, TableFormatError, HagedornError, OSError, UnicodeDecodeError) as exc:
         print(f"rgas: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, ConvergenceError, MissedZeroError, PoleError) as exc:

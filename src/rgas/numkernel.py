@@ -550,3 +550,75 @@ def _exp_neg_ei(x: float, scale: float = 1.0) -> float:
     except OverflowError:
         return scale * (_ei_asymptotic_sum(x) / x)
     return scale * math.exp(-x) * exp_integral_ei(x)
+
+
+# ----------------------------------------------------------------------
+# Complex exponential integral
+# ----------------------------------------------------------------------
+
+# h(z) = z e^z E1(z) - 1 by power series (30 terms) for |z| <= 3, continued
+# fraction to |z| = 50, and beyond by asymptotic series, below 1e-19 |h| there
+_E1_BRANCH_EDGES = (3.0, 50.0)
+_E1_SERIES_COEF = tuple(1.0 / (k * math.factorial(k)) for k in range(1, 31))
+_E1_STOP = 1e-17  # relative size of the last term or Lentz step taken
+
+
+def _h_series(z: np.ndarray) -> np.ndarray:
+    """h from E1(z) = -gamma_E - ln z - sum (-z)^k/(k k!), in Horner form."""
+    p = np.zeros_like(z)
+    for c in reversed(_E1_SERIES_COEF):
+        p = (p + c) * -z
+    return z * np.exp(z) * (-EULER_GAMMA - np.log(z) - p) - 1.0
+
+
+def _h_fraction(z: np.ndarray) -> np.ndarray:
+    """h = (R - 1)/(z + 1 - R) from e^z E1(z) = 1/(z + 1 - R), where
+    1/R = z + 3 - 2^2/(z + 5 - 3^2/(z + 7 - ...)) runs through the modified
+    Lentz recurrence until each element's own step is within _E1_STOP of 1."""
+    inv_r, live, zl = np.empty_like(z), np.arange(z.size), z
+    f = c = z + 3.0
+    d, j = np.zeros_like(z), 1
+    while live.size:
+        j += 1
+        b = zl + (2 * j + 1)
+        d = 1.0 / (b - j * j * d)
+        c = b - j * j / c
+        step = c * d
+        f = f * step
+        done = np.abs(step - 1.0) <= _E1_STOP
+        if done.any():
+            inv_r[live[done]] = f[done]
+            live, zl, f, c, d = (a[~done] for a in (live, zl, f, c, d))
+    r = 1.0 / inv_r
+    return (r - 1.0) / (z + 1.0 - r)
+
+
+def _h_asymptotic(z: np.ndarray) -> np.ndarray:
+    """h ~ sum_{k>=1} (-1)^k k!/z^k to each element's first term below
+    _E1_STOP |1/z|, adding real parts term by term: Re h stays accurate
+    where it is far below |h|."""
+    out, live, w = np.empty_like(z), np.arange(z.size), 1.0 / z
+    term, total, k = np.ones_like(z), np.zeros_like(z), 0
+    while live.size:
+        k += 1
+        term = term * (-k * w)
+        total = total + term
+        done = np.abs(term) <= _E1_STOP * np.abs(w)
+        if done.any():
+            out[live[done]] = total[done]
+            live, w, term, total = (a[~done] for a in (live, w, term, total))
+    return out
+
+
+def _z_exp_e1_minus_one(z) -> np.ndarray:
+    """h(z) = z e^z E1(z) - 1, elementwise, for finite complex z off the
+    closed negative real axis; each branch yields h itself, as h ~ -1/z for large
+    |z| and forming z e^z E1(z) - 1 would cancel."""
+    z = np.asarray(z, dtype=np.complex128)
+    if np.any(~np.isfinite(z) | ((z.imag == 0.0) & ~(z.real > 0.0))):
+        raise DomainError("z e^z E1(z) needs finite z off the closed negative real axis")
+    which = np.digitize(np.abs(z), _E1_BRANCH_EDGES, right=True)
+    out = np.empty_like(z)
+    for k, branch in enumerate((_h_series, _h_fraction, _h_asymptotic)):
+        out[which == k] = branch(z[which == k])
+    return out

@@ -183,6 +183,7 @@ def _adaptive(
     singular_left: bool = False,
     singular_right: bool = False,
     max_panels: int = 4096,
+    rel_tol: float = 0.0,
 ):
     """The GK15 loop of ``integrate`` as a generator: yields node arrays, is
     sent the integrand's values there, and returns the QuadResult."""
@@ -204,7 +205,7 @@ def _adaptive(
     min_width = (b - a) * 1e-14
     while True:
         total_err = sum(p[3] for p in panels)
-        if total_err <= 0.5 * tol:
+        if total_err <= 0.5 * max(tol, rel_tol * abs(sum(p[2] for p in panels))):
             break
         # split the worst panel that is still splittable
         worst = max(
@@ -227,7 +228,7 @@ def _adaptive(
     panels.sort(key=lambda p: p[0])
     value = sum(p[2] for p in panels)
     abs_error = float(sum(p[3] for p in panels)) + sliver_bound
-    return QuadResult(value, abs_error, evals, abs_error <= tol)
+    return QuadResult(value, abs_error, evals, abs_error <= max(tol, rel_tol * abs(value)))
 
 
 def integrate(
@@ -238,11 +239,12 @@ def integrate(
     singular_left: bool = False,
     singular_right: bool = False,
     max_panels: int = 4096,
+    rel_tol: float = 0.0,
 ) -> QuadResult:
     """Adaptive bisection of [a, b] until the summed |K15 - G7| estimates
-    drop below tol/2.  Integrable endpoint singularities (log-type) should be
-    flagged so the initial panels are graded toward them."""
-    return _drive(_adaptive(a, b, tol, singular_left, singular_right, max_panels), f)
+    drop below max(tol, rel_tol |value|)/2.  Integrable endpoint (log-type)
+    singularities should be flagged so the panels are graded toward them."""
+    return _drive(_adaptive(a, b, tol, singular_left, singular_right, max_panels, rel_tol), f)
 
 
 def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:

@@ -291,8 +291,9 @@ def mellin_j(s: complex, t: float, tol: float = 1e-10) -> complex:
 
     res = integrate(integrand, 0.0, u_cut, tol, singular_left=True)
     # truncated-ray remainder, bounded by the Dirichlet decay of zeta'/zeta;
-    # the cutoff loop above already pushed it below double precision
-    assert 3.0 * 2.0 ** (-(x0 + y_cut)) * y_cut ** (-s.real) < 1e-15
+    # the cutoff loop above pushed it below double precision unless capped
+    if not 3.0 * 2.0 ** (-(x0 + y_cut)) * y_cut ** (-s.real) < 1e-15:
+        raise AccuracyError(f"mellin_j: ray cut at y = {y_cut:.4g} leaves a remainder")
     value = complex(res.value)
     if s.imag == 0.0:
         return complex(value.real, 0.0)

@@ -20,6 +20,9 @@ principal-value quadrature of
 
     eps = -(lam/V) PV int_0^inf omega e^(-lam omega) (zeta'/zeta)(beta omega) d omega.
 
+eps3 (the nontrivial zeros) is one complex-E1 kernel call on the table and
+one quadrature of the same kernel against the zero density past it.
+
 Closed forms printed in terms of Ei and the factorially divergent series
 sum g(k) (beta/lam)^k are also provided verbatim ("printed" forms) with
 their deviations from the oracle reported, never asserted.
@@ -49,6 +52,7 @@ from .numkernel import (
     _digamma_many,
     _exp_neg_ei,
     _log_abs_zeta_real_many,
+    _z_exp_e1_minus_one,
     _zeta_em_many,
     _zeta_log_derivative_real_many,
     digamma,
@@ -67,7 +71,6 @@ from .superzeta import (
     EXPANSION_CONSTANT,
     SuperzetaParams,
     _S_FLUCTUATION,
-    _power_log_tail,
     _tail_start,
     sum_inverse_rho,
 )
@@ -544,107 +547,31 @@ def thermal_part_printed_form(beta: float, lam: float, volume: float = 1.0) -> f
 # the six-term decomposition
 # ----------------------------------------------------------------------
 
-# Zeros screened before a pair-integral level is run on the whole table.
-_SCREEN_ZEROS = 8
+def _pair_integrals(gammas, beta: float, lam: float) -> np.ndarray:
+    """I(gamma) = int_0^inf omega e^(-lam omega) 2u/(u^2 + gamma^2) d omega
+    with u = beta omega - 1/2, per gamma.  As 2u/(u^2 + gamma^2) =
+    2 Re 1/(beta omega - rho), rho = 1/2 + i gamma, the Laplace transform
+    of 1/(omega + a) gives I = -(2/(beta lam)) Re h(-lam rho/beta) with
+    h(z) = z e^z E1(z) - 1."""
+    z = (-lam / beta) * (0.5 + 1j * np.asarray(gammas, dtype=np.float64))
+    return (-2.0 / (beta * lam)) * _z_exp_e1_minus_one(z).real
 
 
-def _eps3_pair_integrals(
-    gammas: np.ndarray, beta: float, lam: float, tol: float
-) -> tuple[np.ndarray, float]:
-    """Inner integrals I_k = int_0^inf omega e^(-lam omega)
-    2 (beta omega - 1/2) / ((beta omega - 1/2)^2 + gamma_k^2) d omega for
-    every stored zero, on one composite Gauss-Kronrod grid shared across k
-    (each integrand is smooth; the denominator never vanishes).
-
-    The grid has 40, 80 or 160 panels: the first level whose largest
-    per-zero |K15 - G7| sum is within tol, else 160, whose values are kept
-    whatever their error; the summed error is returned.  Before a level
-    runs on the whole table it is screened on the lowest zeros, where the
-    largest error sits, with all panels in one array.  The full maximum is
-    at least the screened one up to rounding, so a level whose screened
-    error exceeds 2 tol would fail its full check and is skipped; the
-    factor 2 covers the rounding of the two sums, which differ by far less
-    than tol (at most 5e-14 on the benchmark's breakdown ops).  The chosen
-    level, its values and its error are those of running every level in
-    turn."""
-    from .quadrature import _NODES, _WGAUSS, _GAUSS_IDX, _WK
-
-    omega_max = 45.0 / lam + 1.0 / beta
-    g2c = gammas * gammas
-
-    def grid(n_panels: int) -> np.ndarray:
-        dense = np.linspace(0.0, 4.0 / lam, max(8, n_panels // 4) + 1)
-        sparse = np.linspace(4.0 / lam, omega_max, n_panels + 1)[1:]
-        return np.concatenate([dense, sparse])
-
-    def screened_error(n_panels: int) -> float:
-        edges = grid(n_panels)
-        hw = 0.5 * (edges[1:] - edges[:-1])
-        om = (0.5 * (edges[1:] + edges[:-1]))[:, None] + hw[:, None] * _NODES
-        u = beta * om - 0.5
-        frame = (om * np.exp(-lam * om) * 2.0 * u) / (u * u + g2c[:_SCREEN_ZEROS, None, None])
-        diff = frame @ _WK - frame[..., _GAUSS_IDX] @ _WGAUSS
-        return float(np.max(np.abs(hw * diff).sum(axis=1)))
-
-    def accumulate(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-        edges = grid(n_panels)
-        vals = np.zeros(g2c.size)
-        errs = np.zeros(g2c.size)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            om = c + hw * _NODES
-            u = beta * om - 0.5
-            frame = (om * np.exp(-lam * om) * 2.0 * u)[None, :] / (
-                u[None, :] ** 2 + g2c[:, None]
-            )
-            i15 = hw * frame @ _WK
-            i7 = hw * frame[:, _GAUSS_IDX] @ _WGAUSS
-            vals += i15
-            errs += np.abs(i15 - i7)
-        return vals, errs
-
-    levels = (40, 80, 160)
-    for n_panels in levels:
-        if n_panels < levels[-1] and screened_error(n_panels) > 2.0 * tol:
-            continue
-        vals, errs = accumulate(n_panels)
-        if float(np.max(errs)) <= tol:
-            break
-    return vals, float(np.sum(errs))
-
-
-def _eps3_moment(j: int, beta: float, lam: float) -> float:
-    """int_0^inf omega e^(-lam omega) (beta omega - 1/2)^j d omega."""
-    total = 0.0
-    for i in range(j + 1):
-        total += (
-            math.comb(j, i)
-            * beta**i
-            * (-0.5) ** (j - i)
-            * math.factorial(i + 1)
-            / lam ** (i + 2)
-        )
-    return total
-
-
-def _eps3_tail(count: int, beta: float, lam: float, order: int = 12) -> tuple[float, float]:
-    """Smooth-density tail of the pair integrals beyond the table: expansion
-    of the Lorentzian in odd moments against the zero density."""
+def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, float]:
+    """The pair integrals past the table as the integral of I against the
+    zero density (1/2pi) ln(gamma/2pi) from T* on, with its bound: the
+    quadrature error plus 2 |S| |I(T*)| for the counting fluctuation.  In
+    gamma = T*/v^2 the integrand vanishes like v ln(1/v) at v = 0, and
+    rel_tol keeps a large tail clear of the panels' rounding floor."""
     t_star = _tail_start(count)
-    corr = 0.0
-    last = math.inf
-    for m in range(order + 1):
-        moment = _eps3_moment(2 * m + 1, beta, lam)
-        term = (-1.0) ** m * 2.0 * moment * _power_log_tail(2 * m + 2, t_star).real
-        if abs(term) > last:
-            break
-        corr += term
-        last = abs(term)
-        if last < 1e-19:
-            break
-    edge = abs(2.0 * _eps3_moment(1, beta, lam)) / (t_star * t_star)
-    bound = last + 2.0 * _S_FLUCTUATION * edge
-    return corr, bound
+
+    def integrand(v):
+        gam = t_star / (v * v)
+        return _pair_integrals(gam, beta, lam) * np.log(gam / (2.0 * math.pi)) * gam / (math.pi * v)
+
+    res = integrate(integrand, 0.0, 1.0, tol, singular_left=True, rel_tol=1e-12)
+    edge = abs(float(_pair_integrals([t_star], beta, lam)[0]))
+    return res.value, res.abs_error + 2.0 * _S_FLUCTUATION * edge
 
 
 def energy_breakdown(
@@ -655,7 +582,9 @@ def energy_breakdown(
 ) -> EnergyBreakdown:
     """All six pieces of the average energy density (convergent routes), the
     vacuum/thermal regrouping, the quadrature oracle, and the printed forms
-    with deviations."""
+    with deviations.  ``abs_error`` sums the error budgets of eps3 (its
+    tail: the closed-form pair integrals carry rounding only), eps4 and
+    eps5."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     lam, vol = spec.rate, spec.volume
@@ -665,21 +594,17 @@ def energy_breakdown(
     x = lam / beta
     eps2 = 1.0 / (beta * vol) - _exp_neg_ei(x, lam / (beta * beta * vol))
 
-    pair_vals, pair_err = _eps3_pair_integrals(zeros.gammas, beta, lam, tol * 0.1)
-    tail_corr, tail_bound = _eps3_tail(zeros.count, beta, lam)
-    eps3 = -(lam / vol) * (float(np.sum(pair_vals)) + tail_corr)
-    eps3_err = (lam / vol) * (pair_err + tail_bound)
+    pairs = float(np.sum(_pair_integrals(zeros.gammas, beta, lam)))
+    tail, tail_bound = _eps3_tail(zeros.count, beta, lam, tol * 0.1 * vol / lam)
+    eps3 = -(lam / vol) * (pairs + tail)
+    eps3_err = (lam / vol) * tail_bound
 
     params = SuperzetaParams(zeros)
     rho = sum_inverse_rho(params)
     eps4 = -rho.value / lv
     eps4_err = rho.tail.bound / lv
 
-    def psi_weighted(om):
-        om = np.asarray(om, dtype=np.float64)
-        return om * _digamma_many(0.5 * beta * om)
-
-    ipsi = integrate_exp_weight(psi_weighted, lam, tol * 0.1)
+    ipsi = integrate_exp_weight(lambda om: om * _digamma_many(0.5 * beta * om), lam, tol * 0.1)
     eps5 = 1.0 / (beta * vol) + lam / (2.0 * vol) * (ipsi.value / lam)
     eps5_err = ipsi.abs_error / (2.0 * vol)
 

@@ -30,7 +30,9 @@ the identity.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import re
 from dataclasses import dataclass, fields
 
@@ -525,7 +527,14 @@ def save_table(table: ZeroTable, path) -> None:
 
 
 def load_table(path) -> ZeroTable:
-    """Read a zero-table file, validating header, parse, and monotonicity."""
+    """Read a zero-table file, validating header, parse, and monotonicity.
+    Tables are immutable, so a file is parsed again only once rewritten."""
+    st = os.stat(path)
+    return _load_table_file(os.path.realpath(path), st.st_mtime_ns, st.st_size)
+
+
+@functools.lru_cache(maxsize=16)
+def _load_table_file(path: str, mtime_ns: int, size: int) -> ZeroTable:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -535,21 +544,22 @@ def load_table(path) -> ZeroTable:
         raise TableFormatError(f"line 1: malformed header: {lines[0]!r}")
     count = int(m.group(1))
     abs_error = float(m.group(2))
-    values = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise TableFormatError(f"line {i}: not a number: {line!r}") from exc
-    if len(values) != count:
+    body = [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
+    try:  # numpy parses a line as float() does; the loop names a bad one
+        g = np.array([line for _, line in body], dtype=np.float64)
+    except ValueError:
+        for i, line in body:
+            try:
+                float(line)
+            except ValueError as exc:
+                raise TableFormatError(f"line {i}: not a number: {line!r}") from exc
+        raise
+    if g.size != count:
         raise TableFormatError(
-            f"line {len(lines)}: header promises {count} ordinates, found {len(values)}"
+            f"line {len(lines)}: header promises {count} ordinates, found {g.size}"
         )
-    g = np.array(values, dtype=np.float64)
     if np.any(np.diff(g) <= 0.0):
-        bad = int(np.flatnonzero(np.diff(g) <= 0.0)[0]) + 3
+        bad = body[int(np.flatnonzero(np.diff(g) <= 0.0)[0]) + 1][0]
         raise TableFormatError(f"line {bad}: ordinates not strictly increasing")
     try:
         return ZeroTable(g, abs_error, count, "loaded")

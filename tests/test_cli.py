@@ -135,8 +135,10 @@ SPEC_ROWS = "# omega,probability\n1.0,0.5\n2.0,0.3\n3.5,0.2\n"
 
 # sha256 of stdout; these bytes predate the batched kernel calls, the
 # lockstep continuum scan and the once-per-process invariants of the
-# breakdown, which must leave every printed digit as it was (the three
-# breakdowns stop at 40, 80 and 160 pair-integral panels)
+# breakdown, which must leave every printed digit as it was.  The three
+# breakdowns are those of the closed-form eps3: each printed value that
+# moved from the earlier pair-integral grid moved by less than the old
+# abs_error and toward the oracle (and toward a 30-digit eps3)
 PINNED_DIGESTS = [
     (
         ("thermo", "--lam", "1", "--beta-min", "0.5", "--beta-max", "4", "--steps", "8"),
@@ -158,15 +160,15 @@ PINNED_DIGESTS = [
     ),
     (
         ("breakdown", "--lam", "1", "--beta", "1", "--zeros-count", "300"),
-        "9b5cb4e35bca05399a4ca0df2613bd3f99297c6f7dd984f7476b7bed2efd66c9",
+        "4d7ca0a8753bed91d96e71ee8dbf4182a4fea730fde25da93aa9194f35c9004f",
     ),
     (
         ("breakdown", "--lam", "0.03", "--beta", "0.9", "--zeros-count", "500"),
-        "38e82b64f15ede9db80490defa2c4279bff011d9668bae0ec4cc814893ce8430",
+        "4f4f9f2bc015a9a7c75fdf371545916909773983a2ad96f4ccb4311d3d056ca6",
     ),
     (
         ("breakdown", "--lam", "0.02", "--beta", "3", "--zeros-count", "500"),
-        "186398dd03d093c9fd6f1b4b0e7d35fe6dd4a9084f91e1d3e61eaedba6efacc3",
+        "d3018c311e36071fab5f1545566c4adae5c74e0790042d4a8a4347ae326bd287",
     ),
     (
         ("thermo", "--lam", "1", "--beta-min", "0.05", "--beta-max", "20", "--steps", "200"),
@@ -333,6 +335,46 @@ class TestEnvironmentDefaults:
         code, _, err = run_cli(capsys, "validate")
         assert code == 2
         assert "RGAS_TOL" in err
+
+
+class TestParserCache:
+    def test_built_once_per_environment_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("RGAS_TOL", raising=False)
+        monkeypatch.delenv("RGAS_ZEROS", raising=False)
+        cli._build_parser.cache_clear()
+        argv = ("thermo", "--lam", "1", "--beta-min", "1", "--beta-max", "1", "--steps", "1")
+        for _ in range(3):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert cli._build_parser.cache_info().misses == 1
+        # a changed RGAS_TOL is a new default, and so a new parser
+        monkeypatch.setenv("RGAS_TOL", "0.5")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "outside the supported range" in err
+        assert cli._build_parser.cache_info().misses == 2
+
+
+class TestInputPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thermo", "--spec-file", "PATH", "--beta-min", "1", "--beta-max", "2", "--steps", "2"),
+            ("hagedorn", "--spec-file", "PATH", "--beta-min", "1", "--beta-max", "2", "--steps", "2"),
+            ("breakdown", "--lam", "1", "--beta", "1", "--zeros-file", "PATH"),
+            ("zeros", "--in", "PATH"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["directory", "missing", "not-ascii"])
+    def test_unreadable_input_is_usage_error(self, capsys, tmp_path, argv, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-ascii":
+            path.write_bytes(b"\xff\xfe1.0,1.0\n")
+        code, out, err = run_cli(capsys, *[str(path) if a == "PATH" else a for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("rgas: ")
 
 
 class TestSubprocessEntry:

@@ -178,6 +178,25 @@ class TestPersistence:
         with pytest.raises(TableFormatError, match="line 3"):
             zf.load_table(p)
 
+    def test_unordered_line_named_past_blank_lines(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# rgas-zeros v1 count=3 abs_error=1e-9\n\n14.13\n25.01\n21.02\n")
+        with pytest.raises(TableFormatError, match="line 5: ordinates not strictly"):
+            zf.load_table(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "z.csv"
+        p.write_text("# rgas-zeros v1 count=2 abs_error=1e-9\n14.13\n\n  \n21.02\n")
+        assert zf.load_table(p).gammas.tolist() == [14.13, 21.02]
+
+    def test_loaded_once_and_reread_when_rewritten(self, zeros200, tmp_path):
+        p = tmp_path / "z.csv"
+        zf.save_table(zeros200, p)
+        first = zf.load_table(p)
+        assert zf.load_table(str(p)) is first
+        zf.save_table(zeros200.head(150), p)
+        assert zf.load_table(p).count == 150
+
 
 class TestZeroTable:
     def test_validation(self):
