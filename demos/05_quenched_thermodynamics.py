@@ -17,7 +17,7 @@ print("=== discrete ensemble: the Hagedorn wall survives ===")
 spec = th.EnsembleSpec.discrete([1.0, 2.0], [0.6, 0.4])
 print("beta    f (or divergent)")
 for p in th.hagedorn_scan(spec, [0.6, 0.9, 1.0, 1.2, 2.0, 4.0]):
-    label = "divergent" if p.divergent else f"{p.f:+.8f}"
+    label = "divergent" if "hagedorn_divergent" in p.flags else f"{p.f.real:+.8f}"
     print(f"{p.beta:4}    {label}")
 
 print("\n=== continuum ensemble: complex free energy instead ===")

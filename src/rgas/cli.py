@@ -108,10 +108,13 @@ def _load_discrete_spec(path: str, volume: float) -> thermo.EnsembleSpec:
             if not body:
                 continue
             parts = body.replace(",", " ").split()
-            if len(parts) != 2:
-                raise DomainError(f"{path}:{ln}: expected 'omega,probability'")
-            omegas.append(float(parts[0]))
-            masses.append(float(parts[1]))
+            try:
+                omega, mass = map(float, parts)
+            except ValueError:
+                msg = f"{path}:{ln}: expected 'omega,probability', got {body!r}"
+                raise DomainError(msg) from None
+            omegas.append(omega)
+            masses.append(mass)
     if not omegas:
         raise DomainError(f"{path}: no ensemble rows found")
     total = sum(masses)
@@ -152,9 +155,7 @@ def _cmd_zeros(args) -> int:
         zerofinder.save_table(table, args.out)
         print(f"wrote {table.count} ordinates to {args.out} (abs_error {_fmt(table.abs_error)})")
     else:
-        lines = [f"# rgas-zeros v1 count={table.count} abs_error={table.abs_error:.6g}"]
-        lines += [format(g, ".12g") for g in table.gammas]
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(zerofinder._table_text(table))
     return 0
 
 
@@ -208,53 +209,25 @@ def _beta_grid(args) -> np.ndarray:
     return np.linspace(args.beta_min, args.beta_max, args.steps)
 
 
-def _thermo_rows(spec: thermo.EnsembleSpec, betas: np.ndarray, tol: float):
-    """One row per beta; the finite ones come from a single thermo_scan, and
-    discrete betas at or past the Hagedorn point are flagged, not computed."""
-    betas = [float(b) for b in betas]
-    divergent = [spec.kind == "discrete" and b * float(spec.omegas[0]) <= 1.0 for b in betas]
-    points = iter(thermo.thermo_scan(spec, [b for b, d in zip(betas, divergent) if not d], tol))
-    rows = []
-    for b, d in zip(betas, divergent):
-        if d:
-            rows.append((b, math.nan, math.nan, math.nan, math.nan, "hagedorn_divergent"))
-            continue
-        point = next(points)
-        rows.append(
-            (
-                b,
-                point.f.real,
-                point.f.imag,
-                point.eps,
-                point.entropy,
-                ";".join(sorted(point.flags)),
-            )
-        )
-    return rows
-
-
 def _cmd_thermo(args) -> int:
     spec = _make_ensemble(args)
-    rows = _thermo_rows(spec, _beta_grid(args), args.tolerance)
+    points = thermo.thermo_scan(spec, _beta_grid(args), args.tolerance)
+    rows = [
+        {
+            "beta": p.beta,
+            "f_re": p.f.real,
+            "f_im": p.f.imag,
+            "eps": p.eps,
+            "entropy": p.entropy,
+            "flags": ";".join(sorted(p.flags)),
+        }
+        for p in points
+    ]
     if args.format == "json":
-        payload = [
-            {
-                "beta": r[0],
-                "f_re": r[1],
-                "f_im": r[2],
-                "eps": r[3],
-                "entropy": r[4],
-                "flags": r[5],
-            }
-            for r in rows
-        ]
-        text = _json_render(payload) + "\n"
+        text = _json_render(rows) + "\n"
     else:
-        lines = ["beta,f_re,f_im,eps,entropy,flags"]
-        lines += [
-            ",".join([_fmt(r[0]), _fmt(r[1]), _fmt(r[2]), _fmt(r[3]), _fmt(r[4]), r[5]])
-            for r in rows
-        ]
+        lines = [",".join(rows[0])]
+        lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in r.values()) for r in rows]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
@@ -311,21 +284,15 @@ def _cmd_hagedorn(args) -> int:
     points = thermo.hagedorn_scan(spec, _beta_grid(args))
     if args.format == "json":
         payload = [
-            {
-                "beta": p.beta,
-                "f": (math.nan if p.f is None else p.f),
-                "divergent": p.divergent,
-            }
+            {"beta": p.beta, "f": p.f.real, "divergent": "hagedorn_divergent" in p.flags}
             for p in points
         ]
         text = _json_render(payload) + "\n"
     else:
         lines = ["beta,f,flags"]
-        for p in points:
-            fval = "nan" if p.f is None else _fmt(p.f)
-            lines.append(
-                ",".join([_fmt(p.beta), fval, "hagedorn_divergent" if p.divergent else ""])
-            )
+        lines += [
+            ",".join([_fmt(p.beta), _fmt(p.f.real), ";".join(sorted(p.flags))]) for p in points
+        ]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
@@ -375,9 +342,12 @@ def _validate_checks(tol: float, zeros_count: int):
     def mixture(eff: float) -> float:
         return arith.mixture_identity_residual(2.0, 100_000)
 
+    @functools.cache
+    def zero_table() -> zerofinder.ZeroTable:
+        return zerofinder.find_zeros(zeros_count)
+
     def two_route(eff: float) -> float:
-        table = zerofinder.find_zeros(zeros_count)
-        params = superzeta.SuperzetaParams(table)
+        params = superzeta.SuperzetaParams(zero_table())
         worst = 0.0
         for t in (1.0, 1.5, 3.0):
             zs = superzeta.g1_zero_sum(1.0, t, params)
@@ -403,7 +373,7 @@ def _validate_checks(tol: float, zeros_count: int):
         return abs(point.entropy - s_fd)
 
     def zero_audit(eff: float) -> float:
-        table = zerofinder.find_zeros(zeros_count)
+        table = zero_table()
         worst = 0
         for t_chk in (50.0, 100.0, 200.0):
             if t_chk < float(table.gammas[-1]):

@@ -260,15 +260,18 @@ def g1_via_identity(t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
 
 def mellin_j(s: complex, t: float, tol: float = 1e-10) -> complex:
     """J(s, t) = integral_0^inf (zeta'/zeta)(1/2 + t + y) y^(-s) dy for
-    Re s < 1, along a ray starting right of the pole (1/2 + t > 1).
+    -6 < Re s < 1, along a ray starting right of the pole (1/2 + t > 1).
 
     The y -> 0 endpoint is flattened by the substitution y = u^(1/(1-Re s));
     the ray is truncated where the Dirichlet decay of zeta'/zeta makes the
     remainder negligible, and that remainder bound is absorbed into the
-    quadrature error."""
+    quadrature error.  Further left J grows like Gamma(1 - Re s) and, near
+    the pole, the absolute tolerance is out of reach of double precision."""
     s = complex(s)
     if not s.real < 1.0:
         raise DomainError("mellin_j requires Re s < 1")
+    if s.real <= -6.0:
+        raise DomainError("mellin_j supported for Re s > -6 only")
     x0 = 0.5 + t
     if not x0 > 1.0:
         raise DomainError("integration ray passes through the pole: need 1/2 + t > 1")

@@ -32,7 +32,9 @@ eps at every beta are batch step generators (see ``quadrature``) run in
 lockstep, so each round makes one call of each real-axis kernel (ln|zeta|,
 zeta'/zeta and (s-1) zeta'/zeta) on the nodes of all of them.  The kernels
 are elementwise, so every point equals the one computed alone, and the
-first error raised is the one a beta-by-beta loop would meet.
+first error raised is the one a beta-by-beta loop would meet.  A discrete
+grid is one loop over beta, one zeta call per finite point; a beta at or
+past the Hagedorn point becomes a flagged point with nan values.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ __all__ = [
     "EnsembleSpec",
     "ThermoPoint",
     "EnergyBreakdown",
-    "HagedornPoint",
     "PRINTED_EXPANSION_CONSTANT",
     "free_energy_discrete",
     "energy_entropy_discrete",
@@ -91,10 +92,8 @@ __all__ = [
     "energy_breakdown",
     "thermal_part_printed_form",
     "series_coefficient",
-    "series_partial",
     "thermo_point",
     "thermo_scan",
-    "energy_scan",
 ]
 
 # The printed value of the expansion constant, -1 - zeta'(0)/zeta(0); the
@@ -165,7 +164,9 @@ class ThermoPoint:
     ``converged`` whether every integral met its tolerance.  Neither is
     printed or enforced.  A discrete point has no quadrature: its
     ``abs_error`` is None, and its zeta values pass the Euler-Maclaurin
-    accuracy gate or raise."""
+    accuracy gate or raise.  A discrete beta at or past the Hagedorn point
+    beta omega_1 <= 1 has nan f, eps and entropy and the flag
+    ``hagedorn_divergent``."""
 
     beta: float
     f: complex
@@ -174,13 +175,6 @@ class ThermoPoint:
     flags: frozenset[str] = field(default_factory=frozenset)
     abs_error: tuple[float, float] | None = None
     converged: bool = True
-
-
-@dataclass(frozen=True)
-class HagedornPoint:
-    beta: float
-    f: float | None
-    divergent: bool
 
 
 @dataclass(frozen=True)
@@ -219,37 +213,55 @@ class EnergyBreakdown:
 # discrete ensemble
 # ----------------------------------------------------------------------
 
-def _require_below_hagedorn(spec: EnsembleSpec, beta: float) -> None:
+_DIVERGENT = frozenset({"hagedorn_divergent"})
+
+
+def _discrete_points(
+    spec: EnsembleSpec, betas, opts: EvalOptions, with_energy: bool
+) -> list[ThermoPoint]:
+    """The thermo points of a discrete ensemble along betas, one
+    Euler-Maclaurin call on all omega_k beta per point.  A beta at or past
+    the Hagedorn point beta omega_1 <= 1 becomes a flagged point with nan
+    values.  Without the energy, eps and entropy are nan and the value-only
+    call keeps the accuracy gate of zeta; with it the gate is that of
+    zeta'."""
     if spec.kind != "discrete":
         raise DomainError("discrete ensemble required")
-    if not beta > 0.0:
-        raise DomainError("beta must be positive")
-    if beta * float(spec.omegas[0]) <= 1.0:
+    nan = math.nan
+    points = []
+    for b in betas:
+        beta = float(b)
+        if not beta > 0.0:
+            raise DomainError("beta must be positive")
+        if beta * float(spec.omegas[0]) <= 1.0:
+            points.append(ThermoPoint(beta, complex(nan, nan), nan, nan, _DIVERGENT))
+            continue
+        s = (spec.omegas * beta).astype(np.complex128)
+        if with_energy:
+            z, d = _zeta_em_many(s, opts, want_derivative=True)
+        else:
+            z, d = _zeta_em_many(s, opts), None
+        # contiguous copy: np.log on the strided .real view may round differently
+        ln_z = np.log(np.ascontiguousarray(z.real))
+        f = float(-(spec.masses @ ln_z) / (beta * spec.volume))
+        eps = nan
+        if d is not None:
+            eps = float(-(spec.masses @ (spec.omegas * (d.real / z.real))) / spec.volume)
+        points.append(ThermoPoint(beta, complex(f, 0.0), eps, beta * (eps - f)))
+    return points
+
+
+def _finite_point(
+    spec: EnsembleSpec, beta: float, opts: EvalOptions, with_energy: bool
+) -> ThermoPoint:
+    """The discrete point at beta; HagedornError where it is flagged."""
+    (point,) = _discrete_points(spec, [beta], opts, with_energy)
+    if point.flags:
         raise HagedornError(
-            f"beta*omega_1 = {beta * float(spec.omegas[0]):.6g} <= 1: "
+            f"beta*omega_1 = {point.beta * float(spec.omegas[0]):.6g} <= 1: "
             "free energy diverges at the zeta pole"
         )
-
-
-def _discrete_sums(
-    spec: EnsembleSpec, beta: float, opts: EvalOptions, with_energy: bool
-) -> tuple[float, float | None]:
-    """f(beta) and, when asked, eps(beta) from one Euler-Maclaurin call on
-    all omega_k beta.  The value-only call keeps the accuracy gate of zeta;
-    with the energy it is the gate of zeta'."""
-    _require_below_hagedorn(spec, beta)
-    s = (spec.omegas * beta).astype(np.complex128)
-    if with_energy:
-        z, d = _zeta_em_many(s, opts, want_derivative=True)
-    else:
-        z, d = _zeta_em_many(s, opts), None
-    # contiguous copy: np.log on the strided .real view may round differently
-    ln_z = np.log(np.ascontiguousarray(z.real))
-    f = float(-(spec.masses @ ln_z) / (beta * spec.volume))
-    if d is None:
-        return f, None
-    zld = d.real / z.real
-    return f, float(-(spec.masses @ (spec.omegas * zld)) / spec.volume)
+    return point
 
 
 def free_energy_discrete(spec: EnsembleSpec, beta: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
@@ -257,7 +269,7 @@ def free_energy_discrete(spec: EnsembleSpec, beta: float, opts: EvalOptions = DE
 
     All omega_k beta go to the zeta kernel in one vectorized call; raises
     HagedornError at or beyond the Hagedorn point beta omega_1 <= 1."""
-    return _discrete_sums(spec, beta, opts, with_energy=False)[0]
+    return _finite_point(spec, beta, opts, with_energy=False).f.real
 
 
 def energy_entropy_discrete(
@@ -268,26 +280,14 @@ def energy_entropy_discrete(
 
     zeta and zeta' at all omega_k beta come from one vectorized kernel call
     that also yields f, so f is not evaluated a second time."""
-    f, eps = _discrete_sums(spec, beta, opts, with_energy=True)
-    return eps, beta * (eps - f)
+    point = _finite_point(spec, beta, opts, with_energy=True)
+    return point.eps, point.entropy
 
 
-def hagedorn_scan(spec: EnsembleSpec, beta_grid) -> list[HagedornPoint]:
-    """Free energy along a beta grid, flagging the divergent points
-    beta omega_1 <= 1 instead of raising; each finite point is one
-    free_energy_discrete call (one kernel call)."""
-    if spec.kind != "discrete":
-        raise DomainError("hagedorn_scan is for discrete ensembles")
-    out = []
-    for beta in np.asarray(beta_grid, dtype=np.float64):
-        b = float(beta)
-        if not b > 0.0:
-            raise DomainError("beta grid must be positive")
-        if b * float(spec.omegas[0]) <= 1.0:
-            out.append(HagedornPoint(b, None, True))
-        else:
-            out.append(HagedornPoint(b, free_energy_discrete(spec, b), False))
-    return out
+def hagedorn_scan(spec: EnsembleSpec, beta_grid) -> list[ThermoPoint]:
+    """The free energy view of a discrete thermo_scan: the same points with
+    nan eps and entropy, one value-only kernel call per finite beta."""
+    return _discrete_points(spec, beta_grid, DEFAULT_OPTIONS, with_energy=False)
 
 
 # ----------------------------------------------------------------------
@@ -478,35 +478,6 @@ def _series_term(k: int, x: float) -> float:
     return -magnitude if k % 2 else magnitude
 
 
-@dataclass(frozen=True)
-class SeriesPartial:
-    """Partial sum of the asymptotic series sum g(k) (beta/lam)^k with the
-    smallest-term index; the first omitted term sizes the intrinsic error."""
-
-    value: float
-    terms: int
-    optimal_index: int
-    smallest_term: float
-
-
-def series_partial(beta: float, lam: float, k_max: int) -> SeriesPartial:
-    """Plain partial sum to k_max, reporting the smallest-term truncation
-    index (the factorial growth of g(k) makes the series asymptotic)."""
-    if k_max < 2:
-        raise DomainError("need k_max >= 2")
-    x = beta / lam
-    total = 0.0
-    best_k, best_abs = 2, math.inf
-    for k in range(2, k_max + 1):
-        term = _series_term(k, x)
-        total += term
-        # terms too small for a float read 0; the smallest lies at or past them
-        if abs(term) < best_abs or term == 0.0:
-            best_abs = abs(term)
-            best_k = k
-    return SeriesPartial(total, k_max - 1, best_k, best_abs)
-
-
 def _series_optimally_truncated(beta: float, lam: float) -> tuple[float, int, float]:
     """Sum to just before the smallest term; returns (sum, k_opt, omitted).
     Terms below the float range read 0 and do not end the sum; they occur
@@ -661,10 +632,10 @@ def energy_breakdown(
 
 def thermo_point(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> ThermoPoint:
     """Free energy, energy, and entropy densities at one temperature; a
-    continuum point is a one-point thermo_scan."""
+    continuum point is a one-point thermo_scan.  Raises HagedornError at or
+    past the Hagedorn point of a discrete ensemble."""
     if spec.kind == "discrete":
-        f, eps = _discrete_sums(spec, beta, DEFAULT_OPTIONS, with_energy=True)
-        return ThermoPoint(beta, complex(f, 0.0), eps, beta * (eps - f), frozenset())
+        return _finite_point(spec, beta, DEFAULT_OPTIONS, with_energy=True)
     return thermo_scan(spec, [beta], tol)[0]
 
 
@@ -684,40 +655,9 @@ def thermo_scan(spec: EnsembleSpec, beta_grid, tol: float = 1e-9) -> list[Thermo
     A continuum grid is one lockstep run of every integral behind every
     point (f and eps at each beta), one kernel call per kernel and round; on
     failure it raises what the first failing point raises, f before eps.  A
-    discrete grid is a loop of thermo_point, one kernel call per beta."""
-    betas = [float(b) for b in beta_grid]
+    discrete grid is one kernel call per finite beta, and its betas at or
+    past the Hagedorn point are flagged ``hagedorn_divergent`` with nan
+    values where thermo_point raises."""
     if spec.kind == "discrete":
-        return [thermo_point(spec, b, tol) for b in betas]
-    return serve(gather([_point_steps(spec, b, tol) for b in betas]))
-
-
-def energy_scan(
-    spec: EnsembleSpec,
-    beta_grid,
-    zeros: ZeroTable | None = None,
-    tol: float = 1e-8,
-) -> list[tuple[ThermoPoint, EnergyBreakdown | None]]:
-    """Thermo points along a beta grid (with a breakdown per point when a
-    zero table is supplied), plus a grid-level continuity check on the
-    energy density."""
-    betas = np.asarray(beta_grid, dtype=np.float64)
-    if betas.ndim != 1 or betas.size < 1 or np.any(betas <= 0.0):
-        raise DomainError("beta grid must be positive")
-    out = []
-    for b in betas:
-        point = thermo_point(spec, float(b), tol)
-        bd = energy_breakdown(spec, float(b), zeros, tol) if zeros is not None else None
-        out.append((point, bd))
-    if betas.size >= 3:
-        eps = np.array([p.eps for p, _ in out])
-        jumps = np.abs(np.diff(eps))
-        db = np.abs(np.diff(betas))
-        slope = np.abs(np.gradient(eps, betas))
-        local = np.maximum(slope[:-1], slope[1:])
-        tolerance = db * (4.0 * local + 1e-6) + 1e-9
-        if np.any(jumps > tolerance):
-            k = int(np.argmax(jumps - tolerance))
-            raise AccuracyError(
-                f"energy not continuous on the grid near beta={betas[k]:.6g}"
-            )
-    return out
+        return _discrete_points(spec, beta_grid, DEFAULT_OPTIONS, with_energy=True)
+    return serve(gather([_point_steps(spec, float(b), tol) for b in beta_grid]))

@@ -517,13 +517,18 @@ _HEADER_RE = re.compile(
 )
 
 
-def save_table(table: ZeroTable, path) -> None:
-    """Write the text format: header line, then one ordinate per line with
-    12 significant digits."""
+def _table_text(table: ZeroTable) -> str:
+    """The text format: header line, then one ordinate per line with 12
+    significant digits."""
     lines = [f"# rgas-zeros v1 count={table.count} abs_error={table.abs_error:.6g}"]
     lines.extend(format(g, ".12g") for g in table.gammas)
+    return "\n".join(lines) + "\n"
+
+
+def save_table(table: ZeroTable, path) -> None:
+    """Write the table in the text format of ``_table_text``."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_table_text(table))
 
 
 def load_table(path) -> ZeroTable:

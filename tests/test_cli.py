@@ -47,6 +47,15 @@ class TestZerosCommand:
         assert code == 2
         assert "header" in err
 
+    def test_stdout_is_the_file_text(self, capsys, tmp_path):
+        out = tmp_path / "z.txt"
+        assert run_cli(capsys, "zeros", "--count", "25", "--out", str(out))[0] == 0
+        code, stdout, _ = run_cli(capsys, "zeros", "--count", "25")
+        assert code == 0
+        assert stdout == out.read_text(encoding="ascii")
+        assert stdout.startswith("# rgas-zeros v1 count=25 abs_error=")
+        assert stdout.splitlines()[1] == "14.1347251417"
+
 
 class TestEvalCommand:
     def test_zeta_csv(self, capsys):
@@ -179,6 +188,15 @@ PINNED_DIGESTS = [
          "--format", "json"),
         "559327eecc11f11f39496f983aa287fc60b583b94572afd9a0ca0a6ee3748610",
     ),
+    (
+        ("hagedorn", "--spec-file", "SPEC", "--beta-min", "0.5", "--beta-max", "3", "--steps", "11"),
+        "51e3fa6c5fc693dfb4104e873a787445e3fed16c5414ed424ad44035111192b2",
+    ),
+    (
+        ("thermo", "--spec-file", "SPEC", "--beta-min", "0.5", "--beta-max", "3", "--steps", "11",
+         "--format", "json"),
+        "d43b48a16dda7ac7e46308e3e56b1aa02f424eb38fd06b4d3b665f6c8d086558",
+    ),
 ]
 
 
@@ -220,6 +238,18 @@ class TestNonFiniteInputs:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("rows,line", [("abc,1\n", 1), ("1.0,0.5\n# note\n2.0,x\n", 3)])
+    def test_non_numeric_field_is_usage_error(self, capsys, tmp_path, rows, line):
+        spec = tmp_path / "ensemble.csv"
+        spec.write_text(rows)
+        code, out, err = run_cli(
+            capsys, "thermo", "--spec-file", str(spec), "--beta-min", "1",
+            "--beta-max", "2", "--steps", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{spec}:{line}: expected 'omega,probability'" in err
 
 
 class TestBreakdownCommand:
@@ -280,6 +310,19 @@ class TestValidateCommand:
         assert code == 0
         assert "all checks passed" in out
         assert out.count("PASS") == 6
+
+    def test_zero_table_computed_once(self, capsys, monkeypatch):
+        counts = []
+        original = zerofinder.find_zeros
+
+        def counted(n, *args, **kwargs):
+            counts.append(n)
+            return original(n, *args, **kwargs)
+
+        monkeypatch.setattr(zerofinder, "find_zeros", counted)
+        code, out, _ = run_cli(capsys, "validate", "--zeros-count", "60")
+        assert code == 0 and out.count("PASS") == 6
+        assert counts == [60]
 
     def test_out_of_range_tolerance_fails_controlled(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--tolerance", "1e-15")

@@ -208,6 +208,16 @@ class TestMellin:
         with pytest.raises(DomainError):
             sz.mellin_j(1.5, 1.5)
 
+    @pytest.mark.parametrize("s", [-6.0, -150.0, complex(-170.0, 2.0), -200.0])
+    def test_far_left_rejected(self, s):
+        with pytest.raises(DomainError, match="Re s > -6"):
+            sz.mellin_j(s, 1.5)
+
+    @pytest.mark.parametrize("t", [0.6, 1.5, 20.0])
+    def test_left_edge_finite(self, t):
+        j = sz.mellin_j(complex(-5.9, 3.0), t)
+        assert math.isfinite(j.real) and math.isfinite(j.imag)
+
 
 class TestParamsValidation:
     def test_minimum_zero_count(self, zeros200):

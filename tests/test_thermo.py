@@ -156,33 +156,44 @@ class TestDiscreteBatching:
         assert len(calls) == 1
         calls.clear()
         points = th.hagedorn_scan(spec, [0.5 / float(spec.omegas[0]), beta])
-        assert [p.divergent for p in points] == [True, False]
+        assert [p.flags for p in points] == [{"hagedorn_divergent"}, frozenset()]
         assert len(calls) == 1
+        calls.clear()
+        th.thermo_scan(spec, [0.5 / float(spec.omegas[0]), beta, 2.0 * beta])
+        assert len(calls) == 2
+
+
+def _divergent(point) -> bool:
+    return "hagedorn_divergent" in point.flags
 
 
 class TestHagedornScan:
     def test_flags(self):
         points = th.hagedorn_scan(SINGLE, [0.5, 0.9, 1.1, 2.0])
-        assert [p.divergent for p in points] == [True, True, False, False]
-        assert points[0].f is None and points[3].f is not None
+        assert [_divergent(p) for p in points] == [True, True, False, False]
+        assert math.isnan(points[0].f.real) and math.isfinite(points[3].f.real)
+        assert all(math.isnan(p.eps) and math.isnan(p.entropy) for p in points)
+        # the free energy view of thermo_scan
+        full = th.thermo_scan(SINGLE, [1.1, 2.0])
+        assert [p.f for p in points[2:]] == [p.f for p in full]
 
     def test_flag_set_is_exactly_the_pole_region(self):
         spec = th.EnsembleSpec.discrete([2.0], [1.0])  # beta* = 0.5
         grid = np.linspace(0.05, 1.0, 20)
         points = th.hagedorn_scan(spec, grid)
         for p in points:
-            assert p.divergent == (p.beta * 2.0 <= 1.0)
+            assert _divergent(p) == (p.beta * 2.0 <= 1.0)
 
     def test_monotone_flags(self):
         points = th.hagedorn_scan(SINGLE, np.linspace(0.2, 3.0, 29))
-        flags = [p.divergent for p in points]
+        flags = [_divergent(p) for p in points]
         assert flags == sorted(flags, reverse=True)
 
     def test_asymptote_within_5_percent(self):
         beta = 1.0 + 1e-4
         points = th.hagedorn_scan(SINGLE, [beta])
         asym = -(1.0 / beta) * math.log(1.0 / (beta * 1.0 - 1.0))
-        assert points[0].f / asym == pytest.approx(1.0, abs=0.05)
+        assert points[0].f.real / asym == pytest.approx(1.0, abs=0.05)
 
 
 class TestContinuumFreeEnergy:
@@ -323,11 +334,13 @@ class TestPrintedForms:
         assert th.series_coefficient(3) == pytest.approx(-0.9015, abs=1e-4)
 
     def test_series_smallest_term_rule(self):
-        sp = th.series_partial(1.0, 1.0, 12)
-        assert sp.optimal_index >= 2
+        assert th._series_optimally_truncated(1.0, 1.0)[1] >= 2
         # at beta/lam = 1/4 the terms decrease before the factorial growth bites
-        sp = th.series_partial(1.0, 4.0, 30)
-        assert sp.optimal_index > 2
+        total, k_opt, omitted = th._series_optimally_truncated(1.0, 4.0)
+        assert k_opt > 2
+        mags = [abs(th._series_term(k, 0.25)) for k in range(2, k_opt + 2)]
+        assert mags[k_opt - 2] == min(mags) and omitted == mags[-1]
+        assert total == sum(th._series_term(k, 0.25) for k in range(2, k_opt + 1))
         terms = [abs(th.series_coefficient(k) * 0.25**k) for k in range(2, 12)]
         assert terms[1] < terms[0]
         assert terms[-1] > min(terms)
@@ -345,8 +358,16 @@ class TestPrintedForms:
         # at x = 0.005 the smallest term lies past the index cap
         assert th._series_optimally_truncated(0.005, 1.0)[1] == th._SERIES_END - 1
         # k! is past the float range from k = 171, and zeta(k) past the table
-        assert th.series_partial(1.0, 200.0, 250).optimal_index == 250
-        assert th.series_partial(1.0, 1000.0, 450).optimal_index == 450
+        mags = np.array([abs(th._series_term(k, 0.005)) for k in range(2, 251)])
+        assert np.all(np.diff(mags) < 0.0)
+        mags = np.array([abs(th._series_term(k, 0.001)) for k in range(2, 451)])
+        assert np.all(np.diff(mags) <= 0.0) and mags[-1] == 0.0
+        assert th._series_term(171, 1.0) == pytest.approx(
+            -math.exp(math.lgamma(172) - 171 * math.log(2.0)) * th._zeta_integer(171), rel=1e-12
+        )
+        assert th._series_term(450, 0.01) == pytest.approx(
+            math.exp(math.lgamma(451) + 450 * math.log(0.005)), rel=1e-12
+        )
 
 
 class TestBreakdownPastTheExpRange:
@@ -360,32 +381,41 @@ class TestBreakdownPastTheExpRange:
 
 class TestScan:
     def test_points_finite_no_flags(self):
-        scan = th.energy_scan(CONT, np.linspace(0.5, 4.0, 16), None, 1e-8)
+        scan = th.thermo_scan(CONT, np.linspace(0.5, 4.0, 16), 1e-8)
         assert len(scan) == 16
-        for point, bd in scan:
-            assert bd is None
+        for point in scan:
             assert math.isfinite(point.eps)
             assert math.isfinite(point.entropy)
             assert "hagedorn_divergent" not in point.flags
 
     def test_refinement_stability(self):
-        coarse = th.energy_scan(CONT, np.linspace(0.5, 4.0, 4), None, 1e-9)
-        fine = th.energy_scan(CONT, np.linspace(0.5, 4.0, 7), None, 1e-9)
-        shared = {p.beta: p.eps for p, _ in fine}
-        for point, _ in coarse:
+        coarse = th.thermo_scan(CONT, np.linspace(0.5, 4.0, 4), 1e-9)
+        fine = th.thermo_scan(CONT, np.linspace(0.5, 4.0, 7), 1e-9)
+        shared = {p.beta: p.eps for p in fine}
+        for point in coarse:
             assert point.eps == pytest.approx(shared[point.beta], abs=1e-8)
 
     def test_entropy_identity_on_scan(self):
-        for point, _ in th.energy_scan(CONT, np.linspace(0.8, 3.0, 4), None, 1e-9):
+        for point in th.thermo_scan(CONT, np.linspace(0.8, 3.0, 4), 1e-9):
             assert point.entropy == pytest.approx(
                 point.beta * (point.eps - point.f.real), abs=1e-10
             )
 
     def test_breakdowns_attached(self, zeros200):
-        scan = th.energy_scan(CONT, np.linspace(1.0, 2.0, 3), zeros200, 1e-6)
-        for point, bd in scan:
-            assert bd is not None
+        for point in th.thermo_scan(CONT, np.linspace(1.0, 2.0, 3), 1e-6):
+            bd = th.energy_breakdown(CONT, point.beta, zeros200, 1e-6)
             assert bd.oracle == pytest.approx(point.eps, abs=1e-6)
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 20.0])
+    def test_energy_continuous_on_grid(self, lam):
+        # no jump between neighbours beyond what the local slope allows,
+        # across the beta = 1/omega region where the discrete ensemble diverges
+        betas = np.linspace(0.2, 6.0, 30)
+        eps = np.array([p.eps for p in th.thermo_scan(th.EnsembleSpec.continuum(lam), betas, 1e-9)])
+        assert np.all(np.isfinite(eps))
+        slope = np.abs(np.gradient(eps, betas))
+        allowed = np.diff(betas) * (4.0 * np.maximum(slope[:-1], slope[1:]) + 1e-6) + 1e-9
+        assert np.all(np.abs(np.diff(eps)) <= allowed)
 
 
 def _pair_integrals_reference(gammas, beta, lam, tol):
@@ -576,7 +606,6 @@ class TestThermoScan:
         for point in scan:
             assert point.f == th.free_energy_continuum(spec, point.beta, 1e-9)
             assert point.eps == th.energy_oracle(spec, point.beta, 1e-9)
-        assert th.energy_scan(spec, betas, None, 1e-9) == [(p, None) for p in scan]
 
     def test_small_kappa_budget_is_carried(self):
         point = th.thermo_point(th.EnsembleSpec.continuum(0.05), 0.1, 1e-8)
@@ -603,8 +632,13 @@ class TestThermoScan:
         spec = _random_spec(8, 20)
         betas = np.linspace(1.1, 3.0, 4) / float(spec.omegas[0])
         assert th.thermo_scan(spec, betas) == [th.thermo_point(spec, float(b)) for b in betas]
-        with pytest.raises(HagedornError):
-            th.thermo_scan(spec, [0.5 / float(spec.omegas[0])])
+        # at and past the Hagedorn point: flagged nan points, where thermo_point raises
+        for sp, beta in ((spec, 0.5 / float(spec.omegas[0])), (SINGLE, 1.0)):
+            (point,) = th.thermo_scan(sp, [beta])
+            assert point.flags == {"hagedorn_divergent"}
+            assert all(math.isnan(v) for v in (point.f.real, point.f.imag, point.eps, point.entropy))
+            with pytest.raises(HagedornError):
+                th.thermo_point(sp, beta)
         assert th.thermo_scan(CONT, []) == []
 
     @pytest.mark.parametrize("moduli", [(5003, 3001), (20011, 1999), (7919, 104729), (401, 97)])
