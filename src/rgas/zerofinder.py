@@ -12,9 +12,15 @@ grid is the Euler-Maclaurin sign.  Completeness is judged by Gram blocks:
 by Rosser's rule a block between consecutive good Gram points holds as many
 zeros as it spans Gram intervals, and only the blocks that show fewer sign
 changes are rescanned at 64, 512 and 4096 cells per interval.  The brackets
-are narrowed by vectorized Illinois regula falsi on the same fast kernel and
-polished by two secant steps on Euler-Maclaurin, and the table is audited
-against the smooth counting formula.
+are narrowed by vectorized Illinois regula falsi on the same fast kernel.
+A chord step on that kernel gives each root r, and its error bound gives a
+window r -/+ delta that must hold the Euler-Maclaurin zero; the signs at
+the window ends confirm it (they are Euler-Maclaurin signs, like those of
+the grid).  Where both ends round to the same 12 digits the zero is
+settled; only the others (mostly below t ~ 600, where the Riemann-Siegel
+bound is coarse, and those near a rounding edge) are polished by two
+secant steps on Euler-Maclaurin.  The table is audited against the smooth
+counting formula.
 
 Zero tables are persisted as plain text:
 
@@ -82,9 +88,10 @@ class ZeroTable:
     """Ascending positive ordinates of nontrivial zeros with metadata.
 
     The work counters are those of the search that computed the table: Z
-    evaluations by Euler-Maclaurin and by Riemann-Siegel, and Gram intervals
-    rescanned on a finer grid (summed over levels).  They are 0 for loaded
-    tables and heads."""
+    evaluations by Euler-Maclaurin and by Riemann-Siegel, Gram intervals
+    rescanned on a finer grid (summed over levels), and zeros whose value
+    came from the Euler-Maclaurin polish.  They are 0 for loaded tables and
+    heads."""
 
     gammas: np.ndarray
     abs_error: float
@@ -93,6 +100,7 @@ class ZeroTable:
     em_evaluations: int = 0
     rs_evaluations: int = 0
     escalated_intervals: int = 0
+    em_polished: int = 0
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gammas, dtype=np.float64)
@@ -435,17 +443,67 @@ def _illinois(search: _Search, a, b, fa, fb):
     raise AccuracyError(f"Illinois iteration left {active.size} brackets unconverged")
 
 
+def _central_slope(search: _Search, mid: np.ndarray):
+    """Signed slope of the fast kernel at `mid`, and the value there of the
+    chord it spans: a central difference over _ILLINOIS_RTOL * mid, because
+    the final Illinois bracket can be so narrow that rounding dominates its
+    end values."""
+    h = _ILLINOIS_RTOL * mid
+    f = search.fast(np.concatenate([mid - h, mid + h]))
+    f_lo, f_hi = f[: mid.size], f[mid.size :]
+    return (f_hi - f_lo) / (2.0 * h), 0.5 * (f_lo + f_hi)
+
+
+def _refine(search: _Search, a, b):
+    """Fast-kernel roots of the brackets (a, b) with a certificate window:
+    the root r of the central chord, moved by one step along that chord, and
+    delta = 2 (error(r) + target) / |Z'| + 4 ulps of r, twice the distance
+    to the Euler-Maclaurin root that the fast kernel's error bound allows.
+    Brackets whose slope is 0 or not finite get no root; returns the indices
+    of the others with their r and delta."""
+    mid = 0.5 * (a + b)
+    slope, f_mid = _central_slope(search, mid)
+    idx = np.flatnonzero(np.isfinite(slope) & (slope != 0.0))
+    slope = slope[idx]
+    r = mid[idx] - f_mid[idx] / slope
+    r -= search.fast(r) / slope
+    delta = 2.0 * (search.error(r) + search.opts.target_abs_error) / np.abs(slope)
+    return idx, r, delta + 4.0 * np.spacing(r)
+
+
+def _certify(search: _Search, a, b):
+    """12-digit zeros settled without Euler-Maclaurin polish.  Each root of
+    `_refine` is confirmed by a sign change of Z at r -/+ delta (Euler-
+    Maclaurin signs, by `_Search.signs`), so the zero lies in that window;
+    it is settled where both window ends round to the same 12 digits.
+    Returns the rounded zeros and the mask of settled ones."""
+    idx, r, delta = _refine(search, a, b)
+    ends = np.concatenate([r - delta, r + delta])
+    z = search.signs(ends)
+    same = np.flatnonzero(z[: r.size] * z[r.size :] >= 0.0)
+    if same.size:
+        bad = int(same[0])
+        raise AccuracyError(
+            f"no Euler-Maclaurin sign change on [{ends[bad]:.12g}, {ends[r.size + bad]:.12g}]"
+        )
+    rounded = np.array([_quantize(t) for t in ends])
+    values = np.zeros(a.size)
+    settled = np.zeros(a.size, dtype=bool)
+    values[idx] = rounded[: r.size]
+    settled[idx] = rounded[: r.size] == rounded[r.size :]
+    return values, settled
+
+
 def _polish(search: _Search, a, b) -> np.ndarray:
     """Euler-Maclaurin roots from fast-kernel brackets: widen each bracket by
     the fast kernel's error over the slope of Z, confirm the sign change on
-    Euler-Maclaurin, and take two secant steps.  The slope is a central
-    difference over _ILLINOIS_RTOL * t, because the final Illinois bracket
-    can be so narrow that rounding dominates its end values."""
+    Euler-Maclaurin, and take two secant steps."""
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    mid = 0.5 * (lo + hi)
-    h = _ILLINOIS_RTOL * mid
-    f = search.fast(np.concatenate([mid - h, mid + h]))
-    slope = np.abs(f[mid.size :] - f[: mid.size]) / (2.0 * h)
+    slope = np.abs(_central_slope(search, 0.5 * (lo + hi))[0])
+    flat = np.flatnonzero(~(np.isfinite(slope) & (slope > 0.0)))
+    if flat.size:
+        bad = int(flat[0])
+        raise AccuracyError(f"slope {slope[bad]:.3g} of Z on [{lo[bad]:.12g}, {hi[bad]:.12g}]")
     pad = 2.0 * search.error(hi) / slope
     lo, hi = lo - pad, hi + pad
     f = search.em(np.concatenate([lo, hi]))
@@ -468,8 +526,12 @@ def find_zeros(count: int, opts: EvalOptions = DEFAULT_OPTIONS) -> ZeroTable:
     interval (Riemann-Siegel from t = 200, Euler-Maclaurin below and where
     Riemann-Siegel cannot settle the sign) bracket them; Gram blocks short of
     Rosser's count are rescanned at 64, 512 and 4096 cells.  Illinois regula
-    falsi narrows each bracket to 1e-9 t, two Euler-Maclaurin secant steps
-    polish it, and the table is audited against the smooth counting formula."""
+    falsi narrows each bracket to 1e-9 t on the same fast kernel, whose chord
+    root settles the 12 digits wherever its certified window (`_certify`)
+    rounds to one value; the other zeros, mostly below t ~ 600 where the
+    Riemann-Siegel bound is coarse, are polished by two Euler-Maclaurin
+    secant steps.  The table is audited against the smooth counting
+    formula."""
     if count < 1:
         raise DomainError("count must be >= 1")
     if count > _MAX_ZEROS:
@@ -478,9 +540,10 @@ def find_zeros(count: int, opts: EvalOptions = DEFAULT_OPTIONS) -> ZeroTable:
     search = _Search(opts)
     gram, zg, good, last = _gram_blocks(search, count)
     lo, hi, zlo, zhi, escalated = _bracket(search, gram, zg, good, last, count)
-    raw = _polish(search, *_illinois(search, lo, hi, zlo, zhi))
-
-    quantized = np.array([_quantize(g) for g in raw])
+    a, b = _illinois(search, lo, hi, zlo, zhi)
+    quantized, settled = _certify(search, a, b)
+    rest = np.flatnonzero(~settled)
+    quantized[rest] = [_quantize(g) for g in _polish(search, a[rest], b[rest])]
     g_max = float(quantized[-1])
     half_ulp = 0.5 * 10.0 ** (math.floor(math.log10(g_max)) - 11)
     abs_error = max(1e-11, half_ulp)
@@ -489,6 +552,7 @@ def find_zeros(count: int, opts: EvalOptions = DEFAULT_OPTIONS) -> ZeroTable:
         em_evaluations=search.em_evaluations,
         rs_evaluations=search.rs_evaluations,
         escalated_intervals=escalated,
+        em_polished=rest.size,
     )
 
     # audit against the counting formula at a spread of checkpoints

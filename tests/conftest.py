@@ -9,6 +9,11 @@ def zeros3000() -> zerofinder.ZeroTable:
 
 
 @pytest.fixture(scope="session")
+def zeros10000() -> zerofinder.ZeroTable:
+    return zerofinder.find_zeros(10_000)
+
+
+@pytest.fixture(scope="session")
 def zeros1000(zeros3000) -> zerofinder.ZeroTable:
     return zeros3000.head(1000)
 

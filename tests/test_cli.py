@@ -25,6 +25,15 @@ class TestZerosCommand:
         assert table.count == 10
         assert table.gammas[0] == pytest.approx(14.134725, abs=1e-6)
 
+    def test_flat_slope_is_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            zerofinder, "_central_slope",
+            lambda search, mid: (np.zeros_like(mid), np.zeros_like(mid)),
+        )
+        code, stdout, err = run_cli(capsys, "zeros", "--count", "50")
+        assert (code, stdout) == (3, "")
+        assert "numerical failure" in err
+
     def test_count_zero_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "zeros", "--count", "0")
         assert code == 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rgas import zerofinder as zf
-from rgas.errors import DomainError, TableFormatError
+from rgas.errors import AccuracyError, DomainError, TableFormatError
+from rgas.numkernel import DEFAULT_OPTIONS
 
 import oracles
 
@@ -61,6 +62,11 @@ class TestRiemannSiegel:
             assert embedded == pytest.approx(float(fresh), rel=1e-15)
 
 
+@pytest.fixture(scope="module")
+def zeros4770():
+    return zf.find_zeros(4770)
+
+
 class TestFindZeros:
     def test_first_two_ordinates(self, zeros200):
         assert zeros200.gammas[0] == pytest.approx(oracles.GAMMA_1, abs=1e-6)
@@ -94,10 +100,10 @@ class TestFindZeros:
             assert np.array_equal(table.gammas, zeros3000.gammas[:n])
             assert table.escalated_intervals <= 200
 
-    def test_short_gram_block_is_rescanned(self):
+    def test_short_gram_block_is_rescanned(self, zeros4770):
         # The 8-cell grid misses the close pair of zeros in the Gram block
         # g_4763..g_4765; that block alone is rescanned at 64 cells.
-        table = zf.find_zeros(4770)
+        table = zeros4770
         assert table.escalated_intervals == 2
         assert table.count_below(zf.gram_point(4765)) == 4766
 
@@ -108,21 +114,93 @@ class TestFindZeros:
             "adb60bf06c1b1ee545dfb83144fe7412425c77f491f9a811e2b08a86e2627c7c"
         )
 
-    def test_work_counters(self, zeros3000, tmp_path):
-        assert zeros3000.em_evaluations <= 20_000
+    @pytest.mark.parametrize("count, digest", [
+        (4770, "88edca1ff4c8f833435cc0fddbbe03ff7ea38cf322d40ecb68b4e6d75014fd9a"),
+        (10_000, "7c556a5956091c7c91853b10cfd7f93969c24897ce473119523c2d5215368dd2"),
+    ])
+    def test_large_table_bytes_are_stable(self, count, digest, request):
+        table = request.getfixturevalue(f"zeros{count}")
+        assert hashlib.sha256(zf._table_text(table).encode()).hexdigest() == digest
+
+    def test_work_counters(self, zeros3000, zeros10000, tmp_path):
+        # Polishing every zero on Euler-Maclaurin costs 3 evaluations per
+        # zero (over 9,000 for 3000 zeros); the certificate sends ~360 zeros
+        # to the polish.
+        assert zeros3000.em_evaluations <= 4_000
+        assert zeros10000.em_evaluations <= 4_000
         assert zeros3000.escalated_intervals <= 200
         assert zeros3000.rs_evaluations > 0
+        assert 0 < zeros3000.em_polished <= 600
         head = zeros3000.head(10)
         p = tmp_path / "z.txt"
         zf.save_table(head, p)
         for table in (head, zf.load_table(p)):
-            assert (table.em_evaluations, table.rs_evaluations, table.escalated_intervals) == (0, 0, 0)
+            counters = (table.em_evaluations, table.rs_evaluations,
+                        table.escalated_intervals, table.em_polished)
+            assert counters == (0, 0, 0, 0)
 
     def test_count_bounds(self):
         with pytest.raises(DomainError):
             zf.find_zeros(0)
         with pytest.raises(DomainError):
             zf.find_zeros(10_001)
+
+
+class TestCertificate:
+    def test_rs_bound_holds_on_the_windows(self, zeros10000):
+        # The certificate trusts Riemann-Siegel signs at r -/+ delta wherever
+        # |Z_RS| exceeds its error bound; check the bound and the signs there.
+        g = zeros10000.gammas[::20]
+        g = g[g >= 200.0]
+        search = zf._Search(DEFAULT_OPTIONS)
+        idx, r, delta = zf._refine(search, g, g)
+        assert idx.size == g.size
+        t = np.concatenate([r - delta, r + delta])
+        em = zf._z_many(t)
+        assert np.all(np.abs(zf._z_rs(t) - em) <= zf._rs_error_bound(t))
+        assert np.array_equal(np.sign(search.signs(t)), np.sign(em))
+        assert np.all(np.sign(em[: g.size]) != np.sign(em[g.size :]))
+
+    def test_polish_fallback_gives_the_same_table(self, monkeypatch):
+        default = zf.find_zeros(1000)
+        certify = zf._certify
+
+        def reject_all(search, a, b):
+            values, settled = certify(search, a, b)
+            return values, np.zeros_like(settled)
+
+        monkeypatch.setattr(zf, "_certify", reject_all)
+        forced = zf.find_zeros(1000)
+        assert forced.em_polished == 1000
+        assert 0 < default.em_polished < 1000
+        assert zf._table_text(forced) == zf._table_text(default)
+
+    def test_flat_slope_is_escalated(self, monkeypatch, zeros200):
+        slope_of = zf._central_slope
+
+        def half_flat(search, mid):
+            slope, f_mid = slope_of(search, mid)
+            slope[::2] = 0.0
+            slope[1::4] = np.nan
+            return slope, f_mid
+
+        monkeypatch.setattr(zf, "_central_slope", half_flat)
+        g = zeros200.gammas
+        values, settled = zf._certify(zf._Search(DEFAULT_OPTIONS), g, g)
+        assert not settled[::2].any() and not settled[1::4].any()
+        assert settled[3::4].any()
+        assert np.array_equal(values[settled], g[settled])
+
+    @pytest.mark.parametrize("slope", [0.0, np.nan, np.inf])
+    def test_flat_slope_is_accuracy_error(self, monkeypatch, slope):
+        # A flat slope must not widen the polish bracket to t <= 0, where
+        # Z raises DomainError (a usage error) instead of a numerical one.
+        monkeypatch.setattr(
+            zf, "_central_slope",
+            lambda search, mid: (np.full_like(mid, slope), np.zeros_like(mid)),
+        )
+        with pytest.raises(AccuracyError, match="slope"):
+            zf.find_zeros(50)
 
 
 class TestCountEstimate:
