@@ -5,11 +5,11 @@ Euler-Maclaurin summation (zeta family), Stirling series (gamma family),
 and power/asymptotic series (exponential integral).  All functions are pure
 and reentrant.
 
-Conventions:
-  * complex arguments and results use the builtin ``complex`` type;
-  * the zeta kernels accept scalars or 1-d numpy arrays (private ``*_many``
-    helpers) so that quadrature nodes and zero-search grids can be evaluated
-    in one vectorized pass.
+Conventions: complex arguments and results use the builtin ``complex`` type.
+The private ``*_many`` kernels take 1-d numpy arrays (quadrature nodes,
+zero-search grids); the gamma-family and real-axis zeta kernels give each
+element the value it has alone.  The scalar zeta and gamma-family functions
+wrap them, as one call on a one-element array.
 """
 
 from __future__ import annotations
@@ -66,8 +66,10 @@ _B_OVER_FACT = tuple(_B2K[k - 1] / math.factorial(2 * k) for k in range(1, _EM_O
 # Shifts j = 0..2J of the rising product in the truncation estimate.
 _RISING_SHIFTS = np.arange(2 * _EM_ORDER + 1, dtype=np.float64)
 
-# Stirling tail coefficients B_{2n} / (2n (2n-1)) for log-gamma.
+# Stirling tail coefficients B_{2n} / (2n (2n-1)) for log-gamma, and
+# B_{2n} / (2n) for digamma.
 _STIRLING = tuple(_B2K[n - 1] / (2 * n * (2 * n - 1)) for n in range(1, _EM_ORDER + 1))
+_DIGAMMA_TAIL = tuple(_B2K[n - 1] / (2 * n) for n in range(1, 9))
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -98,11 +100,9 @@ DEFAULT_OPTIONS = EvalOptions()
 # Euler-Maclaurin core
 # ----------------------------------------------------------------------
 
-def _em_cutoff(im_max: float, base: float, opts: EvalOptions, re_min: float = 0.0) -> int:
+def _em_cutoff(im_max: float, base: float, opts: EvalOptions) -> int:
     """Dirichlet-sum cutoff N = max(ceil(|Im s|/2) + 10, 20), shifted so the
-    expansion point base + N is never below ~20; for Re s < 0 the expansion
-    point additionally clears the rising-factorial growth of the correction
-    terms."""
+    expansion point base + N is never below ~20."""
     n = max(int(math.ceil(im_max / 2.0)) + 10, 20)
     if base < 20.0:
         n = max(n, int(math.ceil(22.0 - base)))
@@ -219,59 +219,50 @@ def _zeta_em_many(s: np.ndarray, opts: EvalOptions, want_derivative: bool = Fals
 # log-gamma / digamma
 # ----------------------------------------------------------------------
 
-def _log_sin_pi(z: complex) -> complex:
-    """log(sin(pi z)), overflow-safe for large |Im z| (branch not tracked)."""
-    if abs(z.imag) <= 1.0:
-        return cmath.log(cmath.sin(math.pi * z))
-    if z.imag > 0:
-        # sin(pi z) = (i/2) exp(-i pi z) (1 - exp(2 i pi z))
-        return (
-            -1j * math.pi * z
-            + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-            + cmath.log(0.5j)
-        )
-    return _log_sin_pi(z.conjugate()).conjugate()
-
-
-def _log_gamma_stirling(z: complex) -> complex:
-    """Stirling series; caller guarantees Re z > 0 and |z| large enough."""
-    lz = cmath.log(z)
-    out = (z - 0.5) * lz - z + 0.5 * _LOG_2PI
-    zinv2 = 1.0 / (z * z)
-    term = 1.0 / z
-    for c in _STIRLING:
-        out += c * term
-        term *= zinv2
+def _gamma_family(z, dtype, what: str, closed: bool, right, reflect) -> np.ndarray:
+    """``right`` on z with Re z > 0 (>= 0 unless ``closed``), ``reflect(z,
+    right(1 - z))`` on the rest; DomainError for non-finite z, PoleError at
+    0, -1, -2, ... and AccuracyError for a non-finite result."""
+    z = np.asarray(z, dtype=dtype)
+    if not np.isfinite(z).all():
+        raise DomainError(f"{what} requires finite arguments")
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if pole.any():
+        raise PoleError(f"{what} pole at z = {z.real[pole][0]:.0f}")
+    left = z.real <= 0.0 if closed else z.real < 0.0
+    with np.errstate(all="ignore"):
+        out = right(np.where(left, 1.0 - z, z))
+        if left.any():
+            out[left] = reflect(z[left], out[left])
+    if not np.isfinite(out).all():
+        raise AccuracyError(f"{what} exceeds the float range")
     return out
 
 
-def log_gamma(s: complex) -> complex:
-    """log Gamma(s), analytic for Re s > 0 (standard branch, so that
-    exp(log_gamma(s)) = Gamma(s) and the imaginary part is continuous in the
-    right half-plane).  For Re s <= 0 the reflection formula is used and the
-    imaginary part is only determined mod 2*pi."""
-    s = complex(s)
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
-        raise PoleError(f"log_gamma pole at s = {s.real:.0f}")
-    if s.real <= 0.0:
-        return _LOG_PI - _log_sin_pi(s) - log_gamma(1.0 - s)
-    w = s
-    shift = 0.0 + 0.0j
-    while w.real < 10.0 or abs(w) < 12.0:
-        shift += cmath.log(w)
-        w += 1.0
-    return _log_gamma_stirling(w) - shift
+def _log_sin_pi(z: np.ndarray) -> np.ndarray:
+    """Principal log(sin(pi z)) for |Im z| <= 1; else the log of each factor
+    of (i/2) e^(-i pi z) (1 - e^(2 i pi z)), which cannot overflow (conjugated
+    for Im z < -1).  The periodic parts take the exact r = z - round(Re z)."""
+    n = np.round(z.real)
+    flip = z.imag < -1.0
+    z, r = (np.where(flip, a.conjugate(), a) for a in (z, z - n))
+    far = -1j * math.pi * z + np.log(1.0 - np.exp(2j * math.pi * r)) + cmath.log(0.5j)
+    near = np.log(np.sin(math.pi * r) * (1.0 - 2.0 * (n % 2.0)))
+    out = np.where(z.imag > 1.0, far, near)
+    return np.where(flip, out.conjugate(), out)
 
 
-def _log_gamma_many(z: np.ndarray, shifts: int = 12) -> np.ndarray:
-    """Vectorized log-gamma for arrays with 0 < Re z <= 10 (uniform shift)."""
-    z = np.asarray(z, dtype=np.complex128)
+def _log_gamma_right(z: np.ndarray) -> np.ndarray:
+    """Stirling series at w = z + k less sum_{j<k} log(z + j), k the fewest
+    unit steps to Re w >= 10 and |w| >= 12; steps all elements take are unmasked."""
+    reach = np.sqrt(np.maximum(144.0 - z.imag**2, 0.0))
+    k = np.ceil(np.maximum(np.maximum(reach, 10.0) - z.real, 0.0))
     acc = np.zeros_like(z)
-    for j in range(shifts):
-        acc += np.log(z + j)
-    w = z + shifts
-    lw = np.log(w)
-    out = (w - 0.5) * lw - w + 0.5 * _LOG_2PI
+    for j in range(int(k.max(initial=0))):
+        step = np.log(z + j)
+        acc += step if j < k.min() else np.where(k > j, step, 0.0)
+    w = z + k
+    out = (w - 0.5) * np.log(w) - w + 0.5 * _LOG_2PI
     zinv2 = 1.0 / (w * w)
     term = 1.0 / w
     for c in _STIRLING:
@@ -280,34 +271,22 @@ def _log_gamma_many(z: np.ndarray, shifts: int = 12) -> np.ndarray:
     return out - acc
 
 
-_DIGAMMA_TAIL = tuple(_B2K[n - 1] / (2 * n) for n in range(1, 9))
+def _log_gamma_many(z) -> np.ndarray:
+    """log Gamma elementwise: the standard branch for Re z > 0 (exp gives
+    Gamma, and Im is continuous there), log pi - log sin(pi z) - log Gamma(1-z)
+    for Re z <= 0, where Im is determined only mod 2 pi."""
+    return _gamma_family(z, np.complex128, "log_gamma", True, _log_gamma_right,
+                         lambda zl, g: _LOG_PI - _log_sin_pi(zl) - g)
 
 
-def digamma(x: float) -> float:
-    """psi(x) = d/dx ln Gamma(x) for real x > 0.
-
-    Upward recurrence to x >= 8, then the asymptotic series
-    ln x - 1/(2x) - sum B_{2n} / (2n x^{2n})."""
-    if not x > 0.0:
-        raise DomainError("digamma requires x > 0")
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    out = math.log(x) - 0.5 / x
-    xinv2 = 1.0 / (x * x)
-    term = xinv2
-    for c in _DIGAMMA_TAIL:
-        out -= c * term
-        term *= xinv2
-    return out + acc
+def log_gamma(s: complex) -> complex:
+    """log Gamma(s), on the branch of ``_log_gamma_many``."""
+    return complex(_log_gamma_many([s])[0])
 
 
-def _digamma_many(x: np.ndarray) -> np.ndarray:
-    """Vectorized digamma for arrays of positive reals (uniform 8-shift)."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0):
-        raise DomainError("digamma requires x > 0")
+def _digamma_right(x: np.ndarray) -> np.ndarray:
+    """Upward recurrence by 8 steps, then the asymptotic series
+    ln y - 1/(2y) - sum B_{2n} / (2n y^{2n}) at y = x + 8."""
     acc = np.zeros_like(x)
     for j in range(8):
         acc -= 1.0 / (x + j)
@@ -321,39 +300,53 @@ def _digamma_many(x: np.ndarray) -> np.ndarray:
     return out + acc
 
 
-def _digamma_complex(z: complex) -> complex:
-    """psi(z) for complex z (meromorphic; reflection for Re z < 0.5)."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"digamma pole at z = {z.real:.0f}")
-    if z.real < 0.5:
-        return _digamma_complex(1.0 - z) - math.pi / cmath.tan(math.pi * z)
-    acc = 0.0 + 0.0j
-    while z.real < 8.0:
-        acc -= 1.0 / z
-        z += 1.0
-    out = cmath.log(z) - 0.5 / z
-    zinv2 = 1.0 / (z * z)
-    term = zinv2
-    for c in _DIGAMMA_TAIL:
-        out -= c * term
-        term *= zinv2
-    return out + acc
+def _digamma_many(z) -> np.ndarray:
+    """psi = (ln Gamma)' elementwise, real for a real array;
+    psi(1 - z) - pi / tan(pi z) for Re z < 0."""
+    dtype = np.complex128 if np.iscomplexobj(z) else np.float64
+    return _gamma_family(z, dtype, "digamma", False, _digamma_right,
+                         lambda zl, g: g - math.pi / np.tan(math.pi * (zl - np.round(zl.real))))
+
+
+def digamma(x: float) -> float:
+    """psi(x) for real x > 0."""
+    if not x > 0.0:
+        raise DomainError("digamma requires x > 0")
+    return float(_digamma_many([x])[0])
 
 
 # ----------------------------------------------------------------------
 # Riemann zeta and friends
 # ----------------------------------------------------------------------
 
-def _chi(s: complex) -> complex:
-    """Reflection factor: zeta(s) = chi(s) zeta(1-s)."""
-    return cmath.exp(
-        (s - 0.5) * _LOG_PI + log_gamma((1.0 - s) / 2.0) - log_gamma(s / 2.0)
-    )
-
-
 def _is_trivial_zero(s: complex) -> bool:
     return s.imag == 0.0 and s.real < 0.0 and s.real == 2.0 * round(s.real / 2.0)
+
+
+def _reflect(s: complex, factor: complex) -> complex:
+    """chi(s) * factor, for zeta(s) = chi(s) zeta(1-s) at Re s < 0, or
+    chi'(s) * factor at a trivial zero, where chi vanishes linearly.
+    AccuracyError where the product leaves the float range."""
+    try:
+        if _is_trivial_zero(s):
+            n = round(-s.real / 2.0)
+            lg = _log_gamma_many([n + 1.0, n + 0.5]).real
+            chi = (-1.0) ** n * 0.5 * math.exp(lg[0] + lg[1] - (2 * n + 0.5) * _LOG_PI)
+        else:
+            lg = _log_gamma_many([(1.0 - s) / 2.0, s / 2.0])
+            chi = cmath.exp((s - 0.5) * _LOG_PI + lg[0] - lg[1])
+    except OverflowError:
+        chi = math.inf
+    value = complex(chi) * factor
+    if not cmath.isfinite(value):
+        raise AccuracyError(f"zeta reflection at s = {s} exceeds the float range")
+    return value
+
+
+def _chi_log_slope(s: complex) -> complex:
+    """chi'(s)/chi(s) = ln pi - (psi((1-s)/2) + psi(s/2))/2."""
+    psi = _digamma_many([(1.0 - s) / 2.0, s / 2.0])
+    return complex(_LOG_PI - 0.5 * psi[0] - 0.5 * psi[1])
 
 
 def zeta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
@@ -364,7 +357,7 @@ def zeta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     if s.real < 0.0:
         if _is_trivial_zero(s):
             return 0.0 + 0.0j
-        return _chi(s) * zeta(1.0 - s, opts)
+        return _reflect(s, zeta(1.0 - s, opts))
     return complex(_zeta_em_many(np.array([s]), opts)[0])
 
 
@@ -374,29 +367,11 @@ def zeta_derivative(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta' has a pole at s = 1")
+    if _is_trivial_zero(s):
+        return _reflect(s, zeta(1.0 - s, opts))
     if s.real < 0.0:
-        if _is_trivial_zero(s):
-            # chi vanishes linearly at s = -2n; only chi' survives
-            n = round(-s.real / 2.0)
-            chi_slope = (
-                (-1.0) ** n
-                * 0.5
-                * math.exp(
-                    math.lgamma(n + 1)
-                    + log_gamma(n + 0.5).real
-                    - (2 * n + 0.5) * _LOG_PI
-                )
-            )
-            return complex(chi_slope) * zeta(complex(1 + 2 * n), opts)
-        z1 = zeta(1.0 - s, opts)
-        d1 = zeta_derivative(1.0 - s, opts)
-        chi = _chi(s)
-        logslope = (
-            _LOG_PI
-            - 0.5 * _digamma_complex((1.0 - s) / 2.0)
-            - 0.5 * _digamma_complex(s / 2.0)
-        )
-        return chi * (logslope * z1 - d1)
+        z1, d1 = zeta(1.0 - s, opts), zeta_derivative(1.0 - s, opts)
+        return _reflect(s, _chi_log_slope(s) * z1 - d1)
     _, d = _zeta_em_many(np.array([s]), opts, want_derivative=True)
     return complex(d[0])
 
@@ -406,9 +381,7 @@ def _principal_log(w: complex) -> complex:
     if w == 0.0:
         raise PoleError("log of zero")
     if w.imag == 0.0:
-        if w.real > 0.0:
-            return complex(math.log(w.real), 0.0)
-        return complex(math.log(-w.real), math.pi)
+        return complex(math.log(abs(w.real)), 0.0 if w.real > 0.0 else math.pi)
     return cmath.log(w)
 
 
@@ -424,14 +397,8 @@ def zeta_log_derivative(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> comp
     if s == 1.0:
         raise PoleError("zeta'/zeta has a pole at s = 1")
     if s.real < 0.0:
-        # logarithmic derivative of the reflection formula; avoids the huge
-        # cancellation of chi against itself
-        logslope = (
-            _LOG_PI
-            - 0.5 * _digamma_complex((1.0 - s) / 2.0)
-            - 0.5 * _digamma_complex(s / 2.0)
-        )
-        return logslope - zeta_log_derivative(1.0 - s, opts)
+        # log-derivative of the reflection: chi, possibly huge, cancels unformed
+        return _chi_log_slope(s) - zeta_log_derivative(1.0 - s, opts)
     z, d = _zeta_em_many(np.array([s]), opts, want_derivative=True)
     zv = complex(z[0])
     if zv == 0.0:
@@ -469,12 +436,15 @@ def hurwitz_zeta(z: complex, q: float, opts: EvalOptions = DEFAULT_OPTIONS) -> c
     z = complex(z)
     if z == 1.0:
         raise PoleError("hurwitz_zeta has a pole at z = 1")
-    if not q > 0.0:
-        raise DomainError("hurwitz_zeta requires q > 0")
+    if not (q > 0.0 and math.isfinite(q) and cmath.isfinite(z)):
+        raise DomainError("hurwitz_zeta requires finite z and finite q > 0")
     if z.real <= -6.0:
         raise DomainError("hurwitz_zeta supported for Re z > -6 only")
     n = _em_cutoff(abs(z.imag), q, opts)
-    val, _, est, floor = _hurwitz_em(np.array([z]), q, n, want_derivative=False)
+    with np.errstate(all="ignore"):
+        val, _, est, floor = _hurwitz_em(np.array([z]), q, n, want_derivative=False)
+    if not cmath.isfinite(val[0]):
+        raise AccuracyError("hurwitz_zeta exceeds the float range")
     _check_est(est, floor, opts, "hurwitz_zeta")
     return complex(val[0])
 

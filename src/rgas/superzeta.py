@@ -42,7 +42,7 @@ from .numkernel import (
     DEFAULT_OPTIONS,
     EULER_GAMMA,
     EvalOptions,
-    _digamma_complex,
+    _digamma_many,
     _zeta_log_derivative_real_many,
     digamma,
     zeta_log_derivative,
@@ -333,7 +333,7 @@ def zeta_log_derivative_expansion(
         + pairsum
         + corr
         + rho.value
-        - 0.5 * (_digamma_complex(1.0 + 0.5 * s) + EULER_GAMMA)
+        - 0.5 * (complex(_digamma_many([1.0 + 0.5 * s])[0]) + EULER_GAMMA)
     )
     bound = pair_bound + rho.tail.bound
     if s.imag == 0.0:

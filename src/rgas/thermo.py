@@ -57,7 +57,6 @@ from .numkernel import (
     _z_exp_e1_minus_one,
     _zeta_em_many,
     _zeta_log_derivative_real_many,
-    digamma,
     zeta,
 )
 from .quadrature import (
@@ -579,7 +578,7 @@ def energy_breakdown(
     eps5 = 1.0 / (beta * vol) + lam / (2.0 * vol) * (ipsi.value / lam)
     eps5_err = ipsi.abs_error / (2.0 * vol)
 
-    eps6 = -digamma(1.0) / (2.0 * lv)
+    eps6 = EULER_GAMMA / (2.0 * lv)  # -psi(1) / (2 lam V)
 
     total = eps1 + eps2 + eps3 + eps4 + eps5 + eps6
     eps_a = eps1 + eps4 + eps6

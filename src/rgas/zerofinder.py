@@ -52,7 +52,6 @@ from .numkernel import (
     _em_cutoff,
     _hurwitz_em,
     _log_gamma_many,
-    log_gamma,
 )
 
 __all__ = [
@@ -133,9 +132,9 @@ class ZeroTable:
 
 def riemann_siegel_theta(t: float) -> float:
     """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) ln pi for t > 0."""
-    if not t > 0.0:
-        raise DomainError("theta requires t > 0")
-    return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * _LOG_PI
+    if not 0.0 < t < math.inf:
+        raise DomainError("theta requires finite t > 0")
+    return float(_theta_many([t])[0])
 
 
 def _theta_many(t: np.ndarray) -> np.ndarray:

@@ -86,6 +86,31 @@ class TestEvalCommand:
         assert (code, out) == (3, "")
         assert "float range" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--fn", "zeta", "--re", "-300.5"),
+            ("eval", "--fn", "zeta-derivative", "--re", "-2500"),
+        ],
+    )
+    def test_reflection_overflow_is_numerical_failure(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "float range" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--fn", "digamma", "--re", "1e-320"),
+            ("eval", "--fn", "log-gamma", "--re", "1e308", "--im", "1e308"),
+            ("eval", "--fn", "hurwitz", "--re", "2", "--q", "1e-320"),
+        ],
+    )
+    def test_non_finite_value_is_numerical_failure(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "float range" in err
+
     def test_json_matches_csv(self, capsys):
         _, out_csv, _ = run_cli(capsys, "eval", "--fn", "digamma", "--re", "2")
         _, out_json, _ = run_cli(capsys, "eval", "--fn", "digamma", "--re", "2", "--format", "json")

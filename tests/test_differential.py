@@ -1,0 +1,104 @@
+"""The gamma-family kernels against mpmath at 30 digits.
+
+Points are drawn by hypothesis over the advertised domains, including the
+neighbourhoods of the poles of Gamma and |Im z| up to 1e4.  Each bound is
+relative to max(1, |reference|); on Re z <= 0 the imaginary part of
+log Gamma is compared mod 2 pi, as the reflection formula determines it
+only there.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rgas import numkernel as nk
+from rgas import zerofinder as zf
+
+mp = pytest.importorskip("mpmath")
+
+BOUND = 1e-13
+
+
+def magnitudes(lo, hi):
+    """Floats log-uniform in [lo, hi]."""
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+signs = st.sampled_from([-1.0, 1.0])
+# a pole -n of Gamma, n = 0..40, and an offset of 1e-10 .. 0.1 in either
+# direction along the real axis, possibly just off it
+near_poles = st.builds(
+    lambda n, d, sign, im: complex(-n + sign * d, im),
+    st.integers(min_value=0, max_value=40),
+    magnitudes(1e-10, 0.1),
+    signs,
+    st.sampled_from([0.0, 1e-9, -1e-6]),
+)
+
+
+def reference(fn, z):
+    with mp.workdps(30):
+        return complex(fn(mp.mpc(z.real, z.imag)))
+
+
+def scaled(value, ref):
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
+def assert_log_gamma(z):
+    value, ref = nk.log_gamma(z), reference(mp.loggamma, z)
+    assert scaled(value.real, ref.real) <= BOUND
+    if z.real > 0.0:
+        assert scaled(value.imag, ref.imag) <= BOUND
+    else:
+        turns = (value.imag - ref.imag) / (2.0 * math.pi)
+        assert abs(turns - round(turns)) * 2.0 * math.pi <= BOUND * max(1.0, abs(ref.imag))
+
+
+class TestLogGamma:
+    @settings(max_examples=150, deadline=None)
+    @given(magnitudes(1e-3, 60.0), magnitudes(1e-3, 1e4), signs)
+    def test_right_half_plane(self, x, y, sign):
+        assert_log_gamma(complex(x, sign * y))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(min_value=-60.0, max_value=0.0), magnitudes(1e-3, 1e4), signs)
+    def test_left_half_plane(self, x, y, sign):
+        assert_log_gamma(complex(x, sign * y))
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_poles)
+    def test_next_to_the_poles(self, z):
+        assert_log_gamma(z)
+
+
+class TestDigamma:
+    @settings(max_examples=150, deadline=None)
+    @given(magnitudes(1e-3, 1e4))
+    def test_real_axis(self, x):
+        assert scaled(nk.digamma(x), reference(mp.digamma, complex(x)).real) <= BOUND
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(min_value=-60.0, max_value=60.0), magnitudes(1e-3, 1e4), signs)
+    def test_complex_plane(self, x, y, sign):
+        z = complex(x, sign * y)
+        value = complex(nk._digamma_many(np.array([z]))[0])
+        assert scaled(value, reference(mp.digamma, z)) <= BOUND
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_poles)
+    def test_next_to_the_poles(self, z):
+        value = complex(nk._digamma_many(np.array([z]))[0])
+        assert scaled(value, reference(mp.digamma, z)) <= BOUND
+
+
+class TestTheta:
+    @settings(max_examples=150, deadline=None)
+    @given(magnitudes(1e-3, 1e5))
+    def test_against_siegeltheta(self, t):
+        with mp.workdps(30):
+            ref = float(mp.siegeltheta(t))
+        assert scaled(zf.riemann_siegel_theta(t), ref) <= BOUND

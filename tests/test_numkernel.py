@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgas import numkernel as nk
+from rgas import zerofinder as zf
 from rgas.errors import AccuracyError, DomainError, PoleError
 
 import oracles
@@ -285,7 +286,21 @@ class TestDigamma:
         x = np.array([0.01, 0.3, 1.0, 4.7, 11.0, 123.0])
         v = nk._digamma_many(x)
         for xi, vi in zip(x, v):
-            assert vi == pytest.approx(nk.digamma(float(xi)), abs=1e-13)
+            assert vi == nk.digamma(float(xi))
+
+    def test_non_finite_argument_is_domain_error(self):
+        with pytest.raises(DomainError):
+            nk.digamma(math.inf)
+        with pytest.raises(DomainError):
+            nk._digamma_many(np.array([1.0, math.nan]))
+
+    def test_overflow_is_accuracy_error(self):
+        with pytest.raises(AccuracyError):
+            nk.digamma(1e-320)
+
+    def test_complex_pole_raises(self):
+        with pytest.raises(PoleError):
+            nk._digamma_many(np.array([0.5 + 1j, -3.0 + 0j]))
 
 
 class TestLogGamma:
@@ -313,6 +328,58 @@ class TestLogGamma:
             nk.log_gamma(0.0)
         with pytest.raises(PoleError):
             nk.log_gamma(-3.0)
+
+    def test_non_finite_argument_is_domain_error(self):
+        with pytest.raises(DomainError):
+            nk.log_gamma(complex(-math.inf, 0.0))
+
+    def test_overflow_is_accuracy_error(self):
+        with pytest.raises(AccuracyError):
+            nk.log_gamma(complex(1e308, 1e308))
+
+
+class TestGammaKernelContract:
+    """log_gamma, digamma and theta are one kernel each: a scalar is the
+    kernel on a one-element array, and the kernels' value at a point does
+    not depend on the batch around it."""
+
+    @staticmethod
+    def batch(rng, size):
+        """Points in both half-planes, on and off the real axis."""
+        z = rng.uniform(-30.0, 30.0, size) + 1j * rng.uniform(-60.0, 60.0, size)
+        z.imag[rng.random(size) < 0.2] *= 1e-3
+        z.imag[rng.random(size) < 0.3] = 0.0
+        z[(z.imag == 0.0) & (z.real == np.floor(z.real))] += 0.5
+        return z
+
+    def test_scalar_is_the_kernel(self):
+        rng = np.random.default_rng(20260904)
+        for z in self.batch(rng, 200):
+            assert nk.log_gamma(z) == nk._log_gamma_many([z])[0]
+        for x in rng.uniform(1e-3, 80.0, 200):
+            assert nk.digamma(x) == nk._digamma_many([x])[0]
+        for t in np.exp(rng.uniform(math.log(1e-3), math.log(1e5), 200)):
+            assert zf.riemann_siegel_theta(t) == zf._theta_many([t])[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1, 2, 15, 300]),
+    )
+    def test_value_alone_equals_value_in_a_batch(self, seed, size):
+        rng = np.random.default_rng(seed)
+        z = self.batch(rng, size)
+        t = np.exp(rng.uniform(math.log(1e-3), math.log(1e5), size))
+        cases = (
+            (nk._log_gamma_many, z),
+            (nk._digamma_many, z),
+            (nk._digamma_many, np.abs(z.real) + 1e-3),
+            (zf._theta_many, t),
+        )
+        for kernel, points in cases:
+            whole = kernel(points)
+            alone = np.array([kernel(points[k : k + 1])[0] for k in range(size)])
+            assert np.array_equal(whole, alone)
 
 
 class TestExponentialIntegral:

@@ -29,6 +29,10 @@ class TestTheta:
         with pytest.raises(DomainError):
             zf.riemann_siegel_theta(0.0)
 
+    def test_infinite_t_is_domain_error(self):
+        with pytest.raises(DomainError):
+            zf.riemann_siegel_theta(math.inf)
+
 
 class TestHardyZ:
     def test_sign_change_brackets_first_zero(self):
