@@ -102,15 +102,17 @@ DEFAULT_OPTIONS = EvalOptions()
 
 def _em_cutoff(im_max: float, base: float, opts: EvalOptions) -> int:
     """Dirichlet-sum cutoff N = max(ceil(|Im s|/2) + 10, 20), shifted so the
-    expansion point base + N is never below ~20."""
-    n = max(int(math.ceil(im_max / 2.0)) + 10, 20)
+    expansion point base + N is never below ~20.  N is checked against
+    ``max_terms`` while still a float, so a huge |Im s| cannot make a huge
+    int."""
+    n = max(float(np.ceil(im_max / 2.0)) + 10.0, 20.0)
     if base < 20.0:
-        n = max(n, int(math.ceil(22.0 - base)))
-    if n > opts.max_terms:
+        n = max(n, float(np.ceil(22.0 - base)))
+    if not n <= opts.max_terms:
         raise AccuracyError(
-            f"Euler-Maclaurin cutoff {n} exceeds max_terms={opts.max_terms}"
+            f"Euler-Maclaurin cutoff {n:.3g} exceeds max_terms={opts.max_terms}"
         )
-    return n
+    return int(n)
 
 
 def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
@@ -349,9 +351,16 @@ def _chi_log_slope(s: complex) -> complex:
     return complex(_LOG_PI - 0.5 * psi[0] - 0.5 * psi[1])
 
 
+def _finite_arg(s: complex, what: str) -> complex:
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"{what} requires a finite argument")
+    return s
+
+
 def zeta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """Riemann zeta by Euler-Maclaurin summation; reflection for Re s < 0."""
-    s = complex(s)
+    s = _finite_arg(s, "zeta")
     if s == 1.0:
         raise PoleError("zeta has a pole at s = 1")
     if s.real < 0.0:
@@ -364,7 +373,7 @@ def zeta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
 def zeta_derivative(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """zeta'(s) by termwise differentiation of the same Euler-Maclaurin
     formula; the Re s < 0 branch differentiates the reflection formula."""
-    s = complex(s)
+    s = _finite_arg(s, "zeta'")
     if s == 1.0:
         raise PoleError("zeta' has a pole at s = 1")
     if _is_trivial_zero(s):
@@ -393,7 +402,7 @@ def log_zeta_principal(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> compl
 
 def zeta_log_derivative(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """zeta'(s)/zeta(s); simple pole with residue -1 at s = 1."""
-    s = complex(s)
+    s = _finite_arg(s, "zeta'/zeta")
     if s == 1.0:
         raise PoleError("zeta'/zeta has a pole at s = 1")
     if s.real < 0.0:
@@ -485,6 +494,8 @@ def exp_integral_ei(x: float) -> float:
     truncated asymptotic expansion exp(x)/x * sum k!/x^k beyond, as
     exp(x - ln x) * sum where exp(x) overflows.  Raises AccuracyError where
     Ei(x) exceeds the float range (x above ~716.4)."""
+    if not math.isfinite(x):
+        raise DomainError("Ei requires a finite argument")
     if x == 0.0:
         raise PoleError("Ei is singular at x = 0")
     ax = abs(x)

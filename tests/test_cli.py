@@ -81,6 +81,12 @@ class TestEvalCommand:
         assert code == 3
         assert "pole" in err.lower()
 
+    def test_huge_cutoff_is_numerical_failure_with_a_short_message(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--fn", "hardy-z", "--re", "1e300")
+        assert (code, out) == (3, "")
+        assert "Euler-Maclaurin cutoff 5e+299 exceeds max_terms=200000" in err
+        assert len(err) < 100
+
     def test_ei_overflow_is_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--fn", "ei", "--re", "800")
         assert (code, out) == (3, "")

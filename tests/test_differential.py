@@ -102,3 +102,10 @@ class TestTheta:
         with mp.workdps(30):
             ref = float(mp.siegeltheta(t))
         assert scaled(zf.riemann_siegel_theta(t), ref) <= BOUND
+
+    @settings(max_examples=150, deadline=None)
+    @given(magnitudes(200.0, 1e6))
+    def test_series_against_siegeltheta(self, t):
+        with mp.workdps(30):
+            ref = float(mp.siegeltheta(t))
+        assert scaled(float(zf._theta_rs(np.array([t]))[0]), ref) <= BOUND

@@ -33,6 +33,18 @@ class TestZeta:
         with pytest.raises(PoleError):
             nk.zeta(1.0)
 
+    def test_infinite_imaginary_part_is_domain_error(self):
+        with pytest.raises(DomainError):
+            nk.zeta(complex(0.0, math.inf))
+
+    def test_infinite_argument_is_domain_error(self):
+        with pytest.raises(DomainError):
+            nk.zeta(math.inf)
+
+    def test_cutoff_past_max_terms_is_named_briefly(self):
+        with pytest.raises(AccuracyError, match=r"cutoff 5e\+299 exceeds max_terms=200000$"):
+            nk.zeta(complex(0.5, 1e300))
+
     def test_trivial_zeros_exact(self):
         assert nk.zeta(-2.0) == 0.0
         assert nk.zeta(-4.0) == 0.0
@@ -132,6 +144,10 @@ class TestNegativeHalfPlaneAgainstMpmath:
 
 
 class TestZetaDerivative:
+    def test_infinite_argument_is_domain_error(self):
+        with pytest.raises(DomainError):
+            nk.zeta_derivative(math.inf)
+
     def test_value_at_2_against_log_sum_oracle(self):
         assert nk.zeta_derivative(2.0).real == pytest.approx(oracles.ZETA_PRIME_2, abs=1e-10)
         # bracket with the raw truncated oracle and its tail bound
@@ -408,6 +424,10 @@ class TestExponentialIntegral:
     def test_singularity(self):
         with pytest.raises(PoleError):
             nk.exp_integral_ei(0.0)
+
+    def test_nan_is_domain_error(self):
+        with pytest.raises(DomainError):
+            nk.exp_integral_ei(math.nan)
 
     def test_overflow_is_an_accuracy_error(self):
         for x in (716.5, 800.0, 1e6):

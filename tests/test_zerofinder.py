@@ -41,6 +41,11 @@ class TestHardyZ:
     def test_small_at_first_ordinate(self):
         assert abs(zf.hardy_z(oracles.GAMMA_1)) < 1e-8
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_t_is_domain_error(self, t):
+        with pytest.raises(DomainError):
+            zf.hardy_z(t)
+
     def test_rotation_is_real(self):
         from rgas import numkernel as nk
 
@@ -64,6 +69,34 @@ class TestRiemannSiegel:
         assert all(abs(c) < 1e-25 for c in coeffs[1::2])
         for fresh, embedded in zip(coeffs[::2], zf._PSI_TAYLOR):
             assert embedded == pytest.approx(float(fresh), rel=1e-15)
+
+
+class TestFastKernels:
+    """The pieces of the zero finder's Z kernels: the real theta series, the
+    one-pass Gabcke correction and the sorted term sums of Riemann-Siegel Z,
+    and the cutoff-sized chunks of Euler-Maclaurin Z."""
+
+    def test_theta_series_matches_theta(self):
+        t = np.geomspace(200.0, 1e6, 5001)
+        ulps = np.spacing(t * np.log(t))
+        assert np.all(np.abs(zf._theta_rs(t) - zf._theta_many(t)) <= 4.0 * ulps)
+
+    def test_parity_horner_matches_polyval(self):
+        x = np.linspace(-0.5, 0.5, 2001)
+        rows = zf._rs_corrections(x)
+        for row, poly in zip(rows, zf._RS_CORRECTIONS):
+            assert np.max(np.abs(row - np.polynomial.polynomial.polyval(x, poly))) <= 1e-15
+
+    def test_rs_value_does_not_depend_on_order(self):
+        rng = np.random.default_rng(11)
+        t = np.sort(rng.uniform(200.0, 1e4, 2000))
+        perm = rng.permutation(t.size)
+        assert np.array_equal(zf._z_rs(t[perm]), zf._z_rs(t)[perm])
+
+    def test_chunked_em_matches_one_point_hardy_z(self):
+        t = np.random.default_rng(12).uniform(40.0, 2600.0, 1000)
+        alone = np.array([zf.hardy_z(x) for x in t])
+        assert np.max(np.abs(zf._z_many(t) - alone)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
