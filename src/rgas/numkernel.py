@@ -2,14 +2,14 @@
 
 Everything here is self-contained double-precision numerics built on
 Euler-Maclaurin summation (zeta family), Stirling series (gamma family),
-and power/asymptotic series (exponential integral).  All functions are pure
-and reentrant.
+and one exponential-integral kernel, h(z) = z e^z E1(z) - 1 (`_z_exp_e1`,
+of which real Ei is a view).  All functions are pure and reentrant.
 
 Conventions: complex arguments and results use the builtin ``complex`` type.
 The private ``*_many`` kernels take 1-d numpy arrays (quadrature nodes,
-zero-search grids); the gamma-family and real-axis zeta kernels give each
-element the value it has alone.  The scalar zeta and gamma-family functions
-wrap them, as one call on a one-element array.
+zero-search grids); these, the real-axis zeta and the exponential-integral
+kernels give each element the value it has alone.  The scalar zeta and
+gamma-family functions wrap them, as one call on a one-element array.
 """
 
 from __future__ import annotations
@@ -470,136 +470,133 @@ def hurwitz_finite_part(q: float) -> float:
 # Exponential integral
 # ----------------------------------------------------------------------
 
-_EI_CROSSOVER = 32.0
+# h(z) = z e^z E1(z) - 1 by branch, with s = |z| + Re z: the power series
+# where s <= 2, as its rounding grows like e^s; the backward continued
+# fraction elsewhere to |z| = 50; the asymptotic series beyond
+_E1_SERIES_EDGE = 2.0
+_E1_ASYMPTOTIC_EDGE = 50.0
+_E1_SERIES_COEF = tuple(1.0 / (k * math.factorial(k)) for k in range(1, 161))
+# Step counts, closed forms in r = |z| and s = |z| + Re z.  Series: the fewest
+# K with r^(K+1)/(K+1)! <= 1e-17 to r = 6.2 (K = 40); beyond, where e^r
+# dominates the terms, ceil(e r) + 24, whose tail is below 1e-17 e^r/r^2
+# (160 terms at r = 50).  Fraction: its truncation error falls about like
+# exp(-sqrt(8 n s)) with the depth n, so ceil(250/s) + 8 leaves it near
+# e^-45 ~ 3e-20.  Asymptotic: the fewest K >= 2 whose first omitted term,
+# (K+1)!/r^(K+1), is at most 1e-15/r^2, a hundredth of the scale of Re h
+# next to the imaginary axis.  The reaches are the r up to which K = 1..40
+# series terms, and from which K = 29..2 asymptotic terms, suffice.
+_E1_SERIES_REACH = np.array(
+    [math.exp((math.lgamma(k + 2.0) - 17.0 * math.log(10.0)) / (k + 1)) for k in range(1, 41)]
+)
+_E1_ASYMPTOTIC_REACH = np.array(
+    [math.exp((math.lgamma(k + 2.0) + 15.0 * math.log(10.0)) / (k - 1)) for k in range(29, 1, -1)]
+)
+_E1_STEPS = (
+    lambda r, s: np.where(r <= _E1_SERIES_REACH[-1], 1 + _E1_SERIES_REACH.searchsorted(r),
+                          np.ceil(math.e * r) + 24),
+    lambda r, s: np.ceil(250.0 / s) + 8,
+    lambda r, s: 30 - _E1_ASYMPTOTIC_REACH.searchsorted(r, side="right"),
+)
 
 
-def _ei_asymptotic_sum(x: float) -> float:
-    """sum k!/x^k of Ei(x) ~ exp(x)/x * sum k!/x^k, cut before its smallest
-    term."""
-    total = 1.0
-    term = 1.0
-    for k in range(1, int(abs(x)) + 1):
-        nxt = term * k / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        total += term
-    return total
+def _prefixes(count: np.ndarray) -> list:
+    """For a non-increasing count, entry k is the length of the prefix whose
+    count is at least k, k = 0 .. count[0]: the elements step k runs on."""
+    return (-count).searchsorted(-np.arange(count[0] + 1), side="right").tolist()
+
+
+def _h_series(z: np.ndarray, terms: np.ndarray):
+    """g = z e^z (-gamma_E - ln z - sum_{k <= K} (-z)^k/(k k!)) and h = g - 1,
+    the sum in Horner form from each element's own K."""
+    m = _prefixes(terms)
+    p, mz = np.zeros(z.size, complex), -z
+    for k in range(len(m) - 1, 0, -1):
+        p[: m[k]] = (p[: m[k]] + _E1_SERIES_COEF[k - 1]) * mz[: m[k]]
+    g = z * np.exp(z) * (-EULER_GAMMA - np.log(z) - p)
+    return g - 1.0, g
+
+
+def _h_fraction(z: np.ndarray, depth: np.ndarray):
+    """e^z E1(z) = 1/t_0 with t_j = z + 2j + 1 - (j + 1)^2/t_(j+1), run back
+    from each element's own t_n = z + 2n + 1 (the even part of A&S 5.1.22);
+    g = z/t_0 and h = (1/t_1 - 1)/t_0, as t_0 = z + 1 - 1/t_1."""
+    m = _prefixes(depth)
+    t = z + (2.0 * depth + 1.0)
+    for k in range(len(m) - 1, 1, -1):  # t_(k-1) from t_k
+        t[: m[k]] = (z[: m[k]] + (2 * k - 1)) - k * k / t[: m[k]]
+    r = 1.0 / t
+    t0 = z + 1.0 - r
+    return (r - 1.0) / t0, z / t0
+
+
+def _h_asymptotic(z: np.ndarray, terms: np.ndarray):
+    """h ~ sum_{k=1}^{K} (-1)^k k!/z^k, adding real parts term by term: Re h
+    stays accurate where it is far below |h|; g = 1 + h."""
+    m = _prefixes(terms)
+    mw = -1.0 / z
+    term, total = np.ones(z.size, complex), np.zeros(z.size, complex)
+    for k in range(1, len(m)):
+        term[: m[k]] = live = term[: m[k]] * (k * mw[: m[k]])
+        total[: m[k]] += live
+    return total, total + 1.0
+
+
+def _z_exp_e1(z) -> tuple[np.ndarray, np.ndarray]:
+    """(h, g) elementwise, g(z) = z e^z E1(z) and h = g - 1, for finite
+    complex z != 0; the negative real axis is taken on its upper side,
+    where E1(-x + i0) = -Ei(x) - i pi.  No branch adds or subtracts 1 from a
+    value near -+1 (h ~ -1/z for large |z|, g ~ -z ln z for small), so h
+    and g each keep their relative accuracy.
+
+    Each branch's step count is a closed form in |z| and s = |z| + Re z;
+    the branch sorts its elements by it and runs step k on the prefix that
+    still needs it.  So no loop waits on convergence, a call costs what its
+    inputs fix, and a value alone equals the same value in a batch."""
+    # adding +0j turns a -0 imaginary part into +0: the upper side of the cut
+    z = np.asarray(z, dtype=np.complex128) + 0j
+    if not (np.isfinite(z) & (z != 0.0)).all():
+        raise DomainError("z e^z E1(z) needs finite z != 0")
+    r = np.abs(z)
+    s = r + z.real
+    far = r > _E1_ASYMPTOTIC_EDGE
+    near = ~far & (s <= _E1_SERIES_EDGE)
+    h, g = np.empty_like(z), np.empty_like(z)
+    branches = (_h_series, _h_fraction, _h_asymptotic)
+    for branch, where, count in zip(branches, (near, ~far & ~near, far), _E1_STEPS):
+        i = where.nonzero()[0]
+        if i.size:
+            n = count(r[i], s[i]).astype(np.intp)
+            order = (-n).argsort(kind="stable")
+            i, n = i[order], n[order]
+            h[i], g[i] = branch(z[i], n)
+    return h, g
+
+
+def _exp_neg_ei(x, scale=1.0) -> np.ndarray:
+    """scale * e^(-x) Ei(x) for a 1-d array of real x, as scale * Re g(-x + i0)/x,
+    with no exponential formed.  x must be finite with |x| >= 2.2e-308: for
+    a subnormal x, g ~ x ln|x| keeps too few bits."""
+    x = np.asarray(x, dtype=np.float64)
+    if not (np.abs(x) >= np.finfo(np.float64).tiny).all():
+        raise DomainError("Ei needs finite x with |x| >= 2.2e-308")
+    return scale * (_z_exp_e1(-x)[1].real / x)
 
 
 def exp_integral_ei(x: float) -> float:
-    """Exponential integral Ei(x) for real x != 0.
-
-    Power series gamma + ln|x| + sum x^k / (k k!) for |x| <= 32, optimally
-    truncated asymptotic expansion exp(x)/x * sum k!/x^k beyond, as
-    exp(x - ln x) * sum where exp(x) overflows.  Raises AccuracyError where
-    Ei(x) exceeds the float range (x above ~716.4)."""
+    """Exponential integral Ei(x) for real x != 0, as e^(x/2) (e^(-x) Ei(x))
+    e^(x/2), which is finite while Ei(x) is.  Within 1e-13 relative for
+    |x| <= 716, except next to Ei's zero 0.3725..., where the error is that
+    of moving x by a few ulps.  AccuracyError where Ei(x) leaves the float
+    range (x above ~716.4)."""
     if not math.isfinite(x):
         raise DomainError("Ei requires a finite argument")
     if x == 0.0:
         raise PoleError("Ei is singular at x = 0")
-    ax = abs(x)
-    if ax <= _EI_CROSSOVER:
-        total = EULER_GAMMA + math.log(ax)
-        term = 1.0
-        for k in range(1, 500):
-            term *= x / k
-            inc = term / k
-            total += inc
-            if abs(inc) < 1e-17 * max(1.0, abs(total)):
-                break
-        return total
     try:
-        scale = math.exp(x)
+        half = math.exp(0.5 * x)
     except OverflowError:
-        try:
-            value = math.exp(x - math.log(x)) * _ei_asymptotic_sum(x)
-        except OverflowError:
-            value = math.inf
-        if math.isinf(value):
-            raise AccuracyError(f"Ei({x!r}) exceeds the float range") from None
-        return value
-    return scale / x * _ei_asymptotic_sum(x)
-
-
-def _exp_neg_ei(x: float, scale: float = 1.0) -> float:
-    """scale * exp(-x) * Ei(x) for real x != 0: that product, left to right,
-    where exp(|x|) is a finite float; else scale times the asymptotic sum
-    over x, which needs neither exponential."""
-    try:
-        math.exp(abs(x))
-    except OverflowError:
-        return scale * (_ei_asymptotic_sum(x) / x)
-    return scale * math.exp(-x) * exp_integral_ei(x)
-
-
-# ----------------------------------------------------------------------
-# Complex exponential integral
-# ----------------------------------------------------------------------
-
-# h(z) = z e^z E1(z) - 1 by power series (30 terms) for |z| <= 3, continued
-# fraction to |z| = 50, and beyond by asymptotic series, below 1e-19 |h| there
-_E1_BRANCH_EDGES = (3.0, 50.0)
-_E1_SERIES_COEF = tuple(1.0 / (k * math.factorial(k)) for k in range(1, 31))
-_E1_STOP = 1e-17  # relative size of the last term or Lentz step taken
-
-
-def _h_series(z: np.ndarray) -> np.ndarray:
-    """h from E1(z) = -gamma_E - ln z - sum (-z)^k/(k k!), in Horner form."""
-    p = np.zeros_like(z)
-    for c in reversed(_E1_SERIES_COEF):
-        p = (p + c) * -z
-    return z * np.exp(z) * (-EULER_GAMMA - np.log(z) - p) - 1.0
-
-
-def _h_fraction(z: np.ndarray) -> np.ndarray:
-    """h = (R - 1)/(z + 1 - R) from e^z E1(z) = 1/(z + 1 - R), where
-    1/R = z + 3 - 2^2/(z + 5 - 3^2/(z + 7 - ...)) runs through the modified
-    Lentz recurrence until each element's own step is within _E1_STOP of 1."""
-    inv_r, live, zl = np.empty_like(z), np.arange(z.size), z
-    f = c = z + 3.0
-    d, j = np.zeros_like(z), 1
-    while live.size:
-        j += 1
-        b = zl + (2 * j + 1)
-        d = 1.0 / (b - j * j * d)
-        c = b - j * j / c
-        step = c * d
-        f = f * step
-        done = np.abs(step - 1.0) <= _E1_STOP
-        if done.any():
-            inv_r[live[done]] = f[done]
-            live, zl, f, c, d = (a[~done] for a in (live, zl, f, c, d))
-    r = 1.0 / inv_r
-    return (r - 1.0) / (z + 1.0 - r)
-
-
-def _h_asymptotic(z: np.ndarray) -> np.ndarray:
-    """h ~ sum_{k>=1} (-1)^k k!/z^k to each element's first term below
-    _E1_STOP |1/z|, adding real parts term by term: Re h stays accurate
-    where it is far below |h|."""
-    out, live, w = np.empty_like(z), np.arange(z.size), 1.0 / z
-    term, total, k = np.ones_like(z), np.zeros_like(z), 0
-    while live.size:
-        k += 1
-        term = term * (-k * w)
-        total = total + term
-        done = np.abs(term) <= _E1_STOP * np.abs(w)
-        if done.any():
-            out[live[done]] = total[done]
-            live, w, term, total = (a[~done] for a in (live, w, term, total))
-    return out
-
-
-def _z_exp_e1_minus_one(z) -> np.ndarray:
-    """h(z) = z e^z E1(z) - 1, elementwise, for finite complex z off the
-    closed negative real axis; each branch yields h itself, as h ~ -1/z for large
-    |z| and forming z e^z E1(z) - 1 would cancel."""
-    z = np.asarray(z, dtype=np.complex128)
-    if np.any(~np.isfinite(z) | ((z.imag == 0.0) & ~(z.real > 0.0))):
-        raise DomainError("z e^z E1(z) needs finite z off the closed negative real axis")
-    which = np.digitize(np.abs(z), _E1_BRANCH_EDGES, right=True)
-    out = np.empty_like(z)
-    for k, branch in enumerate((_h_series, _h_fraction, _h_asymptotic)):
-        out[which == k] = branch(z[which == k])
-    return out
+        half = math.inf
+    value = half * float(_exp_neg_ei([x])[0]) * half
+    if math.isinf(value):
+        raise AccuracyError(f"Ei({x!r}) exceeds the float range")
+    return value

@@ -54,7 +54,7 @@ from .numkernel import (
     _digamma_many,
     _exp_neg_ei,
     _log_abs_zeta_real_many,
-    _z_exp_e1_minus_one,
+    _z_exp_e1,
     _zeta_em_many,
     _zeta_log_derivative_real_many,
     zeta,
@@ -505,12 +505,16 @@ def thermal_part_printed_form(beta: float, lam: float, volume: float = 1.0) -> f
     the breakdown record."""
     if not (beta > 0.0 and lam > 0.0 and volume > 0.0):
         raise DomainError("positive beta, lam, volume required")
+    whole, quarter = _ei_terms(beta, lam, volume)
+    return 1.0 / (beta * volume) - whole + quarter
+
+
+def _ei_terms(beta: float, lam: float, volume: float) -> list:
+    """(lam/(beta^2 V)) e^(-x) Ei(x) and (lam/(4 beta^2 V)) e^(-x/4) Ei(x/4)
+    at x = lam/beta, from one kernel call."""
     x = lam / beta
-    return (
-        1.0 / (beta * volume)
-        - _exp_neg_ei(x, lam / (beta * beta * volume))
-        + _exp_neg_ei(0.25 * x, lam / (4.0 * beta * beta * volume))
-    )
+    scale = np.array([lam / (beta * beta * volume), lam / (4.0 * beta * beta * volume)])
+    return _exp_neg_ei(np.array([x, 0.25 * x]), scale).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +528,7 @@ def _pair_integrals(gammas, beta: float, lam: float) -> np.ndarray:
     of 1/(omega + a) gives I = -(2/(beta lam)) Re h(-lam rho/beta) with
     h(z) = z e^z E1(z) - 1."""
     z = (-lam / beta) * (0.5 + 1j * np.asarray(gammas, dtype=np.float64))
-    return (-2.0 / (beta * lam)) * _z_exp_e1_minus_one(z).real
+    return (-2.0 / (beta * lam)) * _z_exp_e1(z)[0].real
 
 
 def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, float]:
@@ -561,8 +565,8 @@ def energy_breakdown(
     lv = lam * vol
 
     eps1 = -EXPANSION_CONSTANT / lv
-    x = lam / beta
-    eps2 = 1.0 / (beta * vol) - _exp_neg_ei(x, lam / (beta * beta * vol))
+    whole, quarter = _ei_terms(beta, lam, vol)
+    eps2 = 1.0 / (beta * vol) - whole
 
     pairs = float(np.sum(_pair_integrals(zeros.gammas, beta, lam)))
     tail, tail_bound = _eps3_tail(zeros.count, beta, lam, tol * 0.1 * vol / lam)
@@ -590,13 +594,9 @@ def energy_breakdown(
     # printed forms, verbatim, with smallest-term truncation of the series
     series_sum, k_opt, omitted = _series_optimally_truncated(beta, lam)
     eps1_printed = -PRINTED_EXPANSION_CONSTANT / lv
-    eps3_printed = (
-        EULER_GAMMA / (2.0 * lv)
-        - series_sum / (beta * vol)
-        + _exp_neg_ei(0.25 * x, lam / (4.0 * beta * beta * vol))
-    )
+    eps3_printed = EULER_GAMMA / (2.0 * lv) - series_sum / (beta * vol) + quarter
     eps5_printed = -EULER_GAMMA / (2.0 * lv) + series_sum / (beta * vol)
-    thermal_printed = thermal_part_printed_form(beta, lam, vol)
+    thermal_printed = eps2 + quarter  # thermal_part_printed_form(beta, lam, vol)
 
     return EnergyBreakdown(
         beta=beta,

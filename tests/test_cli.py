@@ -87,6 +87,13 @@ class TestEvalCommand:
         assert "Euler-Maclaurin cutoff 5e+299 exceeds max_terms=200000" in err
         assert len(err) < 100
 
+    def test_ei_at_a_negative_argument(self, capsys):
+        # Ei(-30) = -3.02155201068e-15 (mpmath); its power series cancels there
+        code, out, _ = run_cli(capsys, "eval", "--fn", "ei", "--re", "-30")
+        assert code == 0
+        value = float(out.strip().splitlines()[1].split(",")[3])
+        assert value == pytest.approx(-3.0215520106888125e-15, rel=1e-11)
+
     def test_ei_overflow_is_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--fn", "ei", "--re", "800")
         assert (code, out) == (3, "")

@@ -1,10 +1,11 @@
-"""The gamma-family kernels against mpmath at 30 digits.
+"""The gamma-family and exponential-integral kernels against mpmath at 30
+digits.
 
 Points are drawn by hypothesis over the advertised domains, including the
-neighbourhoods of the poles of Gamma and |Im z| up to 1e4.  Each bound is
-relative to max(1, |reference|); on Re z <= 0 the imaginary part of
-log Gamma is compared mod 2 pi, as the reflection formula determines it
-only there.
+neighbourhoods of the poles of Gamma, |Im z| up to 1e4, and both sides of
+the cut of E1.  Each bound is relative to max(1, |reference|); on Re z <= 0
+the imaginary part of log Gamma is compared mod 2 pi, as the reflection
+formula determines it only there.  e^-x Ei(x) is held to BOUND relative.
 """
 
 import math
@@ -109,3 +110,40 @@ class TestTheta:
         with mp.workdps(30):
             ref = float(mp.siegeltheta(t))
         assert scaled(float(zf._theta_rs(np.array([t]))[0]), ref) <= BOUND
+
+
+class TestExponentialIntegral:
+    @staticmethod
+    def assert_h(z):
+        h = complex(nk._z_exp_e1(np.array([z]))[0][0])
+        with mp.workdps(30):
+            w = mp.mpc(z.real, z.imag)  # mpmath also takes the axis from above
+            ref = complex(w * mp.exp(w) * mp.e1(w) - 1)
+        assert scaled(h, ref) <= BOUND
+
+    @settings(max_examples=200, deadline=None)
+    @given(magnitudes(1e-3, 716.0), signs)
+    def test_scaled_ei(self, x, sign):
+        x *= sign
+        with mp.workdps(30):
+            ref = float(mp.exp(-x) * mp.ei(x))
+        # next to the zero x = 0.3725... of Ei a relative bound cannot hold:
+        # there the error is that of moving x by a few ulps,
+        # eps |x d/dx e^-x Ei(x)| = eps |1 - x e^-x Ei(x)|
+        slack = 4.0 * np.finfo(float).eps * abs(1.0 - x * ref)
+        assert abs(nk._exp_neg_ei([x])[0] - ref) <= BOUND * abs(ref) + slack
+
+    @settings(max_examples=300, deadline=None)
+    @given(magnitudes(1e-3, 1e6), st.floats(min_value=-math.pi, max_value=math.pi))
+    def test_plane(self, r, phase):
+        self.assert_h(r * complex(math.cos(phase), math.sin(phase)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(magnitudes(1e-3, 1e6), magnitudes(1e-12, 1e-1), signs)
+    def test_next_to_the_cut(self, r, d, sign):
+        self.assert_h(complex(-r, sign * d * r))
+
+    @settings(max_examples=100, deadline=None)
+    @given(magnitudes(1e-3, 1e6))
+    def test_upper_side_of_the_negative_axis(self, r):
+        self.assert_h(complex(-r, 0.0))

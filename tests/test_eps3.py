@@ -1,7 +1,11 @@
 """The closed form of eps3: the kernel h(z) = z e^z E1(z) - 1, the pair
 integrals and the density tail, against mpmath and against the oracle."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,7 +62,7 @@ class TestKernel:
     @given(LOG_KAPPA, LOG_GAMMA)
     def test_matches_mpmath(self, log_kappa, log_gamma):
         z = -math.exp(log_kappa) * complex(0.5, math.exp(log_gamma))
-        h = complex(nk._z_exp_e1_minus_one(np.array([z]))[0])
+        h = complex(nk._z_exp_e1(np.array([z]))[0][0])
         ref = _h_ref(z)
         assert abs(h - ref) <= 1e-13 * abs(ref)
         # Re h can be far below |h| (I(gamma) changes sign near lam/beta = 4);
@@ -67,14 +71,63 @@ class TestKernel:
 
     def test_elementwise(self):
         z = -np.geomspace(1e-3, 1e3, 40) * (0.5 + 1j * np.geomspace(14.0, 1e5, 40))
-        batch = nk._z_exp_e1_minus_one(z)
+        h, g = nk._z_exp_e1(z)
         for k in range(z.size):
-            assert batch[k] == nk._z_exp_e1_minus_one(z[k : k + 1])[0]
+            alone = nk._z_exp_e1(z[k : k + 1])
+            assert h[k] == alone[0][0] and g[k] == alone[1][0]
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, complex(-3.0, 0.0), complex(math.nan, 1.0), math.inf])
+    @pytest.mark.parametrize("z", [0.0, complex(math.nan, 1.0), math.inf])
     def test_outside_the_domain_rejected(self, z):
         with pytest.raises(DomainError):
-            nk._z_exp_e1_minus_one(np.array([z]))
+            nk._z_exp_e1(np.array([z]))
+
+    @pytest.mark.parametrize("z", [-1.0, complex(-3.0, 0.0), complex(-3.0, -0.0)])
+    def test_negative_axis_is_its_upper_side(self, z):
+        # E1(-x + i0) = -Ei(x) - i pi, also for a signed-zero imaginary part
+        h = complex(nk._z_exp_e1(np.array([z]))[0][0])
+        with mp.workdps(30):
+            x = -z.real
+            ref = complex(-x * mp.exp(-x) * (-mp.ei(x) - 1j * mp.pi) - 1)
+        assert abs(h - ref) <= 1e-13 * abs(ref)
+
+
+# both sides of the cut, 1e-10 .. 1e-1 off it, for |z| in (3, 50]
+NEAR_CUT = [
+    complex(-x, side * d)
+    for x in np.geomspace(3.01, 50.0, 12)
+    for d in np.geomspace(1e-10, 1e-1, 10)
+    for side in (1.0, -1.0)
+]
+
+# evaluates NEAR_CUT (JSON pairs on stdin) and prints h as JSON pairs
+_NEAR_CUT_CHILD = """
+import json, sys
+import numpy as np
+from rgas import numkernel as nk
+z = np.array([complex(a, b) for a, b in json.load(sys.stdin)])
+h = nk._z_exp_e1(z)[0]
+print(json.dumps([[v.real, v.imag] for v in h.tolist()]))
+"""
+
+
+class TestNearTheCut:
+    def test_every_evaluation_terminates(self):
+        # a kernel loop that waits on convergence can stall next to the cut,
+        # so the batch runs in a child process with a deadline
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nk.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NEAR_CUT_CHILD],
+            input=json.dumps([[z.real, z.imag] for z in NEAR_CUT]),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=src,
+        )
+        assert proc.returncode == 0, proc.stderr
+        values = [complex(a, b) for a, b in json.loads(proc.stdout)]
+        for z, h in zip(NEAR_CUT, values):
+            ref = _h_ref(z)
+            assert abs(h - ref) <= 1e-13 * max(1.0, abs(ref)), z
 
 
 class TestEps3:

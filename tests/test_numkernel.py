@@ -410,6 +410,20 @@ class TestExponentialIntegral:
                 oracles.ei_series(x), rel=1e-11, abs=1e-13
             )
 
+    @pytest.mark.parametrize("x", [-10.0, -20.0, -30.0, 32.0001])
+    def test_matches_mpmath_past_the_series_oracle(self, x):
+        # below x ~ -6 the power series (and so the series oracle) cancels, and
+        # just past x = 32 the asymptotic series alone falls short of 1e-13
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = float(mp.ei(x))
+        assert nk.exp_integral_ei(x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_subnormal_is_a_domain_error(self):
+        for x in (1e-320, -5e-324):
+            with pytest.raises(DomainError):
+                nk.exp_integral_ei(x)
+
     def test_derivative_property(self):
         x, h = 2.0, 1e-5
         slope = (nk.exp_integral_ei(x + h) - nk.exp_integral_ei(x - h)) / (2 * h)
@@ -446,21 +460,25 @@ class TestExponentialIntegral:
             assert value == pytest.approx(expect, rel=1e-12)
 
     def test_scaled_ei_is_the_product_where_finite(self):
+        # both are views of g(z) = z e^z E1(z) at z = -x + i0:
+        # e^-x Ei(x) = Re g / x, and Ei(x) = e^(x/2) (e^-x Ei(x)) e^(x/2)
         rng = np.random.default_rng(5)
-        for x in np.concatenate([rng.uniform(-700.0, 709.78, 200), [0.25, 32.0, 709.78]]):
+        for x in np.concatenate([rng.uniform(-700.0, 716.0, 200), [0.25, 32.0, 709.78, 716.0]]):
             x = float(x)
+            g = complex(nk._z_exp_e1(np.array([complex(-x, 0.0)]))[1][0])
             for scale in (1.0, 0.37):
-                assert nk._exp_neg_ei(x, scale) == scale * math.exp(-x) * nk.exp_integral_ei(x)
+                assert nk._exp_neg_ei([x], scale)[0] == scale * (g.real / x)
+            half = math.exp(0.5 * x)
+            assert nk.exp_integral_ei(x) == half * nk._exp_neg_ei([x])[0] * half
 
     def test_scaled_ei_past_the_float_range(self):
-        # the asymptotic sum over x continues the product across x ~ 709.78
-        below = nk._exp_neg_ei(709.78)
-        above = nk._exp_neg_ei(709.79)
+        # no exponential is formed, so nothing changes where e^x overflows
+        below, above = nk._exp_neg_ei([709.78, 709.79])
         assert above == pytest.approx(below, rel=2e-5)
         for x in (710.0, 1e3, 1e5, -710.0, -1e4):
             # e^-x Ei(x) = 1/x (1 + 1/x + 2/x^2 + 6/x^3 + ...)
             expect = (1.0 + 1.0 / x + 2.0 / x**2 + 6.0 / x**3 + 24.0 / x**4) / x
-            assert nk._exp_neg_ei(x) == pytest.approx(expect, rel=1e-12)
+            assert nk._exp_neg_ei([x])[0] == pytest.approx(expect, rel=1e-12)
 
 
 class TestFunctionalEquationGrid:

@@ -375,8 +375,9 @@ class TestBreakdownPastTheExpRange:
     def test_total_matches_oracle(self, zeros3000, lam, beta, count):
         bd = th.energy_breakdown(th.EnsembleSpec.continuum(lam), beta, zeros3000.head(count))
         assert abs(bd.total - bd.oracle) <= bd.abs_error
-        assert bd.eps2 == 1.0 / beta - nk._exp_neg_ei(lam / beta, lam / (beta * beta))
-        assert math.isfinite(th.thermal_part_printed_form(beta, lam))
+        assert bd.eps2 == 1.0 / beta - nk._exp_neg_ei([lam / beta], lam / (beta * beta))[0]
+        assert bd.thermal_printed == th.thermal_part_printed_form(beta, lam)
+        assert math.isfinite(bd.thermal_printed)
 
 
 class TestScan:
