@@ -424,11 +424,19 @@ def _zeta_log_derivative_real_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OP
     return d.real / z.real
 
 
-def _log_abs_zeta_real_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """ln |zeta(s)| for an array of real s > 0 (quadrature fast path)."""
+def _log_regular_zeta_real_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+    """L(s) = ln((s-1) zeta(s)) for an array of real s >= 0 (quadrature fast
+    path).  (s-1) zeta(s) is positive and analytic there, so L is smooth
+    through the pole, where it is exactly 0.0; ln |zeta| = L - ln |s-1|."""
     s = np.asarray(s, dtype=np.float64)
-    z = _zeta_em_many(s.astype(np.complex128), opts)
-    return np.log(np.abs(z.real))
+    if not (np.isfinite(s) & (s >= 0.0)).all():
+        raise DomainError("L(s) requires finite real s >= 0")
+    out = np.zeros_like(s)
+    off = s != 1.0
+    if off.any():
+        sv = s[off]
+        out[off] = np.log((sv - 1.0) * _zeta_em_many(sv.astype(np.complex128), opts).real)
+    return out
 
 
 # ----------------------------------------------------------------------

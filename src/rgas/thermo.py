@@ -8,9 +8,12 @@ energy density is
 
 singular once beta omega_1 <= 1 (the Hagedorn point).  For the continuum
 ensemble with density lam exp(-lam omega) the average is finite at every
-temperature but picks up the imaginary part
--(pi/(beta V)) (1 - exp(-lam/beta)) from the segment 0 < s < 1 where zeta
-is negative.
+temperature, because the zeta pole enters only as the integrable ln|s - 1|
+in int_0^inf e^(-kappa s) ln|zeta(s)| ds, kappa = lam/beta, but it picks up
+the imaginary part -(pi/(beta V)) (1 - exp(-lam/beta)) from the segment
+0 < s < 1 where zeta is negative.  The real part is computed as the
+quadrature of e^(-kappa s) L(s), with the smooth L(s) = ln((s-1) zeta(s)),
+plus -int_0^2 e^(-kappa s) ln|s - 1| ds in closed form (Ei and E1).
 
 The average energy density is expanded through the pole/zero decomposition
 of zeta'/zeta into six pieces eps1..eps6 (pole, nontrivial zeros in pairs,
@@ -29,12 +32,13 @@ their deviations from the oracle reported, never asserted.
 
 A continuum beta grid is one ``thermo_scan``: the integrals behind f and
 eps at every beta are batch step generators (see ``quadrature``) run in
-lockstep, so each round makes one call of each real-axis kernel (ln|zeta|,
-zeta'/zeta and (s-1) zeta'/zeta) on the nodes of all of them.  The kernels
-are elementwise, so every point equals the one computed alone, and the
-first error raised is the one a beta-by-beta loop would meet.  A discrete
-grid is one loop over beta, one zeta call per finite point; a beta at or
-past the Hagedorn point becomes a flagged point with nan values.
+lockstep, so each round makes one call of each real-axis kernel (L,
+zeta'/zeta, (s-1) zeta'/zeta and the closed-form pole window) on the nodes
+of all of them.  The kernels are elementwise, so every point equals the one
+computed alone, and the first error raised is the one a beta-by-beta loop
+would meet.  A discrete grid is one loop over beta, one zeta call per
+finite point; a beta at or past the Hagedorn point becomes a flagged point
+with nan values.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .numkernel import (
     EvalOptions,
     _digamma_many,
     _exp_neg_ei,
-    _log_abs_zeta_real_many,
+    _log_regular_zeta_real_many,
     _z_exp_e1,
     _zeta_em_many,
     _zeta_log_derivative_real_many,
@@ -301,6 +305,30 @@ def free_energy_im_closed_form(spec: EnsembleSpec, beta: float) -> float:
     return -math.pi / (beta * spec.volume) * (1.0 - math.exp(-spec.rate / beta))
 
 
+# 2 / ((2j+1) (2j+1)!), j = 0..9: 2 Shi(k)/k = sum_j c_j k^(2j) to double
+# precision for k <= 1 (the j = 9 term is below 5e-19)
+_SHI_COEF = tuple(2.0 / ((2 * j + 1) * math.factorial(2 * j + 1)) for j in range(10))
+
+
+def _pole_log_window(kappa: np.ndarray) -> np.ndarray:
+    """The pole window -int_0^2 e^(-kappa s) ln|s - 1| ds, which equals
+    e^(-kappa) (Ei(kappa) + E1(kappa))/kappa, for an array of kappa > 0,
+    elementwise.  Above kappa = 1 it is
+    (e^(-kappa) Ei(kappa) + e^(-2 kappa) g(kappa)/kappa)/kappa with
+    g = kappa e^kappa E1(kappa); at or below 1, where Ei and E1 nearly
+    cancel, the same value as 2 e^(-kappa) Shi(kappa)/kappa by its series."""
+    kappa = np.asarray(kappa, dtype=np.float64)
+    out = np.empty_like(kappa)
+    small = kappa <= 1.0
+    k, k2 = kappa[~small], kappa[small] ** 2
+    series = np.zeros_like(k2)
+    for c in reversed(_SHI_COEF):
+        series = series * k2 + c
+    out[small] = np.exp(-kappa[small]) * series
+    out[~small] = (_exp_neg_ei(k) + np.exp(-2.0 * k) * _z_exp_e1(k)[1].real / k) / k
+    return out
+
+
 def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
     """Batch steps of free_energy_continuum; returns (f, abs_error,
     converged) with the error budget of f summed over its integrals."""
@@ -311,8 +339,12 @@ def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
     lam, vol = spec.rate, spec.volume
     kappa = lam / beta
 
-    def re_integrand(sv):
-        return np.exp(-kappa * sv) * (yield from ask(_log_abs_zeta_real_many, sv))
+    def regular(sv):
+        return np.exp(-kappa * sv) * (yield from ask(_log_regular_zeta_real_many, sv))
+
+    def tail(sv):
+        log_zeta = (yield from ask(_log_regular_zeta_real_many, sv)) - np.log(sv - 1.0)
+        return np.exp(-kappa * sv) * log_zeta
 
     def im_integrand(sv):
         # every node lies inside 0 < s < 1, where zeta < 0
@@ -322,11 +354,14 @@ def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
     # s_max puts the ln-zeta Dirichlet tail (~2^-s) below double precision
     mid = min(0.5, 40.0 / kappa)
     s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
-    re = yield from gather(
+    # ln|s - 1| comes off on [0, 2] only: taken off up to s_max, the pieces
+    # grow like ln(s_max)/kappa at small kappa and their rounding outruns tol
+    window, *re = yield from gather(
         [
-            integrate_steps(re_integrand, 0.0, mid, tol / 4.0),
-            integrate_steps(re_integrand, mid, 1.0, tol / 4.0, singular_right=True),
-            integrate_steps(re_integrand, 1.0, s_max, tol / 4.0, singular_left=True),
+            ask(_pole_log_window, np.array([kappa])),
+            integrate_steps(regular, 0.0, mid, tol / 4.0),
+            integrate_steps(regular, mid, 2.0, tol / 4.0),
+            integrate_steps(tail, 2.0, s_max, tol / 4.0),
         ]
     )
     # no kernel behind the phase: these run directly, after the real part
@@ -334,7 +369,7 @@ def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
         integrate(im_integrand, 0.0, mid, tol / 4.0),
         integrate(im_integrand, mid, 1.0, tol / 4.0),
     ]
-    re_val = re[0].value + re[1].value + re[2].value
+    re_val = re[0].value + re[1].value + re[2].value + float(window[0])
     im_val = im[0].value + im[1].value
 
     pref = -lam / (beta * beta * vol)
@@ -349,11 +384,13 @@ def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
 def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -> complex:
     """-(lam/(beta^2 V)) int_0^inf exp(-lam s / beta) log zeta(s) ds.
 
-    The real part integrates ln |zeta| with geometric panel grading into the
-    integrable logarithmic singularity at s = 1 from both sides, its three
-    integrals in lockstep with one ln|zeta| kernel call per round; the
-    imaginary part integrates the principal-branch phase (exactly +pi where
-    zeta < 0, i.e. on 0 < s < 1)."""
+    The real part splits ln|zeta(s)| = L(s) - ln|s - 1| with the smooth
+    L(s) = ln((s-1) zeta(s)): e^(-kappa s) L on [0, 2] and e^(-kappa s) ln zeta
+    past it are integrated on plain adaptive panels, in lockstep with one
+    L kernel call per round, and -int_0^2 e^(-kappa s) ln|s - 1| ds, which
+    holds the integrable singularity at the pole, is added in closed form
+    (kappa = lam/beta).  The imaginary part integrates the principal-branch
+    phase (exactly +pi where zeta < 0, i.e. on 0 < s < 1)."""
     return serve(_free_energy_steps(spec, beta, tol))[0]
 
 

@@ -198,12 +198,12 @@ SPEC_ROWS = "# omega,probability\n1.0,0.5\n2.0,0.3\n3.5,0.2\n"
 PINNED_DIGESTS = [
     (
         ("thermo", "--lam", "1", "--beta-min", "0.5", "--beta-max", "4", "--steps", "8"),
-        "6dcb96b5dd9a2e225160254126a586ff1976f70376d3cfb5042486e12ff18f5a",
+        "b38000afd0555f7046ad03a0790f9e61205761674a24f67ec125bbd4e35cee6e",
     ),
     (
         ("thermo", "--lam", "0.05", "--beta-min", "0.1", "--beta-max", "10", "--steps", "5",
          "--format", "json"),
-        "2334cb7957f871bc50023d9295258826d1040d00e48e9434a9ec7144c9df9cba",
+        "4a888d8e1fa11885f9f060c19ead74cca23acb54d0f3a51487bcac43e1aa17ec",
     ),
     (
         ("thermo", "--spec-file", "SPEC", "--beta-min", "0.5", "--beta-max", "3", "--steps", "11"),
@@ -228,12 +228,12 @@ PINNED_DIGESTS = [
     ),
     (
         ("thermo", "--lam", "1", "--beta-min", "0.05", "--beta-max", "20", "--steps", "200"),
-        "5ff5d3ab4c0aa263a79afd83c33c127fe418c07a949e8e47afd762fd4bda21a4",
+        "949d328e7067d95efecebf313c233006b1bcbbcea1688f3d41399734b7b0c850",
     ),
     (
         ("thermo", "--lam", "0.02", "--beta-min", "0.3", "--beta-max", "6", "--steps", "24",
          "--format", "json"),
-        "559327eecc11f11f39496f983aa287fc60b583b94572afd9a0ca0a6ee3748610",
+        "4952a84a43cc5be242f915d1643d8d929b23078cfcd477acacb31fe5c4308d6a",
     ),
     (
         ("hagedorn", "--spec-file", "SPEC", "--beta-min", "0.5", "--beta-max", "3", "--steps", "11"),

@@ -1,11 +1,12 @@
-"""The gamma-family and exponential-integral kernels against mpmath at 30
-digits.
+"""The gamma-family, exponential-integral and real-axis log-zeta kernels
+against mpmath at 30 digits.
 
 Points are drawn by hypothesis over the advertised domains, including the
-neighbourhoods of the poles of Gamma, |Im z| up to 1e4, and both sides of
-the cut of E1.  Each bound is relative to max(1, |reference|); on Re z <= 0
-the imaginary part of log Gamma is compared mod 2 pi, as the reflection
-formula determines it only there.  e^-x Ei(x) is held to BOUND relative.
+neighbourhoods of the poles of Gamma and zeta, |Im z| up to 1e4, and both
+sides of the cut of E1.  Each bound is relative to max(1, |reference|);
+on Re z <= 0 the imaginary part of log Gamma is compared mod 2 pi, as the
+reflection formula determines it only there.  e^-x Ei(x) and the pole
+window of the free energy are held to BOUND relative.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgas import numkernel as nk
+from rgas import thermo as th
 from rgas import zerofinder as zf
 
 mp = pytest.importorskip("mpmath")
@@ -147,3 +149,42 @@ class TestExponentialIntegral:
     @given(magnitudes(1e-3, 1e6))
     def test_upper_side_of_the_negative_axis(self, r):
         self.assert_h(complex(-r, 0.0))
+
+
+class TestRegularLogZeta:
+    """L(s) = ln((s-1) zeta(s)), which is 0 at the pole s = 1, and the
+    closed form of -int_0^2 e^(-kappa s) ln|s-1| ds that f adds to the
+    quadrature of e^(-kappa s) L(s)."""
+
+    @staticmethod
+    def assert_l(s):
+        value = float(nk._log_regular_zeta_real_many(np.array([s]))[0])
+        with mp.workdps(30):
+            w = mp.mpf(s)
+            ref = 0.0 if s == 1.0 else float(mp.log((w - 1) * mp.zeta(w)))
+        assert scaled(value, ref) <= BOUND
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=80.0))
+    def test_real_axis(self, s):
+        self.assert_l(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(magnitudes(1e-12, 0.1), signs)
+    def test_next_to_the_pole(self, d, sign):
+        self.assert_l(1.0 + sign * d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.just(0.0), magnitudes(1e-12, 0.1)))
+    def test_next_to_zero(self, s):
+        self.assert_l(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(magnitudes(5e-4, 2e3))
+    def test_pole_window(self, kappa):
+        value = float(th._pole_log_window(np.array([kappa]))[0])
+        with mp.workdps(30):
+            k = mp.mpf(kappa)
+            edges = sorted({0.0, 1.0, 2.0} | {c / kappa for c in (1, 5, 20, 60) if c < kappa})
+            ref = float(-mp.quad(lambda s: mp.exp(-k * s) * mp.log(abs(s - 1)), edges))
+        assert abs(value - ref) <= BOUND * abs(ref)
