@@ -14,7 +14,8 @@ Three entry points:
   * ``integrate_exp_weight`` integrals of g against a normalized exponential
                              density on [0, inf);
   * ``principal_value``      Cauchy principal values through a simple pole,
-                             by symmetric subtraction of the smooth factor.
+                             by symmetric subtraction of the smooth factor,
+                             as plain ``integrate`` calls on either side.
 
 Step generators.  The adaptive loop is written once, as the generator
 ``_adaptive``: it yields an array of nodes (a sliver probe, a panel set or
@@ -29,8 +30,6 @@ array it is wanted at, and is sent the list of answers in the same order:
   * ``ask(kernel, s)``         one request; returns kernel(s);
   * ``integrate_steps``        ``integrate`` whose integrand is itself a
                                batch step generator (``yield from ask(...)``);
-  * ``principal_value_steps``  ``principal_value`` likewise, both halves in
-                               lockstep;
   * ``gather(jobs)``           advances every job one step per round and
                                returns their results; on failure it raises
                                the error of the first failing job in list
@@ -42,8 +41,6 @@ array it is wanted at, and is sent the list of answers in the same order:
 Because kernels are elementwise, every integral receives the values it
 would receive alone, makes the same splits and sums in the same order: a
 lockstep run returns the QuadResults of running the integrals one by one.
-``principal_value`` runs the same steps but calls h once per request, on
-that request's nodes alone, as a sequential loop would.
 """
 
 from __future__ import annotations
@@ -266,10 +263,16 @@ def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
     return QuadResult(res.value, res.abs_error + tail, res.evaluations + 3, res.converged)
 
 
-def principal_value_steps(h, pole: float, a: float, b: float, tol: float = 1e-10):
-    """``principal_value`` as a batch step generator (see ``serve``); h is a
-    step integrand: h(x) yields requests and returns the values at x.  The
-    two halves around the pole advance together."""
+def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> QuadResult:
+    """PV integral of h(x) / (x - pole) over (a, b), a < pole < b.
+
+    Uses the symmetric subtraction
+      PV = int (h(x) - h(pole)) / (x - pole) dx + h(pole) ln((b-pole)/(pole-a)),
+    which leaves a smooth integrand; b may be math.inf, in which case the
+    finite part is taken symmetric around the pole and the remainder is
+    integrated on geometrically growing panels (h must decay).  h is called
+    at the pole, then on one side of it per call.  A node that rounds onto
+    the pole leaves the difference quotient 0/0 and raises ConvergenceError."""
     if not a < pole:
         raise DomainError("principal_value requires a < pole < b")
     infinite = math.isinf(b)
@@ -277,19 +280,17 @@ def principal_value_steps(h, pole: float, a: float, b: float, tol: float = 1e-10
     if not pole < b_eff:
         raise DomainError("principal_value requires a < pole < b")
 
-    h_pole = complex(np.asarray((yield from h(np.array([pole]))))[0])
+    h_pole = complex(np.asarray(h(np.array([pole])))[0])
     if h_pole.imag == 0.0:
         h_pole = h_pole.real
 
     def smooth(x):
-        return (np.asarray((yield from h(x))) - h_pole) / (x - pole)
+        if np.any(x == pole):
+            raise ConvergenceError(f"principal_value: a node rounds onto the pole {pole!r}")
+        return (np.asarray(h(x)) - h_pole) / (x - pole)
 
-    left, right = yield from gather(
-        [
-            integrate_steps(smooth, a, pole, tol / 3.0),
-            integrate_steps(smooth, pole, b_eff, tol / 3.0),
-        ]
-    )
+    left = integrate(smooth, a, pole, tol / 3.0)
+    right = integrate(smooth, pole, b_eff, tol / 3.0)
     log_term = h_pole * math.log((b_eff - pole) / (pole - a))
     value = left.value + right.value + log_term
     err = left.abs_error + right.abs_error
@@ -298,14 +299,14 @@ def principal_value_steps(h, pole: float, a: float, b: float, tol: float = 1e-10
 
     if infinite:
         def full(x):
-            return np.asarray((yield from h(x))) / (x - pole)
+            return np.asarray(h(x)) / (x - pole)
 
         lo = b_eff
         width = max(pole - a, 1.0)
         quiet = 0
         for _ in range(64):
             hi = lo + width
-            piece = yield from integrate_steps(full, lo, hi, tol / 8.0)
+            piece = integrate(full, lo, hi, tol / 8.0)
             value += piece.value
             err += piece.abs_error
             evals += piece.evaluations
@@ -321,18 +322,6 @@ def principal_value_steps(h, pole: float, a: float, b: float, tol: float = 1e-10
             raise ConvergenceError("principal_value: semi-infinite tail did not settle")
 
     return QuadResult(value, float(err), evals, converged and err <= tol)
-
-
-def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> QuadResult:
-    """PV integral of h(x) / (x - pole) over (a, b), a < pole < b.
-
-    Uses the symmetric subtraction
-      PV = int (h(x) - h(pole)) / (x - pole) dx + h(pole) ln((b-pole)/(pole-a)),
-    which leaves a smooth integrand; b may be math.inf, in which case the
-    finite part is taken symmetric around the pole and the remainder is
-    integrated on geometrically growing panels (h must decay)."""
-    steps = principal_value_steps(lambda x: ask(h, x), pole, a, b, tol)
-    return _run(steps, lambda requests: [h(x) for _, x in requests])
 
 
 # ----------------------------------------------------------------------
@@ -426,16 +415,10 @@ def serve(job):
     values it would get alone.  When a group's evaluation raises, each of
     its requests is evaluated alone and answered with its values or with the
     exception it raised, which ``ask`` raises inside the requesting job."""
-    return _run(job, _answer)
-
-
-def _run(job, answer):
-    """Run a batch step generator, answering each round's list of requests
-    with answer(requests)."""
     try:
         requests = next(job)
         while True:
-            requests = job.send(answer(requests))
+            requests = job.send(_answer(requests))
     except StopIteration as stop:
         return stop.value
 

@@ -15,16 +15,19 @@ the imaginary part -(pi/(beta V)) (1 - exp(-lam/beta)) from the segment
 quadrature of e^(-kappa s) L(s), with the smooth L(s) = ln((s-1) zeta(s)),
 plus -int_0^2 e^(-kappa s) ln|s - 1| ds in closed form (Ei and E1).
 
-The average energy density is expanded through the pole/zero decomposition
-of zeta'/zeta into six pieces eps1..eps6 (pole, nontrivial zeros in pairs,
-trivial zeros in their convergent combination, and constants); their sum is
-checked against the module's ground truth, ``energy_oracle``: the direct
-principal-value quadrature of
+The average energy density is eps = d(beta f)/d beta.  Integrated by parts,
+its principal value of zeta'/zeta becomes the integral of ln|zeta| that f
+takes, under the weight (1 - kappa s) e^(-kappa s):
 
-    eps = -(lam/V) PV int_0^inf omega e^(-lam omega) (zeta'/zeta)(beta omega) d omega.
+    eps = -(lam/V) PV int_0^inf omega e^(-lam omega) (zeta'/zeta)(beta omega) d omega
+        = (lam/(beta^2 V)) int_0^inf (1 - kappa s) e^(-kappa s) ln|zeta(s)| ds,
 
-eps3 (the nontrivial zeros) is one complex-E1 kernel call on the table and
-one quadrature of the same kernel against the zero density past it.
+the module's ground truth, ``energy_oracle``.  It is also expanded through
+the pole/zero decomposition of zeta'/zeta into six pieces eps1..eps6 (pole,
+nontrivial zeros in pairs, trivial zeros in their convergent combination,
+and constants), whose sum is checked against the oracle.  eps3 (the
+nontrivial zeros) is one complex-E1 kernel call on the table and one
+quadrature of the same kernel against the zero density past it.
 
 Closed forms printed in terms of Ei and the factorially divergent series
 sum g(k) (beta/lam)^k are also provided verbatim ("printed" forms) with
@@ -32,13 +35,12 @@ their deviations from the oracle reported, never asserted.
 
 A continuum beta grid is one ``thermo_scan``: the integrals behind f and
 eps at every beta are batch step generators (see ``quadrature``) run in
-lockstep, so each round makes one call of each real-axis kernel (L,
-zeta'/zeta, (s-1) zeta'/zeta and the closed-form pole window) on the nodes
-of all of them.  The kernels are elementwise, so every point equals the one
-computed alone, and the first error raised is the one a beta-by-beta loop
-would meet.  A discrete grid is one loop over beta, one zeta call per
-finite point; a beta at or past the Hagedorn point becomes a flagged point
-with nan values.
+lockstep, so each round makes one call of each real-axis kernel (L and
+the closed-form pole windows) on the nodes of all of them.  The kernels
+are elementwise, so every point equals the one computed alone, and the
+first error raised is the one a beta-by-beta loop would meet.  A discrete
+grid is one loop over beta, one zeta call per finite point; a beta at or
+past the Hagedorn point becomes a flagged point with nan values.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .numkernel import (
     _log_regular_zeta_real_many,
     _z_exp_e1,
     _zeta_em_many,
-    _zeta_log_derivative_real_many,
     zeta,
 )
 from .quadrature import (
@@ -69,7 +70,6 @@ from .quadrature import (
     integrate,
     integrate_exp_weight,
     integrate_steps,
-    principal_value_steps,
     serve,
 )
 from .superzeta import (
@@ -162,8 +162,8 @@ class ThermoPoint:
     entropy density, and status flags.
 
     For the continuum, ``abs_error`` holds the quadrature error budgets of f
-    and eps (each the sum of its integrals' estimates, scaled like the
-    density; eps includes the oracle's Dirichlet-tail bound) and
+    and eps (each its s-integrals' summed estimates times lam/(beta^2 V);
+    eps adds a bound on ln zeta past the last panel) and
     ``converged`` whether every integral met its tolerance.  Neither is
     printed or enforced.  A discrete point has no quadrature: its
     ``abs_error`` is None, and its zeta values pass the Euler-Maclaurin
@@ -329,26 +329,42 @@ def _pole_log_window(kappa: np.ndarray) -> np.ndarray:
     return out
 
 
-def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
-    """Batch steps of free_energy_continuum; returns (f, abs_error,
-    converged) with the error budget of f summed over its integrals."""
+def _energy_pole_window(kappa: np.ndarray) -> np.ndarray:
+    """The pole window of eps, -int_0^2 (1 - kappa s) e^(-kappa s) ln|s - 1| ds
+    = d/dkappa [kappa W] = (1 - e^(-2 kappa))/kappa - kappa W, W the window of
+    f, for an array of kappa > 0, elementwise.  Above kappa = 1, where the two
+    terms cancel to ~ -1/kappa^2, it is -(Re h(-kappa) + e^(-2 kappa) (1 +
+    g(kappa)))/kappa with h = g - 1 the E1 kernel, terms that do not cancel."""
+    kappa = np.asarray(kappa, dtype=np.float64)
+    out = np.empty_like(kappa)
+    small = kappa <= 1.0
+    k = kappa[small]
+    out[small] = -np.expm1(-2.0 * k) / k - k * _pole_log_window(k)
+    k = kappa[~small]
+    out[~small] = -(_z_exp_e1(-k)[0].real + np.exp(-2.0 * k) * (1.0 + _z_exp_e1(k)[1].real)) / k
+    return out
+
+
+def _log_zeta_steps(spec: EnsembleSpec, beta: float, tol: float, weight, window):
+    """Batch steps of int_0^inf w(s) ln|zeta(s)| ds with w(s) =
+    weight(kappa, s), kappa = lam/beta: e^(-kappa s) for f, (1 - kappa s)
+    e^(-kappa s) for eps.  ln|zeta(s)| = L(s) - ln|s - 1| with the smooth
+    L(s) = ln((s-1) zeta(s)): w L on [0, mid] and [mid, 2] and w ln zeta on
+    [2, s_max] are integrated in lockstep to tol/4 each, asking only for L,
+    and window(kappa) = -int_0^2 w ln|s - 1| ds is added in closed form.
+    Returns (kappa, mid, s_max, value, [the three QuadResults])."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     if not beta > 0.0:
         raise DomainError("beta must be positive")
-    lam, vol = spec.rate, spec.volume
-    kappa = lam / beta
+    kappa = spec.rate / beta
 
     def regular(sv):
-        return np.exp(-kappa * sv) * (yield from ask(_log_regular_zeta_real_many, sv))
+        return weight(kappa, sv) * (yield from ask(_log_regular_zeta_real_many, sv))
 
     def tail(sv):
         log_zeta = (yield from ask(_log_regular_zeta_real_many, sv)) - np.log(sv - 1.0)
-        return np.exp(-kappa * sv) * log_zeta
-
-    def im_integrand(sv):
-        # every node lies inside 0 < s < 1, where zeta < 0
-        return np.exp(-kappa * sv) * math.pi
+        return weight(kappa, sv) * log_zeta
 
     # keep panels no wider than the exponential scale so no mass is skipped;
     # s_max puts the ln-zeta Dirichlet tail (~2^-s) below double precision
@@ -356,26 +372,35 @@ def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
     s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
     # ln|s - 1| comes off on [0, 2] only: taken off up to s_max, the pieces
     # grow like ln(s_max)/kappa at small kappa and their rounding outruns tol
-    window, *re = yield from gather(
+    window, *parts = yield from gather(
         [
-            ask(_pole_log_window, np.array([kappa])),
+            ask(window, np.array([kappa])),
             integrate_steps(regular, 0.0, mid, tol / 4.0),
             integrate_steps(regular, mid, 2.0, tol / 4.0),
             integrate_steps(tail, 2.0, s_max, tol / 4.0),
         ]
     )
-    # no kernel behind the phase: these run directly, after the real part
-    im = [
-        integrate(im_integrand, 0.0, mid, tol / 4.0),
-        integrate(im_integrand, mid, 1.0, tol / 4.0),
-    ]
-    re_val = re[0].value + re[1].value + re[2].value + float(window[0])
-    im_val = im[0].value + im[1].value
+    value = parts[0].value + parts[1].value + parts[2].value + float(window[0])
+    return kappa, mid, s_max, value, parts
 
-    pref = -lam / (beta * beta * vol)
+
+def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
+    """Batch steps of free_energy_continuum; returns (f, abs_error,
+    converged) with the error budget of f summed over its integrals."""
+    kappa, mid, _, re_val, re = yield from _log_zeta_steps(
+        spec, beta, tol, lambda k, sv: np.exp(-k * sv), _pole_log_window
+    )
+
+    def im_integrand(sv):
+        # every node lies inside 0 < s < 1, where zeta < 0
+        return np.exp(-kappa * sv) * math.pi
+
+    # no kernel behind the phase: these run directly, after the real part
+    im = [integrate(im_integrand, a, b, tol / 4.0) for a, b in ((0.0, mid), (mid, 1.0))]
+    pref = -spec.rate / (beta * beta * spec.volume)
     parts = re + im
     return (
-        complex(pref * re_val, pref * im_val),
+        complex(pref * re_val, pref * (im[0].value + im[1].value)),
         abs(pref) * sum(r.abs_error for r in parts),
         all(r.converged for r in parts),
     )
@@ -394,80 +419,32 @@ def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -
     return serve(_free_energy_steps(spec, beta, tol))[0]
 
 
-def _q_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """(s-1) * (zeta'/zeta)(s) for real s > 0, smooth through s = 1 where it
-    equals the pole residue -1."""
-    s = np.asarray(s, dtype=np.float64)
-    out = np.empty_like(s)
-    at_pole = s == 1.0
-    if np.any(~at_pole):
-        sv = s[~at_pole]
-        out[~at_pole] = (sv - 1.0) * _zeta_log_derivative_real_many(sv, opts)
-    out[at_pole] = -1.0
-    return out
-
-
 def _energy_steps(spec: EnsembleSpec, beta: float, tol: float):
     """Batch steps of energy_oracle; returns (eps, abs_error, converged)."""
-    if spec.kind != "continuum":
-        raise DomainError("continuum ensemble required")
-    if not beta > 0.0:
-        raise DomainError("beta must be positive")
-    lam, vol = spec.rate, spec.volume
-    pole = 1.0 / beta
-    d = 0.5 * pole
-    omega_max = pole + 45.0 / lam
-
-    def h(om):
-        return om * np.exp(-lam * om) * (yield from ask(_q_many, beta * om)) / beta
-
-    def full(om):
-        return om * np.exp(-lam * om) * (yield from ask(_zeta_log_derivative_real_many, beta * om))
-
-    def pieces(edges):
-        return [
-            integrate_steps(full, lo, hi, tol / 5.0)
-            for lo, hi in zip(edges[:-1], edges[1:])
-            if hi > lo
-        ]
-
-    left_edges = sorted({0.0, min(pole - d, 40.0 / lam), pole - d})
-    # the zeta'/zeta structure lives on the omega scale 1/beta; keep a panel
-    # edge at its far end so wide panels cannot overlook it
-    right_edges = sorted({pole + d, min(pole + 42.0 / beta, omega_max), omega_max})
-    parts = yield from gather(
-        pieces(left_edges)
-        + [principal_value_steps(h, pole, pole - d, pole + d, tol / 5.0)]
-        + pieces(right_edges)
+    kappa, _, s_max, total, parts = yield from _log_zeta_steps(
+        spec, beta, tol, lambda k, sv: (1.0 - k * sv) * np.exp(-k * sv), _energy_pole_window
     )
-    total = 0.0
-    err = 0.0
-    for res in parts:
-        total += res.value
-        err += res.abs_error
-    # Dirichlet tail: |zeta'/zeta(s)| <= 1.4 ln 2 2^-s beyond omega_max, so
-    # the remainder integrates omega e^(-decay omega) in closed form
-    decay = lam + beta * math.log(2.0)
-    err += (
-        1.4
-        * math.log(2.0)
-        * math.exp(-decay * omega_max)
-        * (omega_max / decay + 1.0 / (decay * decay))
-    )
+    # past s_max, 0 < ln zeta(s) <= zeta(s) - 1 <= (5/3) 2^-s as s >= 4, and
+    # (1 + kappa s) e^(-decay s) integrates in closed form
+    decay = kappa + math.log(2.0)
+    err = 5.0 / 3.0 * math.exp(-decay * s_max) * (1.0 + kappa * (s_max + 1.0 / decay)) / decay
+    err += sum(r.abs_error for r in parts)
     if err > max(tol, 1e-12) * 50.0:
         raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
-    return float(-(lam / vol) * total), (lam / vol) * err, all(r.converged for r in parts)
+    pref = spec.rate / (beta * beta * spec.volume)
+    return pref * total, pref * err, all(r.converged for r in parts)
 
 
 def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
-    """Ground truth for the average energy density:
+    """Ground truth for the average energy density, eps = d(beta f)/d beta:
 
-        -(lam/V) PV int_0^inf omega e^(-lam omega) (zeta'/zeta)(beta omega) d omega
+        eps = -(lam/V) PV int_0^inf omega e^(-lam omega) (zeta'/zeta)(beta omega) d omega
+            = (lam/(beta^2 V)) int_0^inf (1 - kappa s) e^(-kappa s) ln|zeta(s)| ds,
 
-    with the simple pole at omega = 1/beta handled by principal value after
-    extracting the smooth factor omega e^(-lam omega) (beta omega - 1)
-    (zeta'/zeta)(beta omega) / beta.  The pieces left of, around and right
-    of the pole run in lockstep, one kernel call per kernel and round."""
+    integrated by parts (kappa = lam/beta; the boundary terms vanish, the
+    symmetric ones at the pole too).  The pieces, edges and tolerances are
+    those of free_energy_continuum under the weight (1 - kappa s) e^(-kappa s),
+    and the budget adds a closed-form bound on ln zeta past the last panel."""
     return serve(_energy_steps(spec, beta, tol))[0]
 
 

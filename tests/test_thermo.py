@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -509,60 +510,43 @@ def _reference_point(spec, beta, tol):
     kernels are looked up on the thermo module at call time)."""
     lam, vol = spec.rate, spec.volume
     kappa = lam / beta
+    mid = min(0.5, 40.0 / kappa)
+    s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
 
-    def regular(sv):
-        return np.exp(-kappa * sv) * th._log_regular_zeta_real_many(sv)
+    def log_zeta_integrals(weight, window):
+        # weight L on [0, mid] and [mid, 2], weight ln zeta on [2, s_max],
+        # plus the closed-form window
+        def regular(sv):
+            return weight(sv) * th._log_regular_zeta_real_many(sv)
 
-    def tail(sv):
-        return np.exp(-kappa * sv) * (th._log_regular_zeta_real_many(sv) - np.log(sv - 1.0))
+        def tail(sv):
+            return weight(sv) * (th._log_regular_zeta_real_many(sv) - np.log(sv - 1.0))
+
+        win = window(np.array([kappa]))
+        parts = [
+            q.integrate(regular, 0.0, mid, tol / 4.0),
+            q.integrate(regular, mid, 2.0, tol / 4.0),
+            q.integrate(tail, 2.0, s_max, tol / 4.0),
+        ]
+        return parts[0].value + parts[1].value + parts[2].value + float(win[0]), parts
 
     def im_f(sv):
         return np.exp(-kappa * sv) * math.pi
 
-    mid = min(0.5, 40.0 / kappa)
-    s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
-    window = th._pole_log_window(np.array([kappa]))
-    re = [
-        q.integrate(regular, 0.0, mid, tol / 4.0),
-        q.integrate(regular, mid, 2.0, tol / 4.0),
-        q.integrate(tail, 2.0, s_max, tol / 4.0),
-    ]
+    re_val, re = log_zeta_integrals(lambda sv: np.exp(-kappa * sv), th._pole_log_window)
     im = [q.integrate(im_f, 0.0, mid, tol / 4.0), q.integrate(im_f, mid, 1.0, tol / 4.0)]
     pref = -lam / (beta * beta * vol)
-    re_val = re[0].value + re[1].value + re[2].value + float(window[0])
     f = complex(pref * re_val, pref * (im[0].value + im[1].value))
 
-    pole = 1.0 / beta
-    d = 0.5 * pole
-    omega_max = pole + 45.0 / lam
-
-    def h(om):
-        return om * np.exp(-lam * om) * th._q_many(beta * om) / beta
-
-    def full(om):
-        return om * np.exp(-lam * om) * th._zeta_log_derivative_real_many(beta * om)
-
-    def pieces(edges):
-        return [q.integrate(full, lo, hi, tol / 5.0) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-
-    parts = pieces(sorted({0.0, min(pole - d, 40.0 / lam), pole - d}))
-    parts.append(q.principal_value(h, pole, pole - d, pole + d, tol / 5.0))
-    parts += pieces(sorted({pole + d, min(pole + 42.0 / beta, omega_max), omega_max}))
-    total = 0.0
-    err = 0.0
-    for res in parts:
-        total += res.value
-        err += res.abs_error
-    decay = lam + beta * math.log(2.0)
-    err += (
-        1.4
-        * math.log(2.0)
-        * math.exp(-decay * omega_max)
-        * (omega_max / decay + 1.0 / (decay * decay))
+    total, parts = log_zeta_integrals(
+        lambda sv: (1.0 - kappa * sv) * np.exp(-kappa * sv), th._energy_pole_window
     )
+    decay = kappa + math.log(2.0)
+    err = 5.0 / 3.0 * math.exp(-decay * s_max) * (1.0 + kappa * (s_max + 1.0 / decay)) / decay
+    err += sum(r.abs_error for r in parts)
     if err > max(tol, 1e-12) * 50.0:
         raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
-    eps = float(-(lam / vol) * total)
+    eps = lam / (beta * beta * vol) * total
     flags = frozenset({"complex_branch_active"}) if f.imag != 0.0 else frozenset()
     return th.ThermoPoint(
         beta,
@@ -570,7 +554,7 @@ def _reference_point(spec, beta, tol):
         eps,
         beta * (eps - f.real),
         flags,
-        (abs(pref) * sum(r.abs_error for r in re + im), (lam / vol) * err),
+        (abs(pref) * sum(r.abs_error for r in re + im), lam / (beta * beta * vol) * err),
         all(r.converged for r in re + im + parts),
     )
 
@@ -617,21 +601,50 @@ class TestThermoScan:
         assert f_err > 0.0 and eps_err > 0.0
         assert th.thermo_point(SINGLE, 2.0).abs_error is None
 
+    @staticmethod
+    def mark_one_tail_unconverged(monkeypatch, which):
+        """Patch integrate_steps so that the which-th integral starting at
+        s = 2 reports converged=False; a point starts that of f, then that
+        of eps.  Returns the list of tail results seen."""
+        original = th.integrate_steps
+        tails = []
+
+        def tail_unconverged(integrand, a, b, *args, **kwargs):
+            res = yield from original(integrand, a, b, *args, **kwargs)
+            if a != 2.0:
+                return res
+            tails.append(res)
+            return dataclasses.replace(res, converged=False) if len(tails) - 1 == which else res
+
+        monkeypatch.setattr(th, "integrate_steps", tail_unconverged)
+        return tails
+
     def test_unconverged_integral_reaches_the_point(self, monkeypatch):
         # one integral of f misses its tolerance: the point says so, and
         # its values are those of the converged run
         spec = th.EnsembleSpec.continuum(0.3)
         expected = th.thermo_point(spec, 1.2, 1e-9)
-        original = th.integrate_steps
-
-        def tail_unconverged(integrand, a, b, *args, **kwargs):
-            res = yield from original(integrand, a, b, *args, **kwargs)
-            return dataclasses.replace(res, converged=False) if a == 2.0 else res
-
-        monkeypatch.setattr(th, "integrate_steps", tail_unconverged)
+        tails = self.mark_one_tail_unconverged(monkeypatch, 0)
         point = th.thermo_point(spec, 1.2, 1e-9)
+        assert len(tails) == 2
         assert not point.converged
         assert (point.f, point.eps, point.abs_error) == (expected.f, expected.eps, expected.abs_error)
+
+    def test_unconverged_energy_integral_reaches_the_point(self, monkeypatch):
+        # the same for an integral of eps, which f does not share
+        spec = th.EnsembleSpec.continuum(0.3)
+        expected = th.thermo_point(spec, 1.2, 1e-9)
+        tails = self.mark_one_tail_unconverged(monkeypatch, 1)
+        point = th.thermo_point(spec, 1.2, 1e-9)
+        assert len(tails) == 2
+        assert not point.converged
+        assert (point.f, point.eps, point.abs_error) == (expected.f, expected.eps, expected.abs_error)
+        # run alone, f then eps: only the integral of eps is marked
+        tails.clear()
+        _, _, f_converged = q.serve(th._free_energy_steps(spec, 1.2, 1e-9))
+        assert f_converged
+        eps, eps_err, eps_converged = q.serve(th._energy_steps(spec, 1.2, 1e-9))
+        assert (eps, eps_err, eps_converged) == (expected.eps, expected.abs_error[1], False)
 
     def test_kernel_calls_of_a_continuum_scan(self, monkeypatch):
         sizes = []
@@ -661,25 +674,27 @@ class TestThermoScan:
                 th.thermo_point(sp, beta)
         assert th.thermo_scan(CONT, []) == []
 
-    @pytest.mark.parametrize("moduli", [(5003, 3001), (20011, 1999), (797, 104729), (53, 97)])
+    # the first failing node lies in an integral of eps for (307, 311) and
+    # (911, 541), and of f for the others
+    @pytest.mark.parametrize(
+        "moduli", [(307, 311), (20011, 1999), (797, 104729), (53, 97), (911, 541)]
+    )
     def test_first_error_is_the_sequential_one(self, monkeypatch, moduli):
-        # kernels that fail on a pseudo-random set of nodes: the scan raises
+        # a kernel that fails on a pseudo-random set of nodes: the scan raises
         # what a beta-by-beta loop, f before eps, raises first
-        def poisoned(kernel, modulus, label):
-            def fake(s, *args):
-                s = np.ascontiguousarray(s, dtype=np.float64)
-                bad = s.view(np.uint64) % modulus == 0
-                if np.any(bad):
-                    raise AccuracyError(f"{label} {float(s[bad][0])!r}")
-                return kernel(s, *args)
+        # L is the only kernel behind f and eps; it fails where the node's
+        # bits are a multiple of either modulus
+        kernel = th._log_regular_zeta_real_many
 
-            return fake
+        def poisoned(s, *args):
+            s = np.ascontiguousarray(s, dtype=np.float64)
+            bits = s.view(np.uint64)
+            bad = (bits % moduli[0] == 0) | (bits % moduli[1] == 0)
+            if np.any(bad):
+                raise AccuracyError(f"L {float(s[bad][0])!r}")
+            return kernel(s, *args)
 
-        for name, modulus, label in (
-            ("_log_regular_zeta_real_many", moduli[0], "f"),
-            ("_zeta_log_derivative_real_many", moduli[1], "eps"),
-        ):
-            monkeypatch.setattr(th, name, poisoned(getattr(th, name), modulus, label))
+        monkeypatch.setattr(th, "_log_regular_zeta_real_many", poisoned)
         betas = [0.3, 0.7, 1.1, 2.0, 3.5, 6.0]
         with pytest.raises(AccuracyError) as sequential:
             for b in betas:
@@ -720,12 +735,87 @@ class TestFreeEnergyConvergence:
         assert abs(point.f.real - ref) <= point.abs_error[0]
 
 
+# the (lam, beta) grid: lam in [0.01, 100] and beta in [0.05, 20], 9 x 9
+# log-spaced
+GRID_LAMS = np.logspace(-2.0, 2.0, 9)
+GRID_BETAS = np.geomspace(0.05, 20.0, 9)
+
+
+def _principal_value_energy(lam, beta, tol):
+    """eps = -(lam/beta^2) PV int_0^inf s e^(-kappa s) (zeta'/zeta)(s) ds, the
+    form before the integration by parts, from the public principal_value
+    around the pole on [0.5, 1.5], plain integrals on either side and a
+    Dirichlet-tail bound past s_max; returns (eps, budget)."""
+    kappa = lam / beta
+
+    def full(s):
+        return s * np.exp(-kappa * s) * nk._zeta_log_derivative_real_many(s)
+
+    def h(s):
+        # (s - 1) zeta'/zeta(s), which tends to the residue -1 at the pole
+        residue = np.full_like(s, -1.0)
+        off = s != 1.0
+        residue[off] = (s[off] - 1.0) * nk._zeta_log_derivative_real_many(s[off])
+        return s * np.exp(-kappa * s) * residue
+
+    s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
+    parts = [
+        q.integrate(full, 0.0, 0.5, tol / 3.0),
+        q.principal_value(h, 1.0, 0.5, 1.5, tol / 3.0),
+        q.integrate(full, 1.5, s_max, tol / 3.0),
+    ]
+    assert all(p.converged for p in parts)
+    # |zeta'/zeta(s)| <= 1.4 ln 2 2^-s for s >= 4
+    decay = kappa + math.log(2.0)
+    tail = 1.4 * math.log(2.0) * math.exp(-decay * s_max) * (s_max / decay + 1.0 / decay**2)
+    pref = lam / (beta * beta)
+    return -pref * sum(p.value for p in parts), pref * (sum(p.abs_error for p in parts) + tail)
+
+
+class TestEnergyConvergence:
+    """eps is the integral of ln|zeta| under the weight (1 - kappa s)
+    e^(-kappa s), on the pieces of f: no principal value, so no node can
+    round onto the pole."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-11, 1e-12])
+    def test_grid_converges(self, tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in GRID_LAMS:
+                scan = th.thermo_scan(th.EnsembleSpec.continuum(float(lam)), GRID_BETAS, tol)
+                assert all(p.converged for p in scan)
+
+    @pytest.mark.parametrize("lam,beta", [(0.01, 0.4729), (0.01, 1.0), (0.01, 2.115), (0.0316, 1.0)])
+    def test_within_its_budget(self, lam, beta):
+        mp = pytest.importorskip("mpmath")
+        point = th.thermo_point(th.EnsembleSpec.continuum(lam), beta, 1e-11)
+        kappa = lam / beta
+        edges = sorted({0.0, 1.0, 2.0, 8.0, 30.0, 90.0} | {c / kappa for c in (1, 5, 20, 60) if c < kappa})
+        with mp.workdps(25):
+            k = mp.mpf(kappa)
+            integral = mp.quad(
+                lambda s: (1 - k * s) * mp.exp(-k * s) * mp.log(abs(mp.zeta(s))), edges
+            )
+            ref = float(lam / beta**2 * integral)
+        assert abs(point.eps - ref) <= point.abs_error[1]
+
+    @pytest.mark.parametrize("lam", GRID_LAMS[::2].tolist())
+    def test_equals_the_principal_value_of_the_log_derivative(self, lam):
+        # an independent route through zeta'/zeta: the two agree within the
+        # sum of their budgets
+        spec = th.EnsembleSpec.continuum(lam)
+        for beta in GRID_BETAS[::2]:
+            eps, budget, _ = q.serve(th._energy_steps(spec, float(beta), 1e-9))
+            pv, pv_budget = _principal_value_energy(lam, float(beta), 1e-9)
+            assert abs(eps - pv) <= budget + pv_budget
+
+
 class TestKernelContract:
     """The batch engine concatenates the nodes of many integrals into one
     kernel call, cut into chunks: a kernel's value at s must not depend on
     the batch around it."""
 
-    KERNELS = (nk._log_regular_zeta_real_many, nk._zeta_log_derivative_real_many, th._q_many)
+    KERNELS = (nk._log_regular_zeta_real_many, nk._zeta_log_derivative_real_many)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -762,8 +852,3 @@ class TestKernelContract:
         assert nk._log_regular_zeta_real_many(np.array([1.0]))[0] == 0.0
         for k in (0, 2, 3):
             assert values[k] == nk._log_regular_zeta_real_many(batch[k : k + 1])[0]
-
-    def test_pole_node_of_q(self):
-        batch = np.array([0.5, 1.0, 2.0])
-        assert th._q_many(batch)[1] == -1.0
-        assert th._q_many(batch)[2] == th._q_many(np.array([2.0]))[0]
