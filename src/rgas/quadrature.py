@@ -9,38 +9,24 @@ array holding the nodes of many panels at once (every panel of the initial
 grid, or both halves of a split panel) and return an array of the same
 length whose k-th value depends on the k-th node alone (real or complex).
 
-Three entry points:
+Four entry points:
   * ``integrate``            finite interval, optional endpoint-log grading;
   * ``integrate_exp_weight`` integrals of g against a normalized exponential
                              density on [0, inf);
   * ``principal_value``      Cauchy principal values through a simple pole,
                              by symmetric subtraction of the smooth factor,
-                             as plain ``integrate`` calls on either side.
+                             as plain ``integrate`` calls on either side;
+  * ``integrate_rows``       many real integrals of weight(row, s) kernel(s)
+                             at once, on the panels of one dyadic tree, with
+                             the kernel evaluated once per distinct panel.
 
-Step generators.  The adaptive loop is written once, as the generator
-``_adaptive``: it yields an array of nodes (a sliver probe, a panel set or
-a split panel), is sent the integrand's values there and finally returns
-the QuadResult.  ``integrate`` answers each yield with a plain callable.
-
-Batch steps run many integrals in lockstep, so that an expensive kernel is
-called once per round for all of them.  A batch step generator yields a
-list of requests (kernel, s), a vectorized elementwise kernel and the 1-d
-array it is wanted at, and is sent the list of answers in the same order:
-
-  * ``ask(kernel, s)``         one request; returns kernel(s);
-  * ``integrate_steps``        ``integrate`` whose integrand is itself a
-                               batch step generator (``yield from ask(...)``);
-  * ``gather(jobs)``           advances every job one step per round and
-                               returns their results; on failure it raises
-                               the error of the first failing job in list
-                               order, as a sequential loop would;
-  * ``serve(job)``             runs a job: each round, one call per kernel on
-                               the concatenated nodes, cut into chunks of at
-                               most ``_MAX_BATCH`` = 1024 nodes.
-
-Because kernels are elementwise, every integral receives the values it
-would receive alone, makes the same splits and sums in the same order: a
-lockstep run returns the QuadResults of running the integrals one by one.
+Rows.  ``integrate_rows`` refines each row on its own leaves, by its own
+weight and tolerance, and sums its value and error over them in s order.
+Its panels are dyadic intervals [k 2^e, (k+1) 2^e], so rows that need the
+same panel share its nodes bit for bit; one call keeps the kernel values
+per panel, and each round makes one kernel call for the panels no row has
+asked for before.  So a row returns the same QuadResult whatever rows run
+beside it.
 """
 
 from __future__ import annotations
@@ -52,7 +38,14 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["QuadResult", "integrate", "integrate_exp_weight", "principal_value"]
+__all__ = [
+    "QuadResult",
+    "dyadic_edges",
+    "integrate",
+    "integrate_exp_weight",
+    "integrate_rows",
+    "principal_value",
+]
 
 # Gauss-Kronrod 15/7 abscissae and weights on [-1, 1] (positive half).
 _XGK = (
@@ -105,42 +98,34 @@ class QuadResult:
     converged: bool
 
 
-def _panel_steps(edges):
-    """One GK15 pass over each panel [edges[i], edges[i+1]]: yields the
-    nodes of all panels as one array and is sent the integrand there.
-    Returns a list of (lo, hi, I15, err_est), one per panel, in the order
-    of the edges."""
-    lo = np.asarray(edges[:-1], dtype=np.float64)
-    hi = np.asarray(edges[1:], dtype=np.float64)
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    x = c[:, None] + h[:, None] * _NODES
-    y = np.asarray((yield x.reshape(-1))).reshape(x.shape)
+def _gk15(lo, hi, y):
+    """K15 and G7 values of the panels [lo[i], hi[i]] from the integrand's
+    values y[i] at their nodes; DomainError where a value is not finite."""
     finite = np.all(np.isfinite(y), axis=1)
     if not np.all(finite):
         k = int(np.argmin(finite))
-        raise DomainError(f"integrand not finite inside [{edges[k]!r}, {edges[k + 1]!r}]")
+        raise DomainError(f"integrand not finite inside [{float(lo[k])!r}, {float(hi[k])!r}]")
+    h = 0.5 * (hi - lo)
     # a row sum over C-contiguous rows rounds as np.sum does on one panel's
     # values; the fancy-indexed Gauss columns are not C-contiguous, and a
     # row sum over them accumulates in another order
     gauss = np.ascontiguousarray(y[:, _GAUSS_IDX])
-    i15 = (h * np.sum(_WK * y, axis=1)).tolist()
-    i7 = (h * np.sum(_WGAUSS * gauss, axis=1)).tolist()
+    return h * np.sum(_WK * y, axis=1), h * np.sum(_WGAUSS * gauss, axis=1)
+
+
+def _panels(f, edges):
+    """One GK15 pass over each panel [edges[i], edges[i+1]], with one call of
+    f on the nodes of all of them.  Returns a list of (lo, hi, I15,
+    err_est), one per panel, in the order of the edges."""
+    lo = np.asarray(edges[:-1], dtype=np.float64)
+    hi = np.asarray(edges[1:], dtype=np.float64)
+    x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
+    y = np.asarray(f(x.reshape(-1))).reshape(x.shape)
+    i15, i7 = _gk15(lo, hi, y)
     return [
         (a, b, k15, abs(k15 - g7) + _PANEL_ROUNDING * abs(k15))
-        for a, b, k15, g7 in zip(edges[:-1], edges[1:], i15, i7)
+        for a, b, k15, g7 in zip(edges[:-1], edges[1:], i15.tolist(), i7.tolist())
     ]
-
-
-def _drive(steps, f):
-    """Run a step generator to its result, answering each node array x with
-    f(x)."""
-    x = next(steps)
-    while True:
-        try:
-            x = steps.send(f(x))
-        except StopIteration as stop:
-            return stop.value
 
 
 def _graded_edges(a: float, b: float, singular_left: bool, singular_right: bool):
@@ -173,7 +158,8 @@ def _graded_edges(a: float, b: float, singular_left: bool, singular_right: bool)
     return edges, slivers
 
 
-def _adaptive(
+def integrate(
+    f,
     a: float,
     b: float,
     tol: float = 1e-10,
@@ -181,9 +167,10 @@ def _adaptive(
     singular_right: bool = False,
     max_panels: int = 4096,
     rel_tol: float = 0.0,
-):
-    """The GK15 loop of ``integrate`` as a generator: yields node arrays, is
-    sent the integrand's values there, and returns the QuadResult."""
+) -> QuadResult:
+    """Adaptive bisection of [a, b] until the summed |K15 - G7| estimates
+    drop below max(tol, rel_tol |value|)/2.  Integrable endpoint (log-type)
+    singularities should be flagged so the panels are graded toward them."""
     if not a < b:
         raise DomainError("integrate requires a < b")
     edges, slivers = _graded_edges(a, b, singular_left, singular_right)
@@ -193,10 +180,10 @@ def _adaptive(
         # integrable singularity: bound the uncovered sliver by 3 * width *
         # |f| sampled just inside the first resolved panel
         probe = endpoint + direction * 0.6 * delta
-        fval = np.asarray((yield np.array([probe])))[0]
+        fval = np.asarray(f(np.array([probe])))[0]
         evals += 1
         sliver_bound += 3.0 * delta * abs(complex(fval))
-    panels = yield from _panel_steps(edges)
+    panels = _panels(f, edges)
     evals += 15 * len(panels)
 
     min_width = (b - a) * 1e-14
@@ -219,29 +206,13 @@ def _adaptive(
             )
         panels.remove(worst)
         lo, hi = worst[0], worst[1]
-        panels.extend((yield from _panel_steps([lo, 0.5 * (lo + hi), hi])))
+        panels.extend(_panels(f, [lo, 0.5 * (lo + hi), hi]))
         evals += 30
 
     panels.sort(key=lambda p: p[0])
     value = sum(p[2] for p in panels)
     abs_error = float(sum(p[3] for p in panels)) + sliver_bound
     return QuadResult(value, abs_error, evals, abs_error <= max(tol, rel_tol * abs(value)))
-
-
-def integrate(
-    f,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    singular_left: bool = False,
-    singular_right: bool = False,
-    max_panels: int = 4096,
-    rel_tol: float = 0.0,
-) -> QuadResult:
-    """Adaptive bisection of [a, b] until the summed |K15 - G7| estimates
-    drop below max(tol, rel_tol |value|)/2.  Integrable endpoint (log-type)
-    singularities should be flagged so the panels are graded toward them."""
-    return _drive(_adaptive(a, b, tol, singular_left, singular_right, max_panels, rel_tol), f)
 
 
 def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
@@ -325,123 +296,113 @@ def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> Q
 
 
 # ----------------------------------------------------------------------
-# batch steps: many adaptive integrals in lockstep
+# rows on a dyadic panel tree
 # ----------------------------------------------------------------------
 
-# Most nodes one kernel call receives from ``serve``; a round holding more
-# is cut into chunks of this size, which bounds the kernels' work arrays.
-_MAX_BATCH = 1024
+# a leaf is split only while wider than 2^-_MAX_DEPTH times its larger
+# |end|, so that its nodes stay far apart in floating point
+_MAX_DEPTH = 40
+# most leaves one row may hold; a row that needs more raises ConvergenceError
+_MAX_PANELS = 4096
+# rows refined together; every block shares the kernel table of the call
+_ROW_BLOCK = 256
 
 
-def ask(kernel, s):
-    """Batch step: request kernel(s) and return it.  Raises what the kernel
-    raised on s alone."""
-    (value,) = yield [(kernel, s)]
-    if isinstance(value, Exception):
-        raise value
-    return value
+def dyadic_edges(first: int, last: int) -> np.ndarray:
+    """Edges 0, 2^first, 2^(first+1), ..., 2^last: panels of the dyadic
+    tree, graded toward 0."""
+    return np.concatenate(([0.0], np.ldexp(1.0, np.arange(first, last + 1))))
 
 
-def integrate_steps(
-    integrand,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    singular_left: bool = False,
-    singular_right: bool = False,
-    max_panels: int = 4096,
-):
-    """``integrate`` as a batch step generator; integrand(x) is a step
-    integrand that yields requests and returns the values at x."""
-    steps = _adaptive(a, b, tol, singular_left, singular_right, max_panels)
-    x = next(steps)
-    while True:
-        y = yield from integrand(x)
-        try:
-            x = steps.send(y)
-        except StopIteration as stop:
-            return stop.value
+def _kernel_table(kernel):
+    """A lookup (c, h) -> kernel at the 15 nodes of each panel with center
+    c[i] and half-width h[i], one row per panel, that makes one kernel call
+    for the panels it has not seen before and keeps their values."""
+    index = {}
+    values = []
+
+    def lookup(c, h):
+        keys = list(zip(c.tolist(), h.tolist()))
+        new = [k for k in dict.fromkeys(keys) if k not in index]
+        if new:
+            cn, hn = np.array(new).T
+            s = cn[:, None] + hn[:, None] * _NODES
+            values.append(np.asarray(kernel(s.reshape(-1)), dtype=np.float64).reshape(s.shape))
+            index.update(zip(new, range(len(index), len(index) + len(new))))
+        return np.concatenate(values)[[index[k] for k in keys]]
+
+    return lookup
 
 
-def gather(jobs):
-    """Batch step generator that advances every job one step per round and
-    returns their results in order.
+def integrate_rows(kernel, weight, edges, tols, with_kernel) -> list[QuadResult]:
+    """The integrals of weight(r, s) kernel(s), or of weight(r, s) alone
+    where with_kernel[r] is False, over [edges[r][0], edges[r][-1]], one
+    QuadResult per row r.
 
-    When jobs raise, the error raised is that of the first failing job in
-    list order, the one a loop running the jobs one after another would
-    meet: jobs after a failed one are dropped, earlier ones run on."""
-    jobs = list(jobs)
-    results = [None] * len(jobs)
-    pending = {}  # job index -> its requests of this round, ascending
-    failure = None
-
-    def advance(i, answers):
-        """Step job i (send None starts it); False once it has raised."""
-        nonlocal failure
-        try:
-            pending[i] = jobs[i].send(answers)
-        except StopIteration as stop:
-            results[i] = stop.value
-            pending.pop(i, None)
-        except Exception as exc:
-            failure = exc
-            for j in [j for j in pending if j >= i]:
-                del pending[j]
-            return False
-        return True
-
-    for i in range(len(jobs)):
-        if not advance(i, None):
-            break
-    while pending:
-        order = list(pending.items())
-        answers = yield [r for _, requests in order for r in requests]
-        pos = 0
-        for i, requests in order:
-            if not advance(i, answers[pos : pos + len(requests)]):
-                break
-            pos += len(requests)
-    if failure is not None:
-        raise failure
+    kernel is a real elementwise kernel on a 1-d array of s; weight(rows, x)
+    gives the real weights of the given rows at the nodes x, one row of x
+    per panel.  Row r starts from the panels between its edges, which
+    should be dyadic intervals (see ``dyadic_edges``), and each round splits
+    every leaf whose error exceeds its share tols[r]/(2 n) of the n leaves,
+    until the summed estimates are within tols[r]/2 or no such leaf can be
+    split (then ``converged`` is whether they are within tols[r]).  A row
+    needing more than ``_MAX_PANELS`` leaves raises ConvergenceError."""
+    tols = np.asarray(tols, dtype=np.float64)
+    with_kernel = np.asarray(with_kernel, dtype=bool)
+    table = _kernel_table(kernel)
+    results = []
+    for start in range(0, len(edges), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        results += _refine(table, weight, edges[block], tols[block], with_kernel[block], start)
     return results
 
 
-def serve(job):
-    """Run a batch step generator to its result.
+def _refine(table, weight, edges, tols, with_kernel, first_row):
+    """integrate_rows on one block of rows, numbered from first_row."""
+    n = len(edges)
+    results = [None] * n
+    evals = np.zeros(n, dtype=np.int64)
+    # the panels to evaluate this round, and the leaves so far
+    row = np.repeat(np.arange(n), [len(e) - 1 for e in edges])
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    leaves = [np.empty(0, dtype=t) for t in (np.intp, float, float, float, float)]
+    while row.size:
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        y = weight(row + first_row, c[:, None] + h[:, None] * _NODES)
+        k = with_kernel[row]
+        if k.any():
+            y[k] *= table(c[k], h[k])
+        i15, i7 = _gk15(lo, hi, y)
+        err = np.abs(i15 - i7) + _PANEL_ROUNDING * np.abs(i15)
+        evals += 15 * np.bincount(row, minlength=n)
+        # sorted by row, then s: bincount adds up each row's leaves in s order
+        leaves = [np.concatenate(p) for p in zip(leaves, (row, lo, hi, i15, err))]
+        order = np.lexsort((leaves[1], leaves[0]))
+        r, a, b, v, e = leaves = [p[order] for p in leaves]
 
-    Each round's requests are grouped by kernel; every group is one
-    concatenated node array, evaluated in chunks of at most ``_MAX_BATCH``
-    nodes and split back.  Kernels must be elementwise, so a request gets the
-    values it would get alone.  When a group's evaluation raises, each of
-    its requests is evaluated alone and answered with its values or with the
-    exception it raised, which ``ask`` raises inside the requesting job."""
-    try:
-        requests = next(job)
-        while True:
-            requests = job.send(_answer(requests))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _answer(requests):
-    answers = [None] * len(requests)
-    groups = {}
-    for k, (kernel, _) in enumerate(requests):
-        groups.setdefault(kernel, []).append(k)
-    for kernel, ks in groups.items():
-        nodes = np.concatenate([requests[k][1] for k in ks])
-        try:
-            values = np.concatenate(
-                [kernel(nodes[i : i + _MAX_BATCH]) for i in range(0, nodes.size, _MAX_BATCH)]
+        count = np.bincount(r, minlength=n)
+        total = np.bincount(r, weights=e, minlength=n)
+        done = total <= 0.5 * tols
+        wide = b - a > np.ldexp(np.maximum(-a, b), -_MAX_DEPTH)
+        split = ~done[r] & (e * 2.0 * count[r] > tols[r]) & wide
+        n_split = np.bincount(r[split], minlength=n)
+        over = (count > 0) & (n_split > 0) & (count + n_split > _MAX_PANELS)
+        if over.any():
+            j = int(np.argmax(over))
+            raise ConvergenceError(
+                f"integrate_rows: {_MAX_PANELS}-panel budget exhausted "
+                f"(err={total[j]:.3e}, tol={tols[j]:.3e})"
             )
-        except Exception:
-            for k in ks:
-                try:
-                    answers[k] = kernel(requests[k][1])
-                except Exception as exc:
-                    answers[k] = exc
-            continue
-        sizes = np.cumsum([requests[k][1].size for k in ks])[:-1]
-        for k, part in zip(ks, np.split(values, sizes)):
-            answers[k] = part
-    return answers
+        stop = (count > 0) & (n_split == 0)
+        values = np.bincount(r, weights=v, minlength=n)
+        for j in np.flatnonzero(stop).tolist():
+            value, error = float(values[j]), float(total[j])
+            results[j] = QuadResult(value, error, int(evals[j]), bool(error <= tols[j]))
+        mid = 0.5 * (a[split] + b[split])
+        row = np.repeat(r[split], 2)
+        lo = np.stack((a[split], mid), axis=1).reshape(-1)
+        hi = np.stack((mid, b[split]), axis=1).reshape(-1)
+        keep = ~split & ~stop[r]
+        leaves = [p[keep] for p in leaves]
+    return results

@@ -33,12 +33,12 @@ Closed forms printed in terms of Ei and the factorially divergent series
 sum g(k) (beta/lam)^k are also provided verbatim ("printed" forms) with
 their deviations from the oracle reported, never asserted.
 
-A continuum beta grid is one ``thermo_scan``: the integrals behind f and
-eps at every beta are batch step generators (see ``quadrature``) run in
-lockstep, so each round makes one call of each real-axis kernel (L and
-the closed-form pole windows) on the nodes of all of them.  The kernels
-are elementwise, so every point equals the one computed alone, and the
-first error raised is the one a beta-by-beta loop would meet.  A discrete
+A continuum beta grid is one ``thermo_scan``.  f and eps at every beta
+are transforms at the rate kappa of the one function ln|zeta(s)|, so every
+beta adds rows to one ``quadrature.integrate_rows`` call, which evaluates
+L once per distinct panel of a dyadic tree that all rows share.  Each row
+refines on its own, so every point equals the one computed alone, and on
+failure the scan raises what a beta-by-beta loop raises first.  A discrete
 grid is one loop over beta, one zeta call per finite point; a beta at or
 past the Hagedorn point becomes a flagged point with nan values.
 """
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, HagedornError
+from .errors import AccuracyError, DomainError, HagedornError, RgasError
 from .numkernel import (
     DEFAULT_OPTIONS,
     EULER_GAMMA,
@@ -64,14 +64,7 @@ from .numkernel import (
     _zeta_em_many,
     zeta,
 )
-from .quadrature import (
-    ask,
-    gather,
-    integrate,
-    integrate_exp_weight,
-    integrate_steps,
-    serve,
-)
+from .quadrature import dyadic_edges, integrate, integrate_exp_weight, integrate_rows
 from .superzeta import (
     EXPANSION_CONSTANT,
     SuperzetaParams,
@@ -162,13 +155,13 @@ class ThermoPoint:
     entropy density, and status flags.
 
     For the continuum, ``abs_error`` holds the quadrature error budgets of f
-    and eps (each its s-integrals' summed estimates times lam/(beta^2 V);
-    eps adds a bound on ln zeta past the last panel) and
-    ``converged`` whether every integral met its tolerance.  Neither is
-    printed or enforced.  A discrete point has no quadrature: its
-    ``abs_error`` is None, and its zeta values pass the Euler-Maclaurin
-    accuracy gate or raise.  A discrete beta at or past the Hagedorn point
-    beta omega_1 <= 1 has nan f, eps and entropy and the flag
+    and eps (each its rows' summed estimates times lam/(beta^2 V); eps adds
+    a bound on ln zeta past the last panel), which are not printed, and
+    ``converged`` whether every row met its tolerance; a point where one
+    did not has the flag ``unconverged``.  A discrete point has no
+    quadrature: its ``abs_error`` is None, and its zeta values pass the
+    Euler-Maclaurin accuracy gate or raise.  A discrete beta at or past the
+    Hagedorn point beta omega_1 <= 1 has nan f, eps and entropy and the flag
     ``hagedorn_divergent``."""
 
     beta: float
@@ -332,107 +325,141 @@ def _pole_log_window(kappa: np.ndarray) -> np.ndarray:
 def _energy_pole_window(kappa: np.ndarray) -> np.ndarray:
     """The pole window of eps, -int_0^2 (1 - kappa s) e^(-kappa s) ln|s - 1| ds
     = d/dkappa [kappa W] = (1 - e^(-2 kappa))/kappa - kappa W, W the window of
-    f, for an array of kappa > 0, elementwise.  Above kappa = 1, where the two
+    f, for an array of kappa >= 0, elementwise.  Above kappa = 1, where the two
     terms cancel to ~ -1/kappa^2, it is -(Re h(-kappa) + e^(-2 kappa) (1 +
     g(kappa)))/kappa with h = g - 1 the E1 kernel, terms that do not cancel."""
     kappa = np.asarray(kappa, dtype=np.float64)
     out = np.empty_like(kappa)
     small = kappa <= 1.0
     k = kappa[small]
-    out[small] = -np.expm1(-2.0 * k) / k - k * _pole_log_window(k)
+    # (1 - e^(-2 kappa))/kappa tends to 2 at kappa = 0
+    ratio = np.divide(-np.expm1(-2.0 * k), k, out=np.full_like(k, 2.0), where=k > 0.0)
+    out[small] = ratio - k * _pole_log_window(k)
     k = kappa[~small]
     out[~small] = -(_z_exp_e1(-k)[0].real + np.exp(-2.0 * k) * (1.0 + _z_exp_e1(k)[1].real)) / k
     return out
 
 
-def _log_zeta_steps(spec: EnsembleSpec, beta: float, tol: float, weight, window):
-    """Batch steps of int_0^inf w(s) ln|zeta(s)| ds with w(s) =
-    weight(kappa, s), kappa = lam/beta: e^(-kappa s) for f, (1 - kappa s)
-    e^(-kappa s) for eps.  ln|zeta(s)| = L(s) - ln|s - 1| with the smooth
-    L(s) = ln((s-1) zeta(s)): w L on [0, mid] and [mid, 2] and w ln zeta on
-    [2, s_max] are integrated in lockstep to tol/4 each, asking only for L,
-    and window(kappa) = -int_0^2 w ln|s - 1| ds is added in closed form.
-    Returns (kappa, mid, s_max, value, [the three QuadResults])."""
+# A row's first leaf is [0, 2^-fine] with 2^-fine <= 40/kappa and fine <= 52;
+# past this kappa, e^(-kappa s) would be narrower than that leaf allows
+_KAPPA_MAX = 40.0 * 2.0**52
+
+# the rows of a continuum point: Re f, Im f, eps
+_RE, _IM, _EPS = range(3)
+
+
+def _log_zeta_kernel(s: np.ndarray) -> np.ndarray:
+    """ln|zeta(s)| + ln|s - 1| on [0, 2], which is the smooth L(s) =
+    ln((s-1) zeta(s)), and ln zeta(s) = L(s) - ln(s - 1) past 2, for an
+    array of s >= 0."""
+    out = _log_regular_zeta_real_many(s)
+    tail = s > 2.0
+    out[tail] -= np.log(s[tail] - 1.0)
+    return out
+
+
+def _continuum_block(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple) -> list:
+    """(f, eps, entropy, (f budget, eps budget), converged) at each beta,
+    with None for f unless kinds holds _RE and _IM, for eps unless it holds
+    _EPS, and for the entropy unless it holds all three.
+
+    Each beta adds one row per kind to one integrate_rows call, each to
+    tol/2: e^(-kappa s) K(s) for Re f, (1 - kappa s) e^(-kappa s) K(s) for
+    eps, pi e^(-kappa s) on [0, 1] for Im f (K = _log_zeta_kernel, kappa =
+    lam/beta).  Re f and eps end at the first power of two past s_max, where
+    the ln zeta tail (~2^-s) is below double precision; every row starts
+    graded toward 0, down to a first leaf of at most min(1/2, 40/kappa).
+    The windows -int_0^2 w ln|s - 1| ds are added in closed form."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
-    if not beta > 0.0:
-        raise DomainError("beta must be positive")
-    kappa = spec.rate / beta
+    kappas, ends, edges, rows = [], [], [], []
+    for beta in betas:
+        if not beta > 0.0:
+            raise DomainError("beta must be positive")
+        kappa = spec.rate / beta
+        if not kappa <= _KAPPA_MAX:
+            raise DomainError(
+                f"kappa = lam/beta = {kappa:.6g} exceeds {_KAPPA_MAX:.6g}: "
+                "e^(-kappa s) is narrower than the finest panels"
+            )
+        fine = max(1, math.ceil(math.log2(kappa / 40.0))) if kappa > 0.0 else 1
+        last = math.ceil(math.log2(max(4.0, math.log(1e18) / (kappa + math.log(2.0)))))
+        kappas.append(kappa)
+        ends.append(2.0**last)
+        edges += [dyadic_edges(-fine, 0 if kind == _IM else last) for kind in kinds]
+        rows += [(kappa, kind) for kind in kinds]
+    row_kappa, row_kind = np.array(rows).reshape(-1, 2).T
 
-    def regular(sv):
-        return weight(kappa, sv) * (yield from ask(_log_regular_zeta_real_many, sv))
+    def weight(r, x):
+        kx = row_kappa[r, None] * x
+        w = np.exp(-kx)
+        eps, im = row_kind[r] == _EPS, row_kind[r] == _IM
+        w[eps] *= 1.0 - kx[eps]
+        w[im] *= math.pi
+        return w
 
-    def tail(sv):
-        log_zeta = (yield from ask(_log_regular_zeta_real_many, sv)) - np.log(sv - 1.0)
-        return weight(kappa, sv) * log_zeta
+    results = integrate_rows(_log_zeta_kernel, weight, edges, [tol / 2.0] * len(rows), row_kind != _IM)
+    kappa_array = np.array(kappas)
+    window_f = _pole_log_window(kappa_array).tolist() if _RE in kinds else None
+    window_eps = _energy_pole_window(kappa_array).tolist() if _EPS in kinds else None
+    points = []
+    for i, (beta, kappa, end) in enumerate(zip(betas, kappas, ends)):
+        part = dict(zip(kinds, results[i * len(kinds) : (i + 1) * len(kinds)]))
 
-    # keep panels no wider than the exponential scale so no mass is skipped;
-    # s_max puts the ln-zeta Dirichlet tail (~2^-s) below double precision
-    mid = min(0.5, 40.0 / kappa)
-    s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
-    # ln|s - 1| comes off on [0, 2] only: taken off up to s_max, the pieces
-    # grow like ln(s_max)/kappa at small kappa and their rounding outruns tol
-    window, *parts = yield from gather(
-        [
-            ask(window, np.array([kappa])),
-            integrate_steps(regular, 0.0, mid, tol / 4.0),
-            integrate_steps(regular, mid, 2.0, tol / 4.0),
-            integrate_steps(tail, 2.0, s_max, tol / 4.0),
-        ]
-    )
-    value = parts[0].value + parts[1].value + parts[2].value + float(window[0])
-    return kappa, mid, s_max, value, parts
+        def scaled(v):
+            # lam/(beta^2 V) v, in an order that cannot overflow beta^2
+            return kappa * v / beta / spec.volume
+
+        f = eps = entropy = f_err = eps_err = None
+        if _RE in part:
+            re, im = part[_RE], part[_IM]
+            f = complex(-scaled(re.value + window_f[i]), -scaled(im.value))
+            f_err = scaled(re.abs_error + im.abs_error)
+        if _EPS in part:
+            # past the end, 0 < ln zeta(s) <= zeta(s) - 1 <= (5/3) 2^-s as
+            # s >= 4, and (1 + kappa s) e^(-decay s) integrates in closed form
+            decay = kappa + math.log(2.0)
+            err = 5.0 / 3.0 * math.exp(-decay * end) * (1.0 + kappa * (end + 1.0 / decay)) / decay
+            err += part[_EPS].abs_error
+            if err > max(tol, 1e-12) * 50.0:
+                raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
+            eps = scaled(part[_EPS].value + window_eps[i])
+            eps_err = scaled(err)
+            entropy = beta * (eps - f.real) if f is not None else None
+        if not all(np.isfinite(v) for v in (f, eps, entropy) if v is not None):
+            raise AccuracyError(
+                f"thermo at beta = {beta!r} exceeds the float range "
+                f"(lam/beta^2 = {kappa / beta:.6g})"
+            )
+        converged = all(r.converged for r in part.values())
+        points.append((f, eps, entropy, (f_err, eps_err), converged))
+    return points
 
 
-def _free_energy_steps(spec: EnsembleSpec, beta: float, tol: float):
-    """Batch steps of free_energy_continuum; returns (f, abs_error,
-    converged) with the error budget of f summed over its integrals."""
-    kappa, mid, _, re_val, re = yield from _log_zeta_steps(
-        spec, beta, tol, lambda k, sv: np.exp(-k * sv), _pole_log_window
-    )
-
-    def im_integrand(sv):
-        # every node lies inside 0 < s < 1, where zeta < 0
-        return np.exp(-kappa * sv) * math.pi
-
-    # no kernel behind the phase: these run directly, after the real part
-    im = [integrate(im_integrand, a, b, tol / 4.0) for a, b in ((0.0, mid), (mid, 1.0))]
-    pref = -spec.rate / (beta * beta * spec.volume)
-    parts = re + im
-    return (
-        complex(pref * re_val, pref * (im[0].value + im[1].value)),
-        abs(pref) * sum(r.abs_error for r in parts),
-        all(r.converged for r in parts),
-    )
+def _continuum(spec: EnsembleSpec, beta_grid, tol: float, kinds: tuple) -> list:
+    """_continuum_block on a beta grid.  On failure it raises what a loop
+    over the betas, one block each, raises first."""
+    betas = [float(b) for b in beta_grid]
+    try:
+        return _continuum_block(spec, betas, tol, kinds)
+    except RgasError:
+        if len(betas) > 1:
+            for beta in betas:
+                _continuum_block(spec, [beta], tol, kinds)
+        raise
 
 
 def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -> complex:
     """-(lam/(beta^2 V)) int_0^inf exp(-lam s / beta) log zeta(s) ds.
 
     The real part splits ln|zeta(s)| = L(s) - ln|s - 1| with the smooth
-    L(s) = ln((s-1) zeta(s)): e^(-kappa s) L on [0, 2] and e^(-kappa s) ln zeta
-    past it are integrated on plain adaptive panels, in lockstep with one
-    L kernel call per round, and -int_0^2 e^(-kappa s) ln|s - 1| ds, which
-    holds the integrable singularity at the pole, is added in closed form
-    (kappa = lam/beta).  The imaginary part integrates the principal-branch
-    phase (exactly +pi where zeta < 0, i.e. on 0 < s < 1)."""
-    return serve(_free_energy_steps(spec, beta, tol))[0]
-
-
-def _energy_steps(spec: EnsembleSpec, beta: float, tol: float):
-    """Batch steps of energy_oracle; returns (eps, abs_error, converged)."""
-    kappa, _, s_max, total, parts = yield from _log_zeta_steps(
-        spec, beta, tol, lambda k, sv: (1.0 - k * sv) * np.exp(-k * sv), _energy_pole_window
-    )
-    # past s_max, 0 < ln zeta(s) <= zeta(s) - 1 <= (5/3) 2^-s as s >= 4, and
-    # (1 + kappa s) e^(-decay s) integrates in closed form
-    decay = kappa + math.log(2.0)
-    err = 5.0 / 3.0 * math.exp(-decay * s_max) * (1.0 + kappa * (s_max + 1.0 / decay)) / decay
-    err += sum(r.abs_error for r in parts)
-    if err > max(tol, 1e-12) * 50.0:
-        raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
-    pref = spec.rate / (beta * beta * spec.volume)
-    return pref * total, pref * err, all(r.converged for r in parts)
+    L(s) = ln((s-1) zeta(s)): e^(-kappa s) L on [0, 2] and e^(-kappa s)
+    ln zeta past it are one row on the panels of a dyadic tree (kappa =
+    lam/beta), and -int_0^2 e^(-kappa s) ln|s - 1| ds, which holds the
+    integrable singularity at the pole, is added in closed form.  The
+    imaginary part integrates the principal-branch phase (exactly +pi where
+    zeta < 0, i.e. on 0 < s < 1)."""
+    return _continuum(spec, [beta], tol, (_RE, _IM))[0][0]
 
 
 def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
@@ -442,10 +469,11 @@ def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
             = (lam/(beta^2 V)) int_0^inf (1 - kappa s) e^(-kappa s) ln|zeta(s)| ds,
 
     integrated by parts (kappa = lam/beta; the boundary terms vanish, the
-    symmetric ones at the pole too).  The pieces, edges and tolerances are
+    symmetric ones at the pole too).  The panels and the pole window are
     those of free_energy_continuum under the weight (1 - kappa s) e^(-kappa s),
-    and the budget adds a closed-form bound on ln zeta past the last panel."""
-    return serve(_energy_steps(spec, beta, tol))[0]
+    and the budget adds a closed-form bound on ln zeta past the last panel;
+    AccuracyError when the budget exceeds 50 max(tol, 1e-12)."""
+    return _continuum(spec, [beta], tol, (_EPS,))[0][1]
 
 
 # ----------------------------------------------------------------------
@@ -652,25 +680,25 @@ def thermo_point(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> ThermoPo
     return thermo_scan(spec, [beta], tol)[0]
 
 
-def _point_steps(spec: EnsembleSpec, beta: float, tol: float):
-    """Batch steps of a continuum thermo point: f and eps in lockstep."""
-    (f, f_err, f_ok), (eps, eps_err, eps_ok) = yield from gather(
-        [_free_energy_steps(spec, beta, tol), _energy_steps(spec, beta, tol)]
-    )
-    entropy = beta * (eps - f.real)
-    flags = frozenset({"complex_branch_active"}) if f.imag != 0.0 else frozenset()
-    return ThermoPoint(beta, f, eps, entropy, flags, (f_err, eps_err), f_ok and eps_ok)
-
-
 def thermo_scan(spec: EnsembleSpec, beta_grid, tol: float = 1e-9) -> list[ThermoPoint]:
     """The thermo points of a beta grid, equal to thermo_point at each beta.
 
-    A continuum grid is one lockstep run of every integral behind every
-    point (f and eps at each beta), one kernel call per kernel and round; on
-    failure it raises what the first failing point raises, f before eps.  A
-    discrete grid is one kernel call per finite beta, and its betas at or
-    past the Hagedorn point are flagged ``hagedorn_divergent`` with nan
-    values where thermo_point raises."""
+    A continuum grid is one integrate_rows call for the rows of every beta,
+    with L evaluated once per distinct panel; a point whose rows miss their
+    tolerance is flagged ``unconverged``, and on failure the scan raises
+    what a beta-by-beta loop raises first.  A discrete grid is one kernel
+    call per finite beta, and its betas at or past the Hagedorn point are
+    flagged ``hagedorn_divergent`` with nan values where thermo_point
+    raises."""
     if spec.kind == "discrete":
         return _discrete_points(spec, beta_grid, DEFAULT_OPTIONS, with_energy=True)
-    return serve(gather([_point_steps(spec, float(b), tol) for b in beta_grid]))
+    betas = [float(b) for b in beta_grid]
+    points = []
+    for beta, (f, eps, entropy, budget, converged) in zip(
+        betas, _continuum(spec, betas, tol, (_RE, _IM, _EPS))
+    ):
+        flags = {"complex_branch_active"} if f.imag != 0.0 else set()
+        if not converged:
+            flags.add("unconverged")
+        points.append(ThermoPoint(beta, f, eps, entropy, frozenset(flags), budget, converged))
+    return points

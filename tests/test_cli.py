@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rgas import cli, zerofinder
+from rgas import cli, quadrature, zerofinder
 
 
 def run_cli(capsys, *argv):
@@ -202,11 +202,66 @@ class TestThermoCommand:
         assert "refusing to rescale" in err
 
 
+class TestContinuumEdges:
+    # kappa = lam/beta at and past the ends of the float range: 1e300 and
+    # inf are refused by name, an underflow to 0 gives the (vanishing)
+    # values; these exited 1 with a ZeroDivisionError traceback, printed
+    # inf cells, or named an internal kernel
+    @pytest.mark.parametrize(
+        "lam,beta,code",
+        [("1", "1e-300", 2), ("1e-300", "1e300", 0), ("1e200", "1e-100", 2), ("1e300", "1e-10", 2)],
+    )
+    def test_extreme_kappa(self, capsys, lam, beta, code):
+        got, out, err = run_cli(
+            capsys, "thermo", "--lam", lam, "--beta-min", beta, "--beta-max", beta, "--steps", "1"
+        )
+        assert got == code
+        if code == 0:
+            assert err == ""
+            (row,) = out.splitlines()[1:]
+            assert all(np.isfinite(float(x)) for x in row.split(",")[:5])
+        else:
+            assert out == ""
+            assert "kappa = lam/beta" in err
+
+    def test_float_range_is_a_numerical_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "thermo", "--lam", "1", "--beta-min", "1", "--beta-max", "1", "--steps", "1",
+            "--volume", "1e-310",
+        )
+        assert (code, out) == (3, "")
+        assert "lam/beta^2" in err
+
+    def test_unconverged_rows_are_flagged(self, capsys, monkeypatch):
+        # rows whose leaves may not be split miss their tolerance: the flags
+        # column says so in both formats
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
+        args = ("thermo", "--lam", "1", "--beta-min", "1", "--beta-max", "2", "--steps", "2",
+                "--tol", "1e-10")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [r.split(",")[5] for r in rows] == ["complex_branch_active;unconverged"] * 2
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        assert [r["flags"] for r in json.loads(out)] == ["complex_branch_active;unconverged"] * 2
+
+    def test_panel_budget_is_a_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 10)
+        code, out, err = run_cli(
+            capsys, "thermo", "--lam", "1", "--beta-min", "1", "--beta-max", "2", "--steps", "2",
+            "--tol", "1e-12",
+        )
+        assert (code, out) == (3, "")
+        assert "10-panel budget exhausted" in err
+
+
 SPEC_ROWS = "# omega,probability\n1.0,0.5\n2.0,0.3\n3.5,0.2\n"
 
 # sha256 of stdout; these bytes predate the batched kernel calls, the
-# lockstep continuum scan and the once-per-process invariants of the
-# breakdown, which must leave every printed digit as it was.  The three
+# lockstep continuum scan, its rows on one dyadic panel tree and the
+# once-per-process invariants of the breakdown, which must leave every
+# printed digit as it was.  The three
 # breakdowns are those of the closed-form eps3: each printed value that
 # moved from the earlier pair-integral grid moved by less than the old
 # abs_error and toward the oracle (and toward a 30-digit eps3).  The eps

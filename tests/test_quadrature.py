@@ -98,7 +98,7 @@ class TestIntegrate:
         for f in integrands:
             for n_panels in (1, 2, 7, 40, 300):
                 edges = sorted(rng.uniform(0.01, 3.0, n_panels + 1).tolist())
-                got = q._drive(q._panel_steps(edges), f)
+                got = q._panels(f, edges)
                 assert [p[:2] for p in got] == list(zip(edges[:-1], edges[1:]))
                 assert [p[2:] for p in got] == [reference(f, a, b) for a, b in zip(edges[:-1], edges[1:])]
 
@@ -210,76 +210,114 @@ class TestPrincipalValue:
                 q.principal_value(lambda x: np.sqrt(np.abs(x - 1.0)), 1.0, 0.0, 2.0, 1e-12)
 
 
-def _as_steps(f):
-    """A plain integrand as a batch step integrand with f as the kernel."""
-    return lambda x: q.ask(f, x)
+def _rows_reference(weight, kernel, edges, tol):
+    """One row of integrate_rows, refined on its own by the same rule: split
+    every leaf with err > tol/(2 n) until the sum is within tol/2."""
+    leaves = list(zip(edges[:-1], edges[1:]))
+    done = []
+    while True:
+        lo = np.array([p[0] for p in leaves])
+        hi = np.array([p[1] for p in leaves])
+        x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * q._NODES
+        i15, i7 = q._gk15(lo, hi, weight(x) * kernel(x))
+        err = np.abs(i15 - i7) + q._PANEL_ROUNDING * np.abs(i15)
+        done = sorted(done + list(zip(lo.tolist(), hi.tolist(), i15.tolist(), err.tolist())))
+        n = len(done)
+        total = 0.0
+        for p in done:
+            total += p[3]
+        if total <= 0.5 * tol:
+            value = 0.0
+            for p in done:
+                value += p[2]
+            return value, total
+        split = [p for p in done if p[3] * 2.0 * n > tol]
+        done = [p for p in done if p not in split]
+        leaves = [(a, m) for a, b, _, _ in split for m in [0.5 * (a + b)]]
+        leaves += [(m, b) for a, b, _, _ in split for m in [0.5 * (a + b)]]
 
 
-class TestBatchSteps:
-    def test_served_integrals_equal_integrate(self):
-        # every closed form at once, in lockstep, returns the QuadResult of
-        # integrating it alone
-        jobs, expected = [], []
-        for f, a, b, _, kw in CLOSED_FORMS:
-            jobs.append(q.integrate_steps(_as_steps(f), a, b, 1e-10, **kw))
-            expected.append(q.integrate(f, a, b, 1e-10, **kw))
-        assert q.serve(q.gather(jobs)) == expected
+class TestIntegrateRows:
+    RATES = (0.05, 0.7, 3.0, 40.0, 900.0)
 
-    def test_kernel_calls_are_grouped_and_capped(self):
-        sizes = []
+    @staticmethod
+    def rows(rates, kinds):
+        """Rows of exp(-rate s) (kind 0) or s exp(-rate s) (kind 1) against
+        the kernel cos(s), on [0, 2^4] graded toward 0."""
+        rate = np.array(rates, dtype=float)
+        kind = np.array(kinds)
 
-        def kernel(x):
-            sizes.append(x.size)
-            return np.sin(x)
+        def weight(r, x):
+            w = np.exp(-rate[r, None] * x)
+            return np.where(kind[r, None] == 1, x * w, w)
 
-        ends = [1.0 + k for k in range(6)]
-        jobs = [q.integrate_steps(_as_steps(kernel), 0.0, b, 1e-12, singular_left=True) for b in ends]
-        results = q.serve(q.gather(jobs))
-        assert results == [q.integrate(np.sin, 0.0, b, 1e-12, singular_left=True) for b in ends]
-        assert max(sizes) == q._MAX_BATCH
-        # rounds: sliver probes, then the graded panels (cut into chunks)
-        assert sizes[0] == 6
+        edges = [q.dyadic_edges(-max(1, math.ceil(math.log2(a))), 4) for a in rates]
+        return weight, edges
 
-    def test_gather_raises_the_first_failure_in_list_order(self):
-        ran = []
+    def test_closed_forms(self):
+        # int_0^16 e^(-a s) cos s ds and int_0^16 s e^(-a s) ds
+        rates = self.RATES + self.RATES
+        kinds = [0] * 5 + [1] * 5
+        weight, edges = self.rows(rates, kinds)
+        with_kernel = np.array(kinds) == 0
+        results = q.integrate_rows(np.cos, weight, edges, [1e-11] * 10, with_kernel)
+        for a, kind, res in zip(rates, kinds, results):
+            z = complex(a, -1.0)
+            if kind == 0:
+                exact = ((1.0 - np.exp(-16.0 * z)) / z).real
+            else:
+                exact = (1.0 - (1.0 + 16.0 * a) * math.exp(-16.0 * a)) / (a * a)
+            assert res.converged
+            assert abs(res.value - exact) <= max(res.abs_error, 1e-15 * abs(exact))
+            assert res.abs_error <= 1e-11
 
-        def job(name, fail_at, rounds=5):
-            for k in range(rounds):
-                (value,) = yield [(np.negative, np.array([float(k)]))]
-                ran.append((name, k))
-                if k == fail_at:
-                    raise ValueError(name)
-            return name
+    def test_row_alone_equals_row_in_a_block(self):
+        rates = [0.3, 7.0, 0.3, 55.0, 2.0]
+        kinds = [0, 1, 1, 0, 0]
+        weight, edges = self.rows(rates, kinds)
+        together = q.integrate_rows(np.cos, weight, edges, [1e-10] * 5, [True] * 5)
+        for r in range(5):
+            w_alone = lambda rows, x, r=r: weight(np.full_like(rows, r), x)
+            alone = q.integrate_rows(np.cos, w_alone, edges[r : r + 1], [1e-10], [True])
+            assert alone == [together[r]]
+            value, err = _rows_reference(lambda x: w_alone(np.zeros(x.shape[0], int), x), np.cos, edges[r], 1e-10)
+            assert (alone[0].value, alone[0].abs_error) == (value, err)
 
-        # job b fails first in time, but job a comes first in list order
-        with pytest.raises(ValueError, match="^a$"):
-            q.serve(q.gather([job("a", 3), job("b", 0), job("c", None)]))
-        assert ("a", 3) in ran
-        # c comes after the failure of b and is dropped in that round
-        assert [r for r in ran if r[0] == "c"] == []
-        ran.clear()
-        assert q.serve(q.gather([job("a", None), job("b", None, 2)])) == ["a", "b"]
+    def test_blocks_share_one_table(self, monkeypatch):
+        # every node reaches the kernel once per call, across row blocks too,
+        # and rows without the kernel never reach it
+        monkeypatch.setattr(q, "_ROW_BLOCK", 3)
+        sent = []
 
-    def test_failing_kernel_is_attributed_to_its_request(self):
-        def kernel(x):
-            if np.any(x < 0.0):
-                raise DomainError(f"negative node {float(np.min(x))!r}")
-            return np.sqrt(x)
+        def kernel(s):
+            sent.append(s.copy())
+            return np.cos(s)
 
-        def job(shift):
-            return q.integrate_steps(_as_steps(kernel), shift, shift + 1.0, 1e-10)
+        rates = [0.2 * k + 0.1 for k in range(10)]
+        weight, edges = self.rows(rates, [0] * 10)
+        results = q.integrate_rows(kernel, weight, edges, [1e-12] * 10, [True] * 9 + [False])
+        nodes = np.concatenate(sent)
+        assert np.unique(nodes).size == nodes.size
+        a = rates[9]
+        assert results[9].value == pytest.approx((1.0 - math.exp(-16.0 * a)) / a, abs=1e-12)
+        alone = q.integrate_rows(np.cos, weight, edges[:9], [1e-12] * 9, [True] * 9)
+        assert results[:9] == alone
 
-        # the second and third jobs reach negative nodes; the error is the one
-        # the second raises when its kernel call is made alone
-        with pytest.raises(DomainError) as alone:
-            q.integrate(kernel, -0.5, 0.5, 1e-10)
-        with pytest.raises(DomainError) as batched:
-            q.serve(q.gather([job(0.0), job(-0.5), job(-3.0)]))
-        assert str(batched.value) == str(alone.value)
-        assert q.serve(q.gather([job(0.0), job(2.0)])) == [
-            q.integrate(kernel, 0.0, 1.0, 1e-10),
-            q.integrate(kernel, 2.0, 3.0, 1e-10),
-        ]
+    def test_budget_and_depth(self, monkeypatch):
+        weight, edges = self.rows([1.0], [0])
+        monkeypatch.setattr(q, "_MAX_PANELS", 8)
+        with pytest.raises(ConvergenceError, match="8-panel budget exhausted"):
+            q.integrate_rows(np.cos, weight, edges, [1e-13], [True])
+        monkeypatch.setattr(q, "_MAX_PANELS", 4096)
+        monkeypatch.setattr(q, "_MAX_DEPTH", 0)
+        (res,) = q.integrate_rows(np.cos, weight, edges, [1e-13], [True])
+        assert not res.converged
+        assert res.evaluations == 15 * (len(edges[0]) - 1)
 
-    def test_empty_gather(self):
-        assert q.serve(q.gather([])) == []
+    def test_nonfinite_integrand_rejected(self):
+        weight, edges = self.rows([1.0], [0])
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not finite"):
+            q.integrate_rows(lambda s: np.sqrt(1.0 - s), weight, edges, [1e-10], [True])
+
+    def test_dyadic_edges(self):
+        assert q.dyadic_edges(-2, 1).tolist() == [0.0, 0.25, 0.5, 1.0, 2.0]

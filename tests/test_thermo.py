@@ -505,58 +505,46 @@ class TestBreakdownInvariants:
 
 
 def _reference_point(spec, beta, tol):
-    """A continuum thermo point from every integral run on its own, one after
-    another, in the order of the sequential algorithm (plain callables; the
-    kernels are looked up on the thermo module at call time)."""
+    """An independent continuum point, (f, f budget, eps, eps budget): each
+    s-integral as plain integrate calls to tol/4 on [0, mid], [mid, 2] and
+    [2, s_max] (mid = min(1/2, 40/kappa)), with the closed-form pole
+    windows, and Im f as the quadrature of the phase on [0, mid] and
+    [mid, 1]; eps adds the bound on ln zeta past s_max."""
     lam, vol = spec.rate, spec.volume
     kappa = lam / beta
     mid = min(0.5, 40.0 / kappa)
     s_max = max(4.0, math.log(1e18) / (kappa + math.log(2.0)))
 
-    def log_zeta_integrals(weight, window):
-        # weight L on [0, mid] and [mid, 2], weight ln zeta on [2, s_max],
-        # plus the closed-form window
+    def log_zeta_integral(weight, window):
+        # weight ln|zeta|: L on [0, 2], ln zeta past 2, and the window
         def regular(sv):
-            return weight(sv) * th._log_regular_zeta_real_many(sv)
+            return weight(sv) * nk._log_regular_zeta_real_many(sv)
 
         def tail(sv):
-            return weight(sv) * (th._log_regular_zeta_real_many(sv) - np.log(sv - 1.0))
+            return weight(sv) * (nk._log_regular_zeta_real_many(sv) - np.log(sv - 1.0))
 
-        win = window(np.array([kappa]))
         parts = [
             q.integrate(regular, 0.0, mid, tol / 4.0),
             q.integrate(regular, mid, 2.0, tol / 4.0),
             q.integrate(tail, 2.0, s_max, tol / 4.0),
         ]
-        return parts[0].value + parts[1].value + parts[2].value + float(win[0]), parts
+        value = sum(r.value for r in parts) + float(window(np.array([kappa]))[0])
+        return value, sum(r.abs_error for r in parts)
 
-    def im_f(sv):
-        return np.exp(-kappa * sv) * math.pi
-
-    re_val, re = log_zeta_integrals(lambda sv: np.exp(-kappa * sv), th._pole_log_window)
-    im = [q.integrate(im_f, 0.0, mid, tol / 4.0), q.integrate(im_f, mid, 1.0, tol / 4.0)]
-    pref = -lam / (beta * beta * vol)
-    f = complex(pref * re_val, pref * (im[0].value + im[1].value))
-
-    total, parts = log_zeta_integrals(
+    pref = lam / (beta * beta * vol)
+    re, re_err = log_zeta_integral(lambda sv: np.exp(-kappa * sv), th._pole_log_window)
+    im = [
+        q.integrate(lambda sv: np.exp(-kappa * sv) * math.pi, a, b, tol / 4.0)
+        for a, b in ((0.0, mid), (mid, 1.0))
+    ]
+    f = complex(-pref * re, -pref * (im[0].value + im[1].value))
+    f_err = pref * (re_err + im[0].abs_error + im[1].abs_error)
+    total, err = log_zeta_integral(
         lambda sv: (1.0 - kappa * sv) * np.exp(-kappa * sv), th._energy_pole_window
     )
     decay = kappa + math.log(2.0)
-    err = 5.0 / 3.0 * math.exp(-decay * s_max) * (1.0 + kappa * (s_max + 1.0 / decay)) / decay
-    err += sum(r.abs_error for r in parts)
-    if err > max(tol, 1e-12) * 50.0:
-        raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
-    eps = lam / (beta * beta * vol) * total
-    flags = frozenset({"complex_branch_active"}) if f.imag != 0.0 else frozenset()
-    return th.ThermoPoint(
-        beta,
-        f,
-        eps,
-        beta * (eps - f.real),
-        flags,
-        (abs(pref) * sum(r.abs_error for r in re + im), lam / (beta * beta * vol) * err),
-        all(r.converged for r in re + im + parts),
-    )
+    err += 5.0 / 3.0 * math.exp(-decay * s_max) * (1.0 + kappa * (s_max + 1.0 / decay)) / decay
+    return f, f_err, pref * total, pref * err
 
 
 def _scan_cases():
@@ -582,8 +570,19 @@ class TestThermoScan:
             spec = th.EnsembleSpec.continuum(lam)
             betas = np.linspace(b_lo, b_hi, steps) if steps > 1 else np.array([b_lo])
             scan = th.thermo_scan(spec, betas, tol)
-            assert scan == [_reference_point(spec, float(b), tol) for b in betas]
+            assert scan == [th.thermo_point(spec, float(b), tol) for b in betas]
             assert all(0.0 < e < math.inf for p in scan for e in p.abs_error)
+
+    def test_within_the_budgets_of_an_independent_reference(self):
+        # plain integrate calls on other panels agree within the two budgets
+        for lam, b_lo, b_hi, steps, tol in _scan_cases():
+            spec = th.EnsembleSpec.continuum(lam)
+            betas = np.linspace(b_lo, b_hi, steps) if steps > 1 else np.array([b_lo])
+            for point in th.thermo_scan(spec, betas, tol):
+                f, f_err, eps, eps_err = _reference_point(spec, point.beta, tol)
+                assert abs(point.f.real - f.real) <= point.abs_error[0] + f_err
+                assert abs(point.f.imag - f.imag) <= point.abs_error[0] + f_err
+                assert abs(point.eps - eps) <= point.abs_error[1] + eps_err
 
     def test_equals_thermo_point_and_public_parts(self):
         spec = th.EnsembleSpec.continuum(0.3, volume=2.0)
@@ -602,49 +601,41 @@ class TestThermoScan:
         assert th.thermo_point(SINGLE, 2.0).abs_error is None
 
     @staticmethod
-    def mark_one_tail_unconverged(monkeypatch, which):
-        """Patch integrate_steps so that the which-th integral starting at
-        s = 2 reports converged=False; a point starts that of f, then that
-        of eps.  Returns the list of tail results seen."""
-        original = th.integrate_steps
-        tails = []
+    def mark_one_row_unconverged(monkeypatch, which):
+        """Patch integrate_rows so that row `which` of each call reports
+        converged=False; a point's rows are Re f, Im f and eps."""
+        original = th.integrate_rows
 
-        def tail_unconverged(integrand, a, b, *args, **kwargs):
-            res = yield from original(integrand, a, b, *args, **kwargs)
-            if a != 2.0:
-                return res
-            tails.append(res)
-            return dataclasses.replace(res, converged=False) if len(tails) - 1 == which else res
+        def marked(*args, **kwargs):
+            results = original(*args, **kwargs)
+            if which < len(results):
+                results[which] = dataclasses.replace(results[which], converged=False)
+            return results
 
-        monkeypatch.setattr(th, "integrate_steps", tail_unconverged)
-        return tails
+        monkeypatch.setattr(th, "integrate_rows", marked)
 
     def test_unconverged_integral_reaches_the_point(self, monkeypatch):
-        # one integral of f misses its tolerance: the point says so, and
-        # its values are those of the converged run
+        # the row of Re f at the second of three betas misses its tolerance:
+        # that point says so in `converged` and its flags, and every value
+        # is that of the converged run
         spec = th.EnsembleSpec.continuum(0.3)
-        expected = th.thermo_point(spec, 1.2, 1e-9)
-        tails = self.mark_one_tail_unconverged(monkeypatch, 0)
-        point = th.thermo_point(spec, 1.2, 1e-9)
-        assert len(tails) == 2
-        assert not point.converged
-        assert (point.f, point.eps, point.abs_error) == (expected.f, expected.eps, expected.abs_error)
+        expected = th.thermo_scan(spec, [0.9, 1.2, 1.5], 1e-9)
+        self.mark_one_row_unconverged(monkeypatch, 3)
+        scan = th.thermo_scan(spec, [0.9, 1.2, 1.5], 1e-9)
+        assert [p.converged for p in scan] == [True, False, True]
+        assert scan[1].flags == {"complex_branch_active", "unconverged"}
+        assert scan[1] == dataclasses.replace(expected[1], flags=scan[1].flags, converged=False)
+        assert [scan[0], scan[2]] == [expected[0], expected[2]]
 
     def test_unconverged_energy_integral_reaches_the_point(self, monkeypatch):
-        # the same for an integral of eps, which f does not share
+        # the same for the row of eps, which f does not share
         spec = th.EnsembleSpec.continuum(0.3)
-        expected = th.thermo_point(spec, 1.2, 1e-9)
-        tails = self.mark_one_tail_unconverged(monkeypatch, 1)
-        point = th.thermo_point(spec, 1.2, 1e-9)
-        assert len(tails) == 2
-        assert not point.converged
-        assert (point.f, point.eps, point.abs_error) == (expected.f, expected.eps, expected.abs_error)
-        # run alone, f then eps: only the integral of eps is marked
-        tails.clear()
-        _, _, f_converged = q.serve(th._free_energy_steps(spec, 1.2, 1e-9))
-        assert f_converged
-        eps, eps_err, eps_converged = q.serve(th._energy_steps(spec, 1.2, 1e-9))
-        assert (eps, eps_err, eps_converged) == (expected.eps, expected.abs_error[1], False)
+        expected = th.thermo_scan(spec, [0.9, 1.2, 1.5], 1e-9)
+        self.mark_one_row_unconverged(monkeypatch, 5)
+        scan = th.thermo_scan(spec, [0.9, 1.2, 1.5], 1e-9)
+        assert [p.converged for p in scan] == [True, False, True]
+        assert scan[1] == dataclasses.replace(expected[1], flags=scan[1].flags, converged=False)
+        assert "unconverged" in scan[1].flags
 
     def test_kernel_calls_of_a_continuum_scan(self, monkeypatch):
         sizes = []
@@ -657,9 +648,36 @@ class TestThermoScan:
         monkeypatch.setattr(nk, "_hurwitz_em", counted)
         th.thermo_scan(CONT, np.linspace(0.5, 4.0, 8), 1e-8)
         assert len(sizes) <= 25
-        # no kernel call may take more than 1024 nodes; rounds here hold at
-        # most ~720, and the cut into chunks is tested in test_quadrature.py
+        # one call per round, on the panels no row has asked for before
         assert max(sizes) <= 1024
+
+    @pytest.mark.parametrize(
+        "grid,tol,most",
+        [
+            ((1.0, 0.05, 20.0, 200), 1e-8, 2000),
+            ((1.0, 0.5, 4.0, 8), 1e-8, 2000),
+            ((0.01, 0.05, 20.0, 40), 1e-12, 6000),
+            ((100.0, 0.05, 20.0, 40), 1e-12, 6000),
+        ],
+    )
+    def test_each_node_once(self, monkeypatch, grid, tol, most):
+        # L is evaluated once per distinct panel of the scan: no s reaches
+        # the kernel twice, and the 200-step scan of the CLI's default
+        # tolerance costs at most 2000 nodes (76,080 with one set of
+        # integrals per beta)
+        sent = []
+        original = th._log_regular_zeta_real_many
+
+        def recorded(s, *args):
+            sent.append(np.array(s))
+            return original(s, *args)
+
+        monkeypatch.setattr(th, "_log_regular_zeta_real_many", recorded)
+        lam, b_lo, b_hi, steps = grid
+        th.thermo_scan(th.EnsembleSpec.continuum(lam), np.linspace(b_lo, b_hi, steps), tol)
+        nodes = np.concatenate(sent)
+        assert np.unique(nodes).size == nodes.size
+        assert nodes.size <= most
 
     def test_discrete_scan_is_a_loop_of_points(self):
         spec = _random_spec(8, 20)
@@ -674,14 +692,15 @@ class TestThermoScan:
                 th.thermo_point(sp, beta)
         assert th.thermo_scan(CONT, []) == []
 
-    # the first failing node lies in an integral of eps for (307, 311) and
-    # (911, 541), and of f for the others
+    # a beta-by-beta loop first meets a poisoned node at the second beta (in
+    # its first round, then its second), the fourth (second round, then
+    # first) and the first
     @pytest.mark.parametrize(
-        "moduli", [(307, 311), (20011, 1999), (797, 104729), (53, 97), (911, 541)]
+        "moduli", [(37, 53), (53, 131), (53, 101), (53, 97), (3, 5)]
     )
     def test_first_error_is_the_sequential_one(self, monkeypatch, moduli):
         # a kernel that fails on a pseudo-random set of nodes: the scan raises
-        # what a beta-by-beta loop, f before eps, raises first
+        # what a beta-by-beta loop of thermo_point raises first
         # L is the only kernel behind f and eps; it fails where the node's
         # bits are a multiple of either modulus
         kernel = th._log_regular_zeta_real_many
@@ -698,7 +717,7 @@ class TestThermoScan:
         betas = [0.3, 0.7, 1.1, 2.0, 3.5, 6.0]
         with pytest.raises(AccuracyError) as sequential:
             for b in betas:
-                _reference_point(CONT, b, 1e-9)
+                th.thermo_point(CONT, b, 1e-9)
         with pytest.raises(AccuracyError) as batched:
             th.thermo_scan(CONT, betas, 1e-9)
         assert str(batched.value) == str(sequential.value)
@@ -805,15 +824,17 @@ class TestEnergyConvergence:
         # sum of their budgets
         spec = th.EnsembleSpec.continuum(lam)
         for beta in GRID_BETAS[::2]:
-            eps, budget, _ = q.serve(th._energy_steps(spec, float(beta), 1e-9))
+            ((_, eps, _, (_, budget), _),) = th._continuum(spec, [float(beta)], 1e-9, (th._EPS,))
             pv, pv_budget = _principal_value_energy(lam, float(beta), 1e-9)
             assert abs(eps - pv) <= budget + pv_budget
 
 
 class TestKernelContract:
-    """The batch engine concatenates the nodes of many integrals into one
-    kernel call, cut into chunks: a kernel's value at s must not depend on
-    the batch around it."""
+    """integrate_rows concatenates the nodes of many panels into one kernel
+    call: a kernel's value at s must not depend on the batch around it, nor
+    on where a cut into chunks of CHUNK nodes falls."""
+
+    CHUNK = 1024
 
     KERNELS = (nk._log_regular_zeta_real_many, nk._zeta_log_derivative_real_many)
 
@@ -831,8 +852,8 @@ class TestKernelContract:
         k = {
             "first": 0,
             "last": size - 1,
-            "chunk_end": min(q._MAX_BATCH - 1, size - 1),
-            "chunk_start": min(q._MAX_BATCH, size - 1),
+            "chunk_end": min(self.CHUNK - 1, size - 1),
+            "chunk_start": min(self.CHUNK, size - 1),
             "random": int(rng.integers(0, size)),
         }[where]
         batch[k] = s
@@ -840,7 +861,7 @@ class TestKernelContract:
             alone = kernel(np.array([s]))[0]
             whole = kernel(batch)
             chunked = np.concatenate(
-                [kernel(batch[i : i + q._MAX_BATCH]) for i in range(0, size, q._MAX_BATCH)]
+                [kernel(batch[i : i + self.CHUNK]) for i in range(0, size, self.CHUNK)]
             )
             assert whole[k] == alone
             assert np.array_equal(whole, chunked)
