@@ -1,32 +1,38 @@
 """Adaptive quadrature with explicit error accounting.
 
 Panel rule: embedded Gauss(7)/Kronrod(15) pair; the reported panel error is
-the raw |K15 - G7| difference, which is deliberately conservative so that the
-returned ``abs_error`` bounds the true error on well-behaved integrands.
+the raw |K15 - G7| difference plus a rounding floor of 50 eps |K15|, which
+is deliberately conservative so that the returned ``abs_error`` bounds the
+true error on well-behaved integrands.
 
-Integrands must be vectorized and elementwise: they receive one 1-d numpy
-array holding the nodes of many panels at once (every panel of the initial
-grid, or both halves of a split panel) and return an array of the same
-length whose k-th value depends on the k-th node alone (real or complex).
-
-Four entry points:
-  * ``integrate``            finite interval, optional endpoint-log grading;
-  * ``integrate_exp_weight`` integrals of g against a normalized exponential
-                             density on [0, inf);
-  * ``principal_value``      Cauchy principal values through a simple pole,
-                             by symmetric subtraction of the smooth factor,
-                             as plain ``integrate`` calls on either side;
-  * ``integrate_rows``       many real integrals of weight(row, s) kernel(s)
-                             at once, on the panels of one dyadic tree, with
-                             the kernel evaluated once per distinct panel.
-
-Rows.  ``integrate_rows`` refines each row on its own leaves, by its own
+One engine.  ``integrate_rows`` integrates many real rows at once, the
+integrals of weight(row, s) kernel(s), or of the weight alone, on the
+panels of one dyadic tree.  Each row refines on its own leaves, by its own
 weight and tolerance, and sums its value and error over them in s order.
-Its panels are dyadic intervals [k 2^e, (k+1) 2^e], so rows that need the
-same panel share its nodes bit for bit; one call keeps the kernel values
-per panel, and each round makes one kernel call for the panels no row has
+Each round splits every leaf whose error exceeds its share of the row's
+tolerance, except a leaf at its rounding floor, which a split cannot lower,
+and a leaf at the depth limit; a leaf that ends at 0 has no depth limit, so
+an integrable singularity belongs at s = 0.  A row that cannot meet its
+tolerance ends with ``converged`` False and its true error estimate; one
+that needs more than ``_MAX_PANELS`` leaves raises ConvergenceError.
+
+Panels are dyadic intervals [k 2^e, (k+1) 2^e], so rows that need the same
+panel share its nodes bit for bit; one call keeps the kernel values per
+panel, and each round makes one kernel call for the panels no row has
 asked for before.  So a row returns the same QuadResult whatever rows run
 beside it.
+
+The other entry points are views of it, for real elementwise integrands
+that receive one 1-d array holding the nodes of all the panels of a round
+and return an array of the same length whose k-th value depends on the
+k-th node alone:
+  * ``integrate``            one row on [a, b], starting from that panel;
+  * ``integrate_exp_weight`` integrals of g against a normalized exponential
+                             density on [0, inf), one row on panels graded
+                             toward 0;
+  * ``principal_value``      Cauchy principal values through a simple pole,
+                             by symmetric subtraction of the smooth factor,
+                             as plain ``integrate`` calls on either side.
 """
 
 from __future__ import annotations
@@ -82,8 +88,6 @@ _WK = np.array([w for w in _WGK[:-1]] + [_WGK[-1]] + [w for w in reversed(_WGK[:
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WGAUSS = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
 
-_GRADE_LEVELS = 60  # geometric grading (ratio 1/2) toward a log endpoint
-
 # rounding floor added to each panel's |K15 - G7|, relative to |K15|
 _PANEL_ROUNDING = 50.0 * np.finfo(float).eps
 
@@ -113,114 +117,36 @@ def _gk15(lo, hi, y):
     return h * np.sum(_WK * y, axis=1), h * np.sum(_WGAUSS * gauss, axis=1)
 
 
-def _panels(f, edges):
-    """One GK15 pass over each panel [edges[i], edges[i+1]], with one call of
-    f on the nodes of all of them.  Returns a list of (lo, hi, I15,
-    err_est), one per panel, in the order of the edges."""
-    lo = np.asarray(edges[:-1], dtype=np.float64)
-    hi = np.asarray(edges[1:], dtype=np.float64)
-    x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
-    y = np.asarray(f(x.reshape(-1))).reshape(x.shape)
-    i15, i7 = _gk15(lo, hi, y)
-    return [
-        (a, b, k15, abs(k15 - g7) + _PANEL_ROUNDING * abs(k15))
-        for a, b, k15, g7 in zip(edges[:-1], edges[1:], i15.tolist(), i7.tolist())
-    ]
-
-
-def _graded_edges(a: float, b: float, singular_left: bool, singular_right: bool):
-    """Panel edges for [a, b], geometrically graded (ratio 1/2) toward
-    flagged endpoints.  Grading stops once panels are so narrow that the
-    quadrature nodes would round onto the endpoint; the uncovered sliver is
-    returned so the caller can fold a bound on it into the error estimate.
-
-    Returns (edges, slivers) where slivers is a list of (endpoint, width,
-    direction) with direction +1 when the singularity is at the left edge."""
-    if not (singular_left or singular_right):
-        return [a, b], []
-    width = b - a
-    if singular_left and singular_right:
-        mid = a + 0.5 * width
-        left, sl = _graded_edges(a, mid, True, False)
-        right, sr = _graded_edges(mid, b, False, True)
-        return left + right[1:], sl + sr
-    # keep the innermost node at least ~16 ulp away from the endpoint
-    scale = max(1.0, abs(a), abs(b))
-    w_stop = max(16.0 * np.finfo(float).eps * scale / 0.004, width * 2.0 ** (-_GRADE_LEVELS))
-    levels = max(1, min(_GRADE_LEVELS, int(math.floor(math.log2(width / w_stop)))))
-    offsets = [width * 0.5**k for k in range(1, levels + 1)]
-    if singular_left:
-        edges = [a + off for off in reversed(offsets)] + [b]
-        slivers = [(a, offsets[-1], +1)]
-    else:
-        edges = [a] + [b - off for off in offsets]
-        slivers = [(b, offsets[-1], -1)]
-    return edges, slivers
-
-
-def integrate(
-    f,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    singular_left: bool = False,
-    singular_right: bool = False,
-    max_panels: int = 4096,
-    rel_tol: float = 0.0,
-) -> QuadResult:
-    """Adaptive bisection of [a, b] until the summed |K15 - G7| estimates
-    drop below max(tol, rel_tol |value|)/2.  Integrable endpoint (log-type)
-    singularities should be flagged so the panels are graded toward them."""
+def integrate(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
+    """integral_a^b f for a real elementwise f: one row of integrate_rows,
+    with weight f and no kernel, that starts from the single panel [a, b].
+    A panel that ends at 0 keeps splitting while its error is above its
+    share, so an integrable singularity belongs at a = 0 or b = 0."""
     if not a < b:
         raise DomainError("integrate requires a < b")
-    edges, slivers = _graded_edges(a, b, singular_left, singular_right)
-    evals = 0
-    sliver_bound = 0.0
-    for endpoint, delta, direction in slivers:
-        # integrable singularity: bound the uncovered sliver by 3 * width *
-        # |f| sampled just inside the first resolved panel
-        probe = endpoint + direction * 0.6 * delta
-        fval = np.asarray(f(np.array([probe])))[0]
-        evals += 1
-        sliver_bound += 3.0 * delta * abs(complex(fval))
-    panels = _panels(f, edges)
-    evals += 15 * len(panels)
+    return _row(f, [a, b], tol)
 
-    min_width = (b - a) * 1e-14
-    while True:
-        total_err = sum(p[3] for p in panels)
-        if total_err <= 0.5 * max(tol, rel_tol * abs(sum(p[2] for p in panels))):
-            break
-        # split the worst panel that is still splittable
-        worst = max(
-            (p for p in panels if (p[1] - p[0]) > min_width),
-            key=lambda p: p[3],
-            default=None,
-        )
-        if worst is None:
-            break
-        if len(panels) >= max_panels:
-            raise ConvergenceError(
-                f"integrate: {max_panels}-panel budget exhausted "
-                f"(err={total_err:.3e}, tol={tol:.3e})"
-            )
-        panels.remove(worst)
-        lo, hi = worst[0], worst[1]
-        panels.extend(_panels(f, [lo, 0.5 * (lo + hi), hi]))
-        evals += 30
 
-    panels.sort(key=lambda p: p[0])
-    value = sum(p[2] for p in panels)
-    abs_error = float(sum(p[3] for p in panels)) + sliver_bound
-    return QuadResult(value, abs_error, evals, abs_error <= max(tol, rel_tol * abs(value)))
+def _row(f, edges, tol: float) -> QuadResult:
+    """The integral of f over [edges[0], edges[-1]] as one row without
+    kernel, starting from the panels between the edges."""
+
+    def weight(rows, x):
+        y = np.asarray(f(x.reshape(-1)))
+        if np.iscomplexobj(y):
+            raise DomainError("integrand must be real")
+        return np.asarray(y, dtype=np.float64).reshape(x.shape)
+
+    return integrate_rows(None, weight, [np.asarray(edges, dtype=np.float64)], [tol], [False])[0]
 
 
 def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
-    """integral_0^inf g(w) * rate * exp(-rate w) dw.
+    """integral_0^inf g(w) * rate * exp(-rate w) dw for a real g.
 
-    The density is integrated exactly over [0, 40/rate]; the remainder is
-    bounded by exp(-40) times a sampled bound on |g| and folded into the
-    error estimate.  g must grow sub-exponentially."""
+    The density is integrated exactly over [0, 40/rate], from panels graded
+    toward 0 in rate w; the remainder is bounded by exp(-40) times a sampled
+    bound on |g| and folded into the error estimate.  g must grow
+    sub-exponentially."""
     if not rate > 0.0:
         raise DomainError("rate must be positive")
     cutoff = 40.0 / rate
@@ -229,13 +155,15 @@ def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
     g60 = float(probes[2])
     if g60 > 1e6 * (1.0 + g40):
         raise DomainError("integrand grows too fast for the exponential weight")
-    res = integrate(lambda w: np.asarray(g(w)) * (rate * np.exp(-rate * w)), 0.0, cutoff, tol)
+    edges = np.append(dyadic_edges(-3, 5), 40.0) / rate
+    res = _row(lambda w: np.asarray(g(w)) * (rate * np.exp(-rate * w)), edges, tol)
     tail = 4.0 * (float(np.max(probes)) + 1e-300) * math.exp(-40.0)
     return QuadResult(res.value, res.abs_error + tail, res.evaluations + 3, res.converged)
 
 
 def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> QuadResult:
-    """PV integral of h(x) / (x - pole) over (a, b), a < pole < b.
+    """PV integral of h(x) / (x - pole) over (a, b), a < pole < b, for a
+    real h.
 
     Uses the symmetric subtraction
       PV = int (h(x) - h(pole)) / (x - pole) dx + h(pole) ln((b-pole)/(pole-a)),
@@ -251,9 +179,7 @@ def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> Q
     if not pole < b_eff:
         raise DomainError("principal_value requires a < pole < b")
 
-    h_pole = complex(np.asarray(h(np.array([pole])))[0])
-    if h_pole.imag == 0.0:
-        h_pole = h_pole.real
+    h_pole = np.asarray(h(np.array([pole])))[0].item()
 
     def smooth(x):
         if np.any(x == pole):
@@ -341,12 +267,14 @@ def integrate_rows(kernel, weight, edges, tols, with_kernel) -> list[QuadResult]
 
     kernel is a real elementwise kernel on a 1-d array of s; weight(rows, x)
     gives the real weights of the given rows at the nodes x, one row of x
-    per panel.  Row r starts from the panels between its edges, which
-    should be dyadic intervals (see ``dyadic_edges``), and each round splits
+    per panel; kernel may be None when no row uses it.  Row r starts from
+    the panels between its edges, which should be dyadic intervals where
+    the row uses the kernel (see ``dyadic_edges``), and each round splits
     every leaf whose error exceeds its share tols[r]/(2 n) of the n leaves,
     until the summed estimates are within tols[r]/2 or no such leaf can be
-    split (then ``converged`` is whether they are within tols[r]).  A row
-    needing more than ``_MAX_PANELS`` leaves raises ConvergenceError."""
+    split, being at its rounding floor or at the depth limit (then
+    ``converged`` is whether they are within tols[r]).  A row needing more
+    than ``_MAX_PANELS`` leaves raises ConvergenceError."""
     tols = np.asarray(tols, dtype=np.float64)
     with_kernel = np.asarray(with_kernel, dtype=bool)
     table = _kernel_table(kernel)
@@ -385,7 +313,10 @@ def _refine(table, weight, edges, tols, with_kernel, first_row):
         total = np.bincount(r, weights=e, minlength=n)
         done = total <= 0.5 * tols
         wide = b - a > np.ldexp(np.maximum(-a, b), -_MAX_DEPTH)
-        split = ~done[r] & (e * 2.0 * count[r] > tols[r]) & wide
+        # a leaf at its rounding floor, |K15 - G7| <= _PANEL_ROUNDING |K15|,
+        # is not split: its halves would carry the same floor
+        above_floor = e > 2.0 * _PANEL_ROUNDING * np.abs(v)
+        split = ~done[r] & (e * 2.0 * count[r] > tols[r]) & wide & above_floor
         n_split = np.bincount(r[split], minlength=n)
         over = (count > 0) & (n_split > 0) & (count + n_split > _MAX_PANELS)
         if over.any():

@@ -47,7 +47,7 @@ from .numkernel import (
     digamma,
     zeta_log_derivative,
 )
-from .quadrature import integrate
+from .quadrature import _PANEL_ROUNDING, dyadic_edges, integrate_rows
 from .zerofinder import ZeroTable, _gram_points
 
 __all__ = [
@@ -262,11 +262,20 @@ def mellin_j(s: complex, t: float, tol: float = 1e-10) -> complex:
     """J(s, t) = integral_0^inf (zeta'/zeta)(1/2 + t + y) y^(-s) dy for
     -6 < Re s < 1, along a ray starting right of the pole (1/2 + t > 1).
 
-    The y -> 0 endpoint is flattened by the substitution y = u^(1/(1-Re s));
-    the ray is truncated where the Dirichlet decay of zeta'/zeta makes the
-    remainder negligible, and that remainder bound is absorbed into the
-    quadrature error.  Further left J grows like Gamma(1 - Re s) and, near
-    the pole, the absolute tolerance is out of reach of double precision."""
+    In u = y^(1 - Re s) the y -> 0 endpoint is flattened: with
+    p = 1/(1 - Re s) and g = zeta'/zeta, J is the integral of the real
+    kernel p g(1/2 + t + u^p) against u^(-i p Im s).  Its real and imaginary
+    parts are two rows of one integrate_rows call, with the weights
+    cos(p Im s ln u) and -sin(p Im s ln u), and a third row of weight 1
+    gives the magnitude |J(Re s, t)| of the integrand (g < 0); for real s
+    the one row of weight 1 is J.  The rows start from dyadic panels above
+    a head [0, u0] that is taken in closed form, since u^(-i p Im s)
+    oscillates without end there, and the ray is truncated where the
+    Dirichlet decay of g makes the remainder negligible.  Raises
+    AccuracyError when the summed error estimate exceeds both tol and twice
+    the rows' rounding floors.  Further left J grows like Gamma(1 - Re s)
+    and, near the pole, the absolute tolerance is out of reach of double
+    precision."""
     s = complex(s)
     if not s.real < 1.0:
         raise DomainError("mellin_j requires Re s < 1")
@@ -276,30 +285,46 @@ def mellin_j(s: complex, t: float, tol: float = 1e-10) -> complex:
     if not x0 > 1.0:
         raise DomainError("integration ray passes through the pole: need 1/2 + t > 1")
 
-    p = 1.0 / (1.0 - s.real)
+    sigma = s.real
+    p = 1.0 / (1.0 - sigma)
     # truncation point: extend past 60 until 2^-y y^(-Re s) is negligible
     y_cut = 60.0
-    while 2.0**-y_cut * y_cut ** (-s.real) > 1e-18 and y_cut < 4000.0:
+    while 2.0**-y_cut * y_cut ** (-sigma) > 1e-18 and y_cut < 4000.0:
         y_cut *= 1.3
-    u_cut = y_cut ** (1.0 / p)
-
-    exponent = p * (1.0 - s) - 1.0  # purely imaginary part survives for complex s
-
-    def integrand(u):
-        u = np.asarray(u, dtype=np.float64)
-        y = u**p
-        vals = _zeta_log_derivative_real_many(x0 + y)
-        phase = np.exp(exponent * np.log(u)) if s.imag != 0.0 else np.ones_like(u)
-        return p * vals * phase
-
-    res = integrate(integrand, 0.0, u_cut, tol, singular_left=True)
     # truncated-ray remainder, bounded by the Dirichlet decay of zeta'/zeta;
     # the cutoff loop above pushed it below double precision unless capped
-    if not 3.0 * 2.0 ** (-(x0 + y_cut)) * y_cut ** (-s.real) < 1e-15:
+    if not 3.0 * 2.0 ** (-(x0 + y_cut)) * y_cut ** (-sigma) < 1e-15:
         raise AccuracyError(f"mellin_j: ray cut at y = {y_cut:.4g} leaves a remainder")
-    value = complex(res.value)
-    if s.imag == 0.0:
-        return complex(value.real, 0.0)
+    u_cut = y_cut ** (1.0 / p)
+
+    # the head u < u0 = 2^first, where y0 = u0^p has y0^(2 - Re s) <= 2^-64:
+    # g is increasing right of the pole, so the head is the integral of
+    # p g(x0) u^(-i omega), up to (g(x0 + y0) - g(x0)) p u0
+    first = math.floor(-64.0 * (1.0 - sigma) / (2.0 - sigma))
+    u0 = 2.0**first
+    omega = p * s.imag
+    g0, g1 = _zeta_log_derivative_real_many(np.array([x0, x0 + u0**p])).tolist()
+    head = p * g0 * u0 ** complex(1.0, -omega) / complex(1.0, -omega)
+    head_bound = (g1 - g0) * p * u0
+
+    def kernel(u):
+        return p * _zeta_log_derivative_real_many(x0 + u**p)
+
+    def weight(rows, u):
+        phase = omega * np.log(u)
+        return np.choose(rows[:, None], (np.ones_like(phase), np.cos(phase), -np.sin(phase)))
+
+    # the panels [2^k, 2^(k+1)] from u0 on, and the last one ends at u_cut
+    edges = np.append(dyadic_edges(first, math.ceil(math.log2(u_cut)) - 1)[1:], u_cut)
+    n = 1 if s.imag == 0.0 else 3
+    rows = integrate_rows(kernel, weight, [edges] * n, [tol / min(n, 2)] * n, [True] * n)
+    parts = rows[1:] if n == 3 else rows
+    value = complex(parts[0].value, parts[1].value if n == 3 else 0.0) + head
+    # each row's rounding floor is 2 _PANEL_ROUNDING times the sum of its
+    # |K15|, at most the integral of the magnitude, |rows[0].value|
+    error = sum(r.abs_error for r in parts) + head_bound
+    if error > max(tol, 4.0 * _PANEL_ROUNDING * abs(rows[0].value) * len(parts)):
+        raise AccuracyError(f"mellin_j: error estimate {error:.3e} exceeds tol {tol:.3e} at s = {s!r}, t = {t!r}")
     return value
 
 

@@ -64,7 +64,7 @@ from .numkernel import (
     _zeta_em_many,
     zeta,
 )
-from .quadrature import dyadic_edges, integrate, integrate_exp_weight, integrate_rows
+from .quadrature import dyadic_edges, integrate_exp_weight, integrate_rows
 from .superzeta import (
     EXPANSION_CONSTANT,
     SuperzetaParams,
@@ -577,15 +577,17 @@ def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, 
     """The pair integrals past the table as the integral of I against the
     zero density (1/2pi) ln(gamma/2pi) from T* on, with its bound: the
     quadrature error plus 2 |S| |I(T*)| for the counting fluctuation.  In
-    gamma = T*/v^2 the integrand vanishes like v ln(1/v) at v = 0, and
-    rel_tol keeps a large tail clear of the panels' rounding floor."""
+    gamma = T*/v^2 the integrand vanishes like v ln(1/v) at v = 0; it is
+    one row of integrate_rows on [0, 1], from dyadic panels graded toward
+    v = 0."""
     t_star = _tail_start(count)
 
-    def integrand(v):
+    def weight(rows, v):
         gam = t_star / (v * v)
-        return _pair_integrals(gam, beta, lam) * np.log(gam / (2.0 * math.pi)) * gam / (math.pi * v)
+        pair = _pair_integrals(gam.reshape(-1), beta, lam).reshape(v.shape)
+        return pair * np.log(gam / (2.0 * math.pi)) * gam / (math.pi * v)
 
-    res = integrate(integrand, 0.0, 1.0, tol, singular_left=True, rel_tol=1e-12)
+    (res,) = integrate_rows(None, weight, [dyadic_edges(-20, 0)], [tol], [False])
     edge = abs(float(_pair_integrals([t_star], beta, lam)[0]))
     return res.value, res.abs_error + 2.0 * _S_FLUCTUATION * edge
 

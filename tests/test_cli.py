@@ -267,7 +267,10 @@ SPEC_ROWS = "# omega,probability\n1.0,0.5\n2.0,0.3\n3.5,0.2\n"
 # abs_error and toward the oracle (and toward a 30-digit eps3).  The eps
 # and entropy cells of the second, eighth and ninth moved when eps became an
 # integral of ln|zeta| in place of a principal value of zeta'/zeta: by at
-# most 4.9e-14, within the earlier eps budget
+# most 4.9e-14, within the earlier eps budget.  The three breakdowns moved
+# again when the eps3 tail and the eps5 integral became rows of the one
+# GK15 engine: abs_error by at most 1.6e-10, and the total of the third by
+# 2e-14, within its abs_error
 PINNED_DIGESTS = [
     (
         ("thermo", "--lam", "1", "--beta-min", "0.5", "--beta-max", "4", "--steps", "8"),
@@ -289,15 +292,15 @@ PINNED_DIGESTS = [
     ),
     (
         ("breakdown", "--lam", "1", "--beta", "1", "--zeros-count", "300"),
-        "4d7ca0a8753bed91d96e71ee8dbf4182a4fea730fde25da93aa9194f35c9004f",
+        "dd3d41582e6a0b42a1572e50bceffc128e57ab3a9931dc60016e4bbada44adfc",
     ),
     (
         ("breakdown", "--lam", "0.03", "--beta", "0.9", "--zeros-count", "500"),
-        "4f4f9f2bc015a9a7c75fdf371545916909773983a2ad96f4ccb4311d3d056ca6",
+        "37eb891ad6485a8fc8581e5f57614d82f04ad8f7483f8e1f06e59b1edbc2ad40",
     ),
     (
         ("breakdown", "--lam", "0.02", "--beta", "3", "--zeros-count", "500"),
-        "d3018c311e36071fab5f1545566c4adae5c74e0790042d4a8a4347ae326bd287",
+        "3317053854fcc444699ab60435f493b1fc93c5b81f745156729fbeae14ff7ca4",
     ),
     (
         ("thermo", "--lam", "1", "--beta-min", "0.05", "--beta-max", "20", "--steps", "200"),
@@ -398,6 +401,16 @@ class TestBreakdownCommand:
         payload = json.loads(out)
         assert abs(payload["total"] - payload["oracle"]) <= payload["abs_error"]
         assert np.isfinite(payload["thermal_printed"])
+
+    def test_tightest_tolerance(self, capsys):
+        # the smallest tolerance the CLI accepts: this exited 3 when the eps5
+        # integral filled its panel budget below its rounding floor
+        code, out, _ = run_cli(
+            capsys, "breakdown", "--lam", "0.01", "--beta", "1", "--tol", "1e-12", "--zeros-count", "300"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["total"] - payload["oracle"]) <= payload["abs_error"]
 
     def test_zeros_file_reuse(self, capsys, tmp_path):
         zfile = tmp_path / "z.csv"

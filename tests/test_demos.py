@@ -17,7 +17,7 @@ DEMO_DIGESTS = {
     "01_special_function_kernels.py": "a9c0c1b9da848bdd3a1f75b33f02eafe35da385b7c192cae9c39d44d283fdf23",
     "02_prime_gas_partition_functions.py": "3a5cd6e0de5a539468be0b468b8e05d615b10de04fc36dcd8745ac4d7421f4d6",
     "03_hunting_riemann_zeros.py": "789332c4fd32e7408a4f5287bb36e6cd9b6fb97cf65658891d1326b7a9f4f621",
-    "04_superzeta_cross_checks.py": "bee4583be410db66a356da914e323010ce51f1e700fac75b51d8fbd5440d6ea9",
+    "04_superzeta_cross_checks.py": "299c8ea03f61edad5f72349da0f5ae6ef02da2ec807c7571bcce8c29237fc6e9",
     "05_quenched_thermodynamics.py": "4e82d6d6a0608ba4958ebd36b0c87633075b2d54bd98d20657a3402310c9a495",
 }
 

@@ -1,5 +1,5 @@
-"""The gamma-family, exponential-integral and real-axis log-zeta kernels
-against mpmath at 30 digits.
+"""The gamma-family, exponential-integral and real-axis log-zeta kernels,
+and the Mellin transform of zeta'/zeta, against mpmath at 30 digits.
 
 Points are drawn by hypothesis over the advertised domains, including the
 neighbourhoods of the poles of Gamma and zeta, |Im z| up to 1e4, and both
@@ -11,6 +11,7 @@ the energy, which changes sign, to BOUND relative to the integral of its
 integrand's magnitude.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgas import numkernel as nk
+from rgas import superzeta as sz
 from rgas import thermo as th
 from rgas import zerofinder as zf
 
@@ -210,3 +212,51 @@ class TestRegularLogZeta:
             ref = float(-mp.quad(integrand, edges))
             mass = float(mp.quad(lambda s: abs(integrand(s)), edges))
         assert abs(value - ref) <= BOUND * mass
+
+
+@functools.lru_cache(maxsize=None)
+def _log_derivative_30(x0, y):
+    """(zeta'/zeta)(x0 + y) at 30 digits, kept per node: the quadratures of
+    one t share their nodes."""
+    return mp.zeta(x0 + y, derivative=1) / mp.zeta(x0 + y)
+
+
+@functools.lru_cache(maxsize=None)
+def mellin_reference(s, t):
+    """J(s, t) = int_0^inf g(1/2 + t + y) y^(-s) dy, g = zeta'/zeta, by
+    mpmath quadrature at 30 digits.  On [0, 1/2] the integrand less
+    g(1/2 + t) y^(-s), which integrates in closed form, vanishes at y = 0
+    for tanh-sinh; Gauss-Legendre takes the rest of the ray to y = 128,
+    past which g(1/2 + t + y) y^6 < 2^-120."""
+    with mp.workdps(30):
+        s, x0, a = mp.mpc(s.real, s.imag), mp.mpf(0.5) + t, mp.mpf(0.5)
+        g0 = _log_derivative_30(x0, mp.mpf(0))
+        head = mp.quad(lambda y: (_log_derivative_30(x0, y) - g0) * y ** (-s), [0, a])
+        body = mp.quad(
+            lambda y: _log_derivative_30(x0, y) * y ** (-s), [a, 2, 8, 32, 128], method="gauss-legendre"
+        )
+        return complex(head + g0 * a ** (1 - s) / (1 - s) + body)
+
+
+class TestMellinJ:
+    """mellin_j at real and complex s across -6 < Re s < 1, on rays that
+    start next to the pole (t = 0.6), at 2 and far right of it, held to
+    max(tol, 1e-13 |J|); test_superzeta.py holds s = -5.9 + 3i to the same
+    reference."""
+
+    POINTS = [
+        (complex(-5.9, 0.0), 0.6),
+        (complex(0.5, -4.0), 0.6),
+        (complex(0.9, 0.0), 0.6),
+        (complex(0.9, 2.0), 0.6),
+        (complex(-3.0, 0.0), 1.5),
+        (complex(-5.5, 1.0), 1.5),
+        (complex(0.5, 0.0), 1.5),
+        (complex(-0.5, 0.0), 20.0),
+    ]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("s,t", POINTS)
+    def test_against_mpmath(self, s, t, tol):
+        ref = mellin_reference(s, t)
+        assert abs(sz.mellin_j(s, t, tol) - ref) <= max(tol, 1e-13 * abs(ref))

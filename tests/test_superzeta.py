@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rgas import numkernel as nk
+from rgas import quadrature
 from rgas import superzeta as sz
-from rgas.errors import DomainError, PoleError
+from rgas.errors import AccuracyError, DomainError, PoleError
 
 import oracles
 
@@ -215,8 +216,23 @@ class TestMellin:
 
     @pytest.mark.parametrize("t", [0.6, 1.5, 20.0])
     def test_left_edge_finite(self, t):
-        j = sz.mellin_j(complex(-5.9, 3.0), t)
-        assert math.isfinite(j.real) and math.isfinite(j.imag)
+        # the far-left edge, where |J| ~ 1e3 and a sliver at u = 0 that was
+        # bounded but never added once moved J by up to 1.9: against the
+        # mpmath quadrature of test_differential.py at 30 digits
+        from test_differential import mellin_reference
+
+        s = complex(-5.9, 3.0)
+        ref = mellin_reference(s, t)
+        for tol in (1e-10, 1e-12):
+            assert abs(sz.mellin_j(s, t, tol) - ref) <= max(tol, 1e-13 * abs(ref))
+
+    @pytest.mark.parametrize("s,tol", [(0.0, 1e-13), (complex(-5.9, 3.0), 1e-10)])
+    def test_unconverged_rows_are_an_accuracy_error(self, monkeypatch, s, tol):
+        # rows whose leaves may not be split stop at their first panels,
+        # far above tol and their rounding floor
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
+        with pytest.raises(AccuracyError, match="mellin_j: error estimate"):
+            sz.mellin_j(s, 1.5, tol)
 
 
 class TestParamsValidation:

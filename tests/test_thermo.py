@@ -310,6 +310,15 @@ class TestEnergyBreakdown:
         with pytest.raises(DomainError):
             th.energy_breakdown(SINGLE, 2.0, zeros1000)
 
+    def test_tightest_tolerance_grid(self, zeros1000):
+        # at tol 1e-12 the eps5 integral asks for less than its rounding
+        # floor; it ends unconverged with that floor as its budget, where it
+        # once filled its panel budget and raised on 39 of these 63 points
+        for lam in np.logspace(-2.0, 2.0, 9):
+            for beta in np.geomspace(0.1, 100.0, 7):
+                bd = th.energy_breakdown(th.EnsembleSpec.continuum(float(lam)), float(beta), zeros1000, 1e-12)
+                assert abs(bd.total - bd.oracle) <= bd.abs_error
+
 
 class TestPrintedForms:
     def test_thermal_closed_form_value(self):
