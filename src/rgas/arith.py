@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HagedornError
-from .numkernel import DEFAULT_OPTIONS, EvalOptions, zeta
+from .numkernel import zeta
 
 __all__ = [
     "PrimeTable",
@@ -155,37 +155,35 @@ def dirichlet_inverse_zeta(s: float, n_terms: int) -> float:
     return float(np.sum(mu[1:].astype(np.float64) * n**-s))
 
 
-def _zeta_real(s: float, opts: EvalOptions) -> float:
-    return zeta(complex(s, 0.0), opts).real
+def _zeta_real(s: float) -> float:
+    return zeta(complex(s, 0.0)).real
 
 
-def partition_bosonic(beta_omega: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def partition_bosonic(beta_omega: float) -> float:
     """Z_B = zeta(beta omega); diverges at and below the pole."""
     if not beta_omega > 1.0:
         raise HagedornError(f"bosonic partition diverges for beta*omega = {beta_omega} <= 1")
-    return _zeta_real(beta_omega, opts)
+    return _zeta_real(beta_omega)
 
 
-def partition_fermionic(beta_omega: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def partition_fermionic(beta_omega: float) -> float:
     """Z_F = zeta(beta omega) / zeta(2 beta omega)."""
     if not beta_omega > 1.0:
         raise HagedornError(f"fermionic partition diverges for beta*omega = {beta_omega} <= 1")
-    return _zeta_real(beta_omega, opts) / _zeta_real(2.0 * beta_omega, opts)
+    return _zeta_real(beta_omega) / _zeta_real(2.0 * beta_omega)
 
 
-def partition_parafermion(beta_omega: float, r: int, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def partition_parafermion(beta_omega: float, r: int) -> float:
     """Z_r = zeta(beta omega) / zeta(r beta omega): at most r-1 quanta per
     mode.  r = 2 recovers the fermionic gas."""
     if r < 2:
         raise DomainError("parafermion order must be >= 2")
     if not beta_omega > 1.0:
         raise HagedornError(f"parafermion partition diverges for beta*omega = {beta_omega} <= 1")
-    return _zeta_real(beta_omega, opts) / _zeta_real(r * beta_omega, opts)
+    return _zeta_real(beta_omega) / _zeta_real(r * beta_omega)
 
 
-def mixture_identity_residual(
-    beta_omega: float, n_terms: int = 100_000, opts: EvalOptions = DEFAULT_OPTIONS
-) -> float:
+def mixture_identity_residual(beta_omega: float, n_terms: int = 100_000) -> float:
     """Residual of Z_F(x) Z_B(2x) = Z_B(x) at x = beta omega, with Z_F built
     independently from the Moebius series: Z_F = zeta(x) * sum mu(n) n^(-2x).
 
@@ -193,8 +191,8 @@ def mixture_identity_residual(
     zeta(2x)."""
     if not beta_omega > 1.0:
         raise HagedornError("mixture identity needs beta*omega > 1")
-    zb = _zeta_real(beta_omega, opts)
-    zb2 = _zeta_real(2.0 * beta_omega, opts)
+    zb = _zeta_real(beta_omega)
+    zb2 = _zeta_real(2.0 * beta_omega)
     zf_indep = zb * dirichlet_inverse_zeta(2.0 * beta_omega, n_terms)
     return abs(zf_indep * zb2 - zb)
 

@@ -347,10 +347,9 @@ def _validate_checks(tol: float, zeros_count: int):
         return zerofinder.find_zeros(zeros_count)
 
     def two_route(eff: float) -> float:
-        params = superzeta.SuperzetaParams(zero_table())
         worst = 0.0
         for t in (1.0, 1.5, 3.0):
-            zs = superzeta.g1_zero_sum(1.0, t, params)
+            zs = superzeta.g1_zero_sum(1.0, t, zero_table())
             ident = superzeta.g1_via_identity(t)
             excess = abs(zs.value - ident) - zs.tail.bound
             worst = max(worst, excess)

@@ -10,21 +10,23 @@ The private ``*_many`` kernels take 1-d numpy arrays (quadrature nodes,
 zero-search grids); these, the real-axis zeta and the exponential-integral
 kernels give each element the value it has alone.  The scalar zeta and
 gamma-family functions wrap them, as one call on a one-element array.
+The zeta family has one fixed accuracy target: the Euler-Maclaurin
+truncation estimate must be at most 1e-12, from a Dirichlet-sum cutoff of
+ceil(|Im s|/2) + 10 terms (at least 21) capped at 200,000; past either it
+raises AccuracyError.  From Re s = 1100 on, zeta is exactly 1 and zeta'
+exactly 0.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, PoleError
 
 __all__ = [
-    "EvalOptions",
-    "DEFAULT_OPTIONS",
     "zeta",
     "zeta_derivative",
     "log_zeta_principal",
@@ -75,43 +77,31 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 
-@dataclass(frozen=True)
-class EvalOptions:
-    """Accuracy request for the zeta-family kernels.
+# The one accuracy target of the zeta family: the Euler-Maclaurin truncation
+# estimate must be at most _TARGET_ABS_ERROR, with a Dirichlet-sum cutoff of
+# at most _MAX_TERMS terms; past either, AccuracyError.
+_TARGET_ABS_ERROR = 1e-12
+_MAX_TERMS = 200_000
 
-    ``target_abs_error`` is the absolute error the Euler-Maclaurin tail
-    estimate must reach; ``max_terms`` caps the truncated Dirichlet sum.
-    """
-
-    target_abs_error: float = 1e-12
-    max_terms: int = 200_000
-
-    def __post_init__(self) -> None:
-        if not self.target_abs_error >= 1e-14:
-            raise DomainError("target_abs_error must be >= 1e-14")
-        if self.max_terms < 16:
-            raise DomainError("max_terms must be >= 16")
-
-
-DEFAULT_OPTIONS = EvalOptions()
+# From here on 2^(-Re s) underflows, so every Dirichlet term past n = 1 and
+# every Euler-Maclaurin correction is 0.0: the sum reads zeta = 1, zeta' = 0.
+_UNIT_RE_S = 1100.0
 
 
 # ----------------------------------------------------------------------
 # Euler-Maclaurin core
 # ----------------------------------------------------------------------
 
-def _em_cutoff(im_max: float, base: float, opts: EvalOptions) -> int:
+def _em_cutoff(im_max: float, base: float) -> int:
     """Dirichlet-sum cutoff N = max(ceil(|Im s|/2) + 10, 20), shifted so the
     expansion point base + N is never below ~20.  N is checked against
-    ``max_terms`` while still a float, so a huge |Im s| cannot make a huge
+    ``_MAX_TERMS`` while still a float, so a huge |Im s| cannot make a huge
     int."""
     n = max(float(np.ceil(im_max / 2.0)) + 10.0, 20.0)
     if base < 20.0:
         n = max(n, float(np.ceil(22.0 - base)))
-    if not n <= opts.max_terms:
-        raise AccuracyError(
-            f"Euler-Maclaurin cutoff {n:.3g} exceeds max_terms={opts.max_terms}"
-        )
+    if not n <= _MAX_TERMS:
+        raise AccuracyError(f"Euler-Maclaurin cutoff {n:.3g} exceeds max_terms={_MAX_TERMS}")
     return int(n)
 
 
@@ -192,28 +182,33 @@ def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
     return value.reshape(shape), None, (est + floor).reshape(shape), floor.reshape(shape)
 
 
-def _check_est(est, floor, opts: EvalOptions, what: str) -> None:
+def _check_est(est, floor, what: str) -> None:
     # the gate fires on the truncation part only: the rounding floor is the
     # attainable accuracy at the operand scale and cannot be refined away by
     # adding terms (it matters near the pole and at the trivial zeros)
-    threshold = np.maximum(opts.target_abs_error, 2.0 * floor)
-    if np.any(est > threshold):
-        worst = float(np.max(est))
+    if np.any(est > np.maximum(_TARGET_ABS_ERROR, 2.0 * floor)):
         raise AccuracyError(
-            f"{what}: truncation estimate {worst:.3e} exceeds target "
-            f"{opts.target_abs_error:.3e}; raise max_terms or the target"
+            f"{what}: truncation estimate {float(np.max(est)):.3e} exceeds target {_TARGET_ABS_ERROR:.3e}"
         )
 
 
-def _zeta_em_many(s: np.ndarray, opts: EvalOptions, want_derivative: bool = False):
-    """zeta (and optionally zeta') on an array of complex s with Re s >= 0."""
+def _zeta_em_many(s: np.ndarray, want_derivative: bool = False):
+    """zeta (and optionally zeta') on an array of complex s with Re s >= 0;
+    exactly 1 (and 0) from Re s = _UNIT_RE_S on, where the sum reads so and
+    its terms would leave the float range on the way."""
     s = np.asarray(s, dtype=np.complex128)
     if np.any(s == 1.0):
         raise PoleError("zeta has a pole at s = 1")
+    far = s.real >= _UNIT_RE_S
+    if far.any():
+        value, deriv = np.ones_like(s), np.zeros_like(s)
+        if not far.all():
+            near = _zeta_em_many(s[~far], want_derivative)
+            value[~far], deriv[~far] = near if want_derivative else (near, 0.0)
+        return (value, deriv) if want_derivative else value
     im_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    n = _em_cutoff(im_max, 1.0, opts)
-    value, deriv, est, floor = _hurwitz_em(s, 1.0, n, want_derivative)
-    _check_est(est, floor, opts, "zeta")
+    value, deriv, est, floor = _hurwitz_em(s, 1.0, _em_cutoff(im_max, 1.0), want_derivative)
+    _check_est(est, floor, "zeta")
     return (value, deriv) if want_derivative else value
 
 
@@ -358,7 +353,7 @@ def _finite_arg(s: complex, what: str) -> complex:
     return s
 
 
-def zeta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def zeta(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin summation; reflection for Re s < 0."""
     s = _finite_arg(s, "zeta")
     if s == 1.0:
@@ -366,22 +361,22 @@ def zeta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     if s.real < 0.0:
         if _is_trivial_zero(s):
             return 0.0 + 0.0j
-        return _reflect(s, zeta(1.0 - s, opts))
-    return complex(_zeta_em_many(np.array([s]), opts)[0])
+        return _reflect(s, zeta(1.0 - s))
+    return complex(_zeta_em_many(np.array([s]))[0])
 
 
-def zeta_derivative(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def zeta_derivative(s: complex) -> complex:
     """zeta'(s) by termwise differentiation of the same Euler-Maclaurin
     formula; the Re s < 0 branch differentiates the reflection formula."""
     s = _finite_arg(s, "zeta'")
     if s == 1.0:
         raise PoleError("zeta' has a pole at s = 1")
     if _is_trivial_zero(s):
-        return _reflect(s, zeta(1.0 - s, opts))
+        return _reflect(s, zeta(1.0 - s))
     if s.real < 0.0:
-        z1, d1 = zeta(1.0 - s, opts), zeta_derivative(1.0 - s, opts)
+        z1, d1 = zeta(1.0 - s), zeta_derivative(1.0 - s)
         return _reflect(s, _chi_log_slope(s) * z1 - d1)
-    _, d = _zeta_em_many(np.array([s]), opts, want_derivative=True)
+    _, d = _zeta_em_many(np.array([s]), want_derivative=True)
     return complex(d[0])
 
 
@@ -394,37 +389,37 @@ def _principal_log(w: complex) -> complex:
     return cmath.log(w)
 
 
-def log_zeta_principal(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def log_zeta_principal(s: complex) -> complex:
     """Principal-branch log of zeta(s): Im in (-pi, pi], and exactly +pi on
     the real segment 0 < s < 1 where zeta is negative."""
-    return _principal_log(zeta(s, opts))
+    return _principal_log(zeta(s))
 
 
-def zeta_log_derivative(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def zeta_log_derivative(s: complex) -> complex:
     """zeta'(s)/zeta(s); simple pole with residue -1 at s = 1."""
     s = _finite_arg(s, "zeta'/zeta")
     if s == 1.0:
         raise PoleError("zeta'/zeta has a pole at s = 1")
     if s.real < 0.0:
         # log-derivative of the reflection: chi, possibly huge, cancels unformed
-        return _chi_log_slope(s) - zeta_log_derivative(1.0 - s, opts)
-    z, d = _zeta_em_many(np.array([s]), opts, want_derivative=True)
+        return _chi_log_slope(s) - zeta_log_derivative(1.0 - s)
+    z, d = _zeta_em_many(np.array([s]), want_derivative=True)
     zv = complex(z[0])
     if zv == 0.0:
         raise PoleError("zeta'/zeta evaluated at a zero of zeta")
     return complex(d[0]) / zv
 
 
-def _zeta_log_derivative_real_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _zeta_log_derivative_real_many(s: np.ndarray) -> np.ndarray:
     """(zeta'/zeta)(s) for an array of real s > 0 (quadrature fast path)."""
     s = np.asarray(s, dtype=np.float64)
     if np.any(s <= 0.0) or np.any(s == 1.0):
         raise DomainError("fast path requires real s > 0, s != 1")
-    z, d = _zeta_em_many(s.astype(np.complex128), opts, want_derivative=True)
+    z, d = _zeta_em_many(s.astype(np.complex128), want_derivative=True)
     return d.real / z.real
 
 
-def _log_regular_zeta_real_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _log_regular_zeta_real_many(s: np.ndarray) -> np.ndarray:
     """L(s) = ln((s-1) zeta(s)) for an array of real s >= 0 (quadrature fast
     path).  (s-1) zeta(s) is positive and analytic there, so L is smooth
     through the pole, where it is exactly 0.0; ln |zeta| = L - ln |s-1|."""
@@ -435,7 +430,7 @@ def _log_regular_zeta_real_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIO
     off = s != 1.0
     if off.any():
         sv = s[off]
-        out[off] = np.log((sv - 1.0) * _zeta_em_many(sv.astype(np.complex128), opts).real)
+        out[off] = np.log((sv - 1.0) * _zeta_em_many(sv.astype(np.complex128)).real)
     return out
 
 
@@ -443,7 +438,7 @@ def _log_regular_zeta_real_many(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIO
 # Hurwitz zeta
 # ----------------------------------------------------------------------
 
-def hurwitz_zeta(z: complex, q: float, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def hurwitz_zeta(z: complex, q: float) -> complex:
     """Hurwitz zeta(z, q) for q > 0 by the same Euler-Maclaurin scheme;
     reduces to the Riemann zeta at q = 1.
 
@@ -457,12 +452,12 @@ def hurwitz_zeta(z: complex, q: float, opts: EvalOptions = DEFAULT_OPTIONS) -> c
         raise DomainError("hurwitz_zeta requires finite z and finite q > 0")
     if z.real <= -6.0:
         raise DomainError("hurwitz_zeta supported for Re z > -6 only")
-    n = _em_cutoff(abs(z.imag), q, opts)
+    n = _em_cutoff(abs(z.imag), q)
     with np.errstate(all="ignore"):
         val, _, est, floor = _hurwitz_em(np.array([z]), q, n, want_derivative=False)
     if not cmath.isfinite(val[0]):
         raise AccuracyError("hurwitz_zeta exceeds the float range")
-    _check_est(est, floor, opts, "hurwitz_zeta")
+    _check_est(est, floor, "hurwitz_zeta")
     return complex(val[0])
 
 

@@ -12,7 +12,8 @@ tail: the local density of ordinates is theta'(gamma)/pi, and the tail
 integral starts at the point T* where the smooth counting function equals
 the number of zeros summed (so the boundary fluctuation term vanishes).
 The remaining error is bounded by the counting-function fluctuation |S(T)|,
-taken <= 2 at desk heights.
+taken <= 2 at desk heights.  Each sum takes a ``ZeroTable`` of at least 10
+zeros, and its tail expands in the shift to the fixed order 8.
 
 ``g1_via_identity`` evaluates the s = 1 family without any zeros at all,
 through the expansion of zeta'/zeta in its pole, nontrivial-zero, and
@@ -39,9 +40,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, PoleError
 from .numkernel import (
-    DEFAULT_OPTIONS,
     EULER_GAMMA,
-    EvalOptions,
     _digamma_many,
     _zeta_log_derivative_real_many,
     digamma,
@@ -51,7 +50,6 @@ from .quadrature import _PANEL_ROUNDING, dyadic_edges, integrate_rows
 from .zerofinder import ZeroTable, _gram_points
 
 __all__ = [
-    "SuperzetaParams",
     "TailEstimate",
     "ZeroSumResult",
     "EXPANSION_CONSTANT",
@@ -72,20 +70,7 @@ EXPANSION_CONSTANT = math.log(2.0 * math.pi) - 1.0
 RHO_SUM_CLOSED_FORM = 1.0 + 0.5 * EULER_GAMMA - 0.5 * math.log(4.0 * math.pi)
 
 _S_FLUCTUATION = 2.0  # bound on |N(T) - Nsmooth(T)| at desk-scale heights
-
-
-@dataclass(frozen=True)
-class SuperzetaParams:
-    """A zero table plus the order of the smooth-density tail expansion."""
-
-    zeros: ZeroTable
-    tail_order: int = 8
-
-    def __post_init__(self) -> None:
-        if self.zeros.count < 10:
-            raise DomainError("superzeta sums need at least 10 zeros")
-        if self.tail_order < 0:
-            raise DomainError("tail_order must be >= 0")
+_TAIL_ORDER = 8  # last power of the shift in the tail expansions
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,10 @@ def _tail_start(count: int) -> float:
     """T* with smooth counting theta(T*)/pi + 1 = count, i.e. the Gram point
     g_{count-1}: starting the density tail there cancels the boundary term
     of the counting-function fluctuation.  A pure function of the table
-    size, solved once per size."""
+    size, solved once per size.  Every zero sum takes its T* here, so this
+    is where a table of fewer than 10 zeros is refused."""
+    if count < 10:
+        raise DomainError("superzeta sums need at least 10 zeros")
     return float(_gram_points(count - 1, count - 1)[0])
 
 
@@ -131,18 +119,13 @@ def _power_log_tail(exponent: complex, t_star: float) -> complex:
     return complex(out)
 
 
-def g2(
-    sigma: float,
-    t: float,
-    params: SuperzetaParams,
-    tol: float | None = None,
-) -> ZeroSumResult:
+def g2(sigma: float, t: float, zeros: ZeroTable) -> ZeroSumResult:
     """sum_k (gamma_k^2 + t^2)^(-sigma) over all zero ordinates, symmetric in
     t; partial sum over the table plus the smooth-density tail."""
     if not sigma > 0.5:
         raise DomainError("g2 requires sigma > 1/2")
-    g = params.zeros.gammas
-    t_star = _tail_start(params.zeros.count)
+    g = zeros.gammas
+    t_star = _tail_start(zeros.count)
     if abs(t) >= 0.5 * t_star:
         raise DomainError("shift |t| too large for the stored table")
     partial = float(np.sum((g * g + t * t) ** (-sigma)))
@@ -150,7 +133,7 @@ def g2(
     # (gamma^2 + t^2)^(-sigma) = sum_m C(-sigma, m) t^(2m) gamma^(-2 sigma - 2m)
     corr = 0.0
     coef = 1.0
-    for m in range(params.tail_order + 1):
+    for m in range(_TAIL_ORDER + 1):
         if m > 0:
             coef *= (-sigma - (m - 1)) / m
         term = coef * t ** (2 * m) * _power_log_tail(2.0 * sigma + 2 * m, t_star).real
@@ -159,18 +142,13 @@ def g2(
             break
     f_edge = (t_star * t_star + t * t) ** (-sigma)
     bound = abs(corr) + 2.0 * _S_FLUCTUATION * f_edge
-    if tol is not None and bound > tol:
-        raise AccuracyError(
-            f"g2 tail bound {bound:.2e} exceeds requested tolerance {tol:.2e}; "
-            "more zeros needed"
-        )
     return ZeroSumResult(partial + corr, partial, TailEstimate(corr, bound))
 
 
-def sum_inverse_rho(params: SuperzetaParams, tol: float | None = None) -> ZeroSumResult:
+def sum_inverse_rho(zeros: ZeroTable) -> ZeroSumResult:
     """sum_rho 1/rho over all nontrivial zeros in conjugate pairs, which is
     g2 at sigma = 1, t = 1/2."""
-    return g2(1.0, 0.5, params, tol)
+    return g2(1.0, 0.5, zeros)
 
 
 def _pair_sum_complex(w: complex, gammas: np.ndarray) -> complex:
@@ -179,10 +157,10 @@ def _pair_sum_complex(w: complex, gammas: np.ndarray) -> complex:
     return complex(np.sum(2.0 * w / (w * w + gammas * gammas)))
 
 
-def _pair_tail_first_order(w: complex, t_star: float, order: int) -> tuple[complex, float]:
+def _pair_tail_first_order(w: complex, t_star: float) -> tuple[complex, float]:
     """Tail of the paired sum 2w/(w^2+gamma^2): expansion in w^2/gamma^2."""
     corr = 0.0 + 0.0j
-    for m in range(order + 1):
+    for m in range(_TAIL_ORDER + 1):
         term = 2.0 * (-1.0) ** m * w ** (2 * m + 1) * _power_log_tail(2 * m + 2, t_star)
         corr += term
         if abs(term) < 1e-18:
@@ -191,21 +169,21 @@ def _pair_tail_first_order(w: complex, t_star: float, order: int) -> tuple[compl
     return corr, abs(corr) + 2.0 * _S_FLUCTUATION * f_edge
 
 
-def g1_zero_sum(s: complex, t: float, params: SuperzetaParams) -> ZeroSumResult:
+def g1_zero_sum(s: complex, t: float, zeros: ZeroTable) -> ZeroSumResult:
     """sum_rho (1/2 + t - rho)^(-s) over all zeros, conjugate-paired.
 
     Absolutely convergent for Re s > 1; at s = 1 the pairing
     1/(x - rho) + 1/(x - conj(rho)) = 2 t / (t^2 + gamma^2)  (x = 1/2 + t)
     makes the sum converge.  Other points on Re s = 1 are rejected."""
     s = complex(s)
-    g = params.zeros.gammas
-    t_star = _tail_start(params.zeros.count)
+    g = zeros.gammas
+    t_star = _tail_start(zeros.count)
     if abs(t) >= 0.5 * t_star:
         raise DomainError("shift |t| too large for the stored table")
     if s == 1.0:
         w = complex(t)
         partial = _pair_sum_complex(w, g)
-        corr, bound = _pair_tail_first_order(w, t_star, params.tail_order)
+        corr, bound = _pair_tail_first_order(w, t_star)
         return ZeroSumResult(
             (partial + corr).real, partial.real, TailEstimate(corr.real, bound)
         )
@@ -220,7 +198,7 @@ def g1_zero_sum(s: complex, t: float, params: SuperzetaParams) -> ZeroSumResult:
     # tail: pair(gamma) = 2 gamma^(-s) sum_m C(-s,m) (t/gamma)^m cos(pi(s+m)/2)
     corr = 0.0 + 0.0j
     coef = 1.0 + 0.0j
-    for m in range(max(params.tail_order, 4) + 1):
+    for m in range(_TAIL_ORDER + 1):
         if m > 0:
             coef *= (-s - (m - 1)) / m
         term = 2.0 * coef * cmath.cos(0.5 * math.pi * (s + m)) * t**m * _power_log_tail(s + m, t_star)
@@ -235,7 +213,7 @@ def g1_zero_sum(s: complex, t: float, params: SuperzetaParams) -> ZeroSumResult:
     return ZeroSumResult(value, partial, TailEstimate(abs(corr), bound))
 
 
-def g1_via_identity(t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def g1_via_identity(t: float) -> float:
     """The paired zero sum sum_rho 1/(x - rho) at x = 1/2 + t, computed with
     no zeros at all by rearranging the zeta'/zeta expansion:
 
@@ -248,7 +226,7 @@ def g1_via_identity(t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         raise PoleError("identity route has the explicit pole at x = 1")
     if x <= 0.0:
         raise DomainError("identity route expects x = 1/2 + t > 0")
-    zld = zeta_log_derivative(complex(x), opts).real
+    zld = zeta_log_derivative(complex(x)).real
     return (
         zld
         - EXPANSION_CONSTANT
@@ -328,9 +306,7 @@ def mellin_j(s: complex, t: float, tol: float = 1e-10) -> complex:
     return value
 
 
-def zeta_log_derivative_expansion(
-    s: complex, params: SuperzetaParams
-) -> ZeroSumResult:
+def zeta_log_derivative_expansion(s: complex, zeros: ZeroTable) -> ZeroSumResult:
     """(zeta'/zeta)(s) assembled from its pole, the paired nontrivial-zero
     sum over the table (with density tail), the closed pairing of the
     trivial zeros, and the expansion constant:
@@ -343,15 +319,14 @@ def zeta_log_derivative_expansion(
         raise PoleError("expansion has the explicit pole at s = 1")
     if s.imag == 0.0 and s.real < 0.0 and s.real == 2.0 * round(s.real / 2.0):
         raise PoleError("expansion has poles at the trivial zeros")
-    g = params.zeros.gammas
     w = s - 0.5
-    pairsum = _pair_sum_complex(w, g)
-    t_star = _tail_start(params.zeros.count)
+    pairsum = _pair_sum_complex(w, zeros.gammas)
+    t_star = _tail_start(zeros.count)
     if abs(w) >= 0.5 * t_star:
         raise DomainError("s too far from the critical line for the stored table")
-    corr, pair_bound = _pair_tail_first_order(w, t_star, params.tail_order)
+    corr, pair_bound = _pair_tail_first_order(w, t_star)
 
-    rho = sum_inverse_rho(params)
+    rho = sum_inverse_rho(zeros)
     value = (
         EXPANSION_CONSTANT
         - 1.0 / (s - 1.0)

@@ -54,9 +54,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, HagedornError, RgasError
 from .numkernel import (
-    DEFAULT_OPTIONS,
     EULER_GAMMA,
-    EvalOptions,
     _digamma_many,
     _exp_neg_ei,
     _log_regular_zeta_real_many,
@@ -65,13 +63,7 @@ from .numkernel import (
     zeta,
 )
 from .quadrature import dyadic_edges, integrate_exp_weight, integrate_rows
-from .superzeta import (
-    EXPANSION_CONSTANT,
-    SuperzetaParams,
-    _S_FLUCTUATION,
-    _tail_start,
-    sum_inverse_rho,
-)
+from .superzeta import EXPANSION_CONSTANT, _S_FLUCTUATION, _tail_start, sum_inverse_rho
 from .zerofinder import ZeroTable, _fields_equal
 
 __all__ = [
@@ -86,7 +78,6 @@ __all__ = [
     "free_energy_im_closed_form",
     "energy_oracle",
     "energy_breakdown",
-    "thermal_part_printed_form",
     "series_coefficient",
     "thermo_point",
     "thermo_scan",
@@ -212,9 +203,7 @@ class EnergyBreakdown:
 _DIVERGENT = frozenset({"hagedorn_divergent"})
 
 
-def _discrete_points(
-    spec: EnsembleSpec, betas, opts: EvalOptions, with_energy: bool
-) -> list[ThermoPoint]:
+def _discrete_points(spec: EnsembleSpec, betas, with_energy: bool) -> list[ThermoPoint]:
     """The thermo points of a discrete ensemble along betas, one
     Euler-Maclaurin call on all omega_k beta per point.  A beta at or past
     the Hagedorn point beta omega_1 <= 1 becomes a flagged point with nan
@@ -234,9 +223,9 @@ def _discrete_points(
             continue
         s = (spec.omegas * beta).astype(np.complex128)
         if with_energy:
-            z, d = _zeta_em_many(s, opts, want_derivative=True)
+            z, d = _zeta_em_many(s, want_derivative=True)
         else:
-            z, d = _zeta_em_many(s, opts), None
+            z, d = _zeta_em_many(s), None
         # contiguous copy: np.log on the strided .real view may round differently
         ln_z = np.log(np.ascontiguousarray(z.real))
         f = float(-(spec.masses @ ln_z) / (beta * spec.volume))
@@ -247,11 +236,9 @@ def _discrete_points(
     return points
 
 
-def _finite_point(
-    spec: EnsembleSpec, beta: float, opts: EvalOptions, with_energy: bool
-) -> ThermoPoint:
+def _finite_point(spec: EnsembleSpec, beta: float, with_energy: bool) -> ThermoPoint:
     """The discrete point at beta; HagedornError where it is flagged."""
-    (point,) = _discrete_points(spec, [beta], opts, with_energy)
+    (point,) = _discrete_points(spec, [beta], with_energy)
     if point.flags:
         raise HagedornError(
             f"beta*omega_1 = {point.beta * float(spec.omegas[0]):.6g} <= 1: "
@@ -260,30 +247,28 @@ def _finite_point(
     return point
 
 
-def free_energy_discrete(spec: EnsembleSpec, beta: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def free_energy_discrete(spec: EnsembleSpec, beta: float) -> float:
     """-(1/(beta V)) sum_k P_k ln zeta(omega_k beta) for beta omega_1 > 1.
 
     All omega_k beta go to the zeta kernel in one vectorized call; raises
     HagedornError at or beyond the Hagedorn point beta omega_1 <= 1."""
-    return _finite_point(spec, beta, opts, with_energy=False).f.real
+    return _finite_point(spec, beta, with_energy=False).f.real
 
 
-def energy_entropy_discrete(
-    spec: EnsembleSpec, beta: float, opts: EvalOptions = DEFAULT_OPTIONS
-) -> tuple[float, float]:
+def energy_entropy_discrete(spec: EnsembleSpec, beta: float) -> tuple[float, float]:
     """Energy density (1/V) sum_k P_k omega_k (-zeta'/zeta)(omega_k beta) and
     entropy density beta (eps - f).
 
     zeta and zeta' at all omega_k beta come from one vectorized kernel call
     that also yields f, so f is not evaluated a second time."""
-    point = _finite_point(spec, beta, opts, with_energy=True)
+    point = _finite_point(spec, beta, with_energy=True)
     return point.eps, point.entropy
 
 
 def hagedorn_scan(spec: EnsembleSpec, beta_grid) -> list[ThermoPoint]:
     """The free energy view of a discrete thermo_scan: the same points with
     nan eps and entropy, one value-only kernel call per finite beta."""
-    return _discrete_points(spec, beta_grid, DEFAULT_OPTIONS, with_energy=False)
+    return _discrete_points(spec, beta_grid, with_energy=False)
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +473,7 @@ def _zeta_at_integers() -> np.ndarray:
     equals the scalar zeta(complex(k)).real."""
     k = np.arange(2, _SERIES_END, dtype=np.float64)
     table = np.full(_SERIES_END, np.nan)
-    table[2:] = _zeta_em_many(k.astype(np.complex128), DEFAULT_OPTIONS).real
+    table[2:] = _zeta_em_many(k.astype(np.complex128)).real
     table.setflags(write=False)
     return table
 
@@ -535,20 +520,6 @@ def _series_optimally_truncated(beta: float, lam: float) -> tuple[float, int, fl
         prev = abs(term)
         k += 1
     return total, k - 1, prev
-
-
-def thermal_part_printed_form(beta: float, lam: float, volume: float = 1.0) -> float:
-    """The printed closed form of the thermal part of the energy density:
-
-        1/(beta V) - (lam/(beta^2 V)) e^(-lam/beta) Ei(lam/beta)
-                   + (lam/(4 beta^2 V)) e^(-lam/(4 beta)) Ei(lam/(4 beta))
-
-    Reported verbatim; its deviation from (oracle - vacuum part) is part of
-    the breakdown record."""
-    if not (beta > 0.0 and lam > 0.0 and volume > 0.0):
-        raise DomainError("positive beta, lam, volume required")
-    whole, quarter = _ei_terms(beta, lam, volume)
-    return 1.0 / (beta * volume) - whole + quarter
 
 
 def _ei_terms(beta: float, lam: float, volume: float) -> list:
@@ -617,8 +588,7 @@ def energy_breakdown(
     eps3 = -(lam / vol) * (pairs + tail)
     eps3_err = (lam / vol) * tail_bound
 
-    params = SuperzetaParams(zeros)
-    rho = sum_inverse_rho(params)
+    rho = sum_inverse_rho(zeros)
     eps4 = -rho.value / lv
     eps4_err = rho.tail.bound / lv
 
@@ -640,7 +610,9 @@ def energy_breakdown(
     eps1_printed = -PRINTED_EXPANSION_CONSTANT / lv
     eps3_printed = EULER_GAMMA / (2.0 * lv) - series_sum / (beta * vol) + quarter
     eps5_printed = -EULER_GAMMA / (2.0 * lv) + series_sum / (beta * vol)
-    thermal_printed = eps2 + quarter  # thermal_part_printed_form(beta, lam, vol)
+    # the thermal part, 1/(beta V) - (lam/(beta^2 V)) e^(-x) Ei(x)
+    # + (lam/(4 beta^2 V)) e^(-x/4) Ei(x/4) at x = lam/beta
+    thermal_printed = eps2 + quarter
 
     return EnergyBreakdown(
         beta=beta,
@@ -678,7 +650,7 @@ def thermo_point(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> ThermoPo
     continuum point is a one-point thermo_scan.  Raises HagedornError at or
     past the Hagedorn point of a discrete ensemble."""
     if spec.kind == "discrete":
-        return _finite_point(spec, beta, DEFAULT_OPTIONS, with_energy=True)
+        return _finite_point(spec, beta, with_energy=True)
     return thermo_scan(spec, [beta], tol)[0]
 
 
@@ -693,7 +665,7 @@ def thermo_scan(spec: EnsembleSpec, beta_grid, tol: float = 1e-9) -> list[Thermo
     flagged ``hagedorn_divergent`` with nan values where thermo_point
     raises."""
     if spec.kind == "discrete":
-        return _discrete_points(spec, beta_grid, DEFAULT_OPTIONS, with_energy=True)
+        return _discrete_points(spec, beta_grid, with_energy=True)
     betas = [float(b) for b in beta_grid]
     points = []
     for beta, (f, eps, entropy, budget, converged) in zip(

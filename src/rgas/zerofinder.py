@@ -49,9 +49,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, MissedZeroError, TableFormatError
 from .numkernel import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
     _LOG_PI,
+    _TARGET_ABS_ERROR,
     _em_cutoff,
     _hurwitz_em,
     _log_gamma_many,
@@ -146,14 +145,14 @@ def _theta_many(t: np.ndarray) -> np.ndarray:
     return _log_gamma_many(z).imag - 0.5 * t * _LOG_PI
 
 
-def _z_chunk(t: np.ndarray, theta: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _z_chunk(t: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Z(t) for an ascending chunk sharing one Euler-Maclaurin cutoff, given
     theta(t)."""
     s = 0.5 + 1j * t
-    n = _em_cutoff(float(t[-1]), 1.0, opts)
+    n = _em_cutoff(float(t[-1]), 1.0)
     zeta_vals, _, est, _ = _hurwitz_em(s, 1.0, n, want_derivative=False)
     worst = float(np.max(est))
-    if worst > max(opts.target_abs_error, 1e-11):
+    if worst > max(_TARGET_ABS_ERROR, 1e-11):
         raise AccuracyError(f"zeta accuracy {worst:.2e} insufficient on the critical line")
     rotated = np.exp(1j * theta) * zeta_vals
     drift = float(np.max(np.abs(rotated.imag)))
@@ -174,7 +173,7 @@ _EM_CHUNK_WASTE = 1 << 12
 _EM_CHUNK_TERMS = 1 << 17
 
 
-def _z_many(t: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _z_many(t: np.ndarray) -> np.ndarray:
     """Vectorized Hardy Z over arbitrary finite t > 0: the points are sorted
     and cut into chunks sized by their Euler-Maclaurin cutoffs
     N = ceil(t/2) + 10, so no point pays for a cutoff far above its own.
@@ -197,17 +196,17 @@ def _z_many(t: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
         waste = work - np.cumsum(window)
         fits = (waste <= _EM_CHUNK_WASTE) & (work <= _EM_CHUNK_TERMS)
         hi = lo + max(1, int(np.count_nonzero(fits)))
-        out[lo:hi] = _z_chunk(sorted_t[lo:hi], theta[lo:hi], opts)
+        out[lo:hi] = _z_chunk(sorted_t[lo:hi], theta[lo:hi])
         lo = hi
     result = np.empty_like(out)
     result[order] = out
     return result
 
 
-def hardy_z(t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def hardy_z(t: float) -> float:
     """Hardy's real rotation of zeta on the critical line; its sign changes
     bracket the zero ordinates."""
-    return float(_z_many(np.array([float(t)]), opts)[0])
+    return float(_z_many(np.array([float(t)]))[0])
 
 
 # ----------------------------------------------------------------------
@@ -383,14 +382,13 @@ class _Search:
     """Z evaluations of one zero search, with their counts.  The fast kernel
     is Riemann-Siegel from t = 200 on and Euler-Maclaurin below."""
 
-    def __init__(self, opts: EvalOptions) -> None:
-        self.opts = opts
+    def __init__(self) -> None:
         self.em_evaluations = 0
         self.rs_evaluations = 0
 
     def em(self, t: np.ndarray) -> np.ndarray:
         self.em_evaluations += t.size
-        return _z_many(t, self.opts)
+        return _z_many(t)
 
     def fast(self, t: np.ndarray) -> np.ndarray:
         out = np.empty_like(t)
@@ -532,7 +530,7 @@ def _refine(search: _Search, a, b):
     slope = slope[idx]
     r = mid[idx] - f_mid[idx] / slope
     r -= search.fast(r) / slope
-    delta = 2.0 * (search.error(r) + search.opts.target_abs_error) / np.abs(slope)
+    delta = 2.0 * (search.error(r) + _TARGET_ABS_ERROR) / np.abs(slope)
     return idx, r, delta + 4.0 * np.spacing(r)
 
 
@@ -586,7 +584,7 @@ def _polish(search: _Search, a, b) -> np.ndarray:
     return c1 - f1 * (c1 - other) / (f1 - f_other)
 
 
-def find_zeros(count: int, opts: EvalOptions = DEFAULT_OPTIONS) -> ZeroTable:
+def find_zeros(count: int) -> ZeroTable:
     """First `count` zero ordinates.  Sign changes of Z on 8 cells per Gram
     interval (Riemann-Siegel from t = 200, Euler-Maclaurin below and where
     Riemann-Siegel cannot settle the sign) bracket them; Gram blocks short of
@@ -602,7 +600,7 @@ def find_zeros(count: int, opts: EvalOptions = DEFAULT_OPTIONS) -> ZeroTable:
     if count > _MAX_ZEROS:
         raise DomainError(f"zero search supports at most {_MAX_ZEROS} zeros")
 
-    search = _Search(opts)
+    search = _Search()
     gram, zg, good, last = _gram_blocks(search, count)
     lo, hi, zlo, zhi, escalated = _bracket(search, gram, zg, good, last, count)
     a, b = _illinois(search, lo, hi, zlo, zhi)

@@ -124,6 +124,22 @@ class TestEvalCommand:
         assert (code, out) == (3, "")
         assert "float range" in err
 
+    @pytest.mark.parametrize("re_s", ["1e14", "1e20", "1e30"])
+    @pytest.mark.parametrize(
+        "fn,value",
+        [("zeta", "1"), ("zeta-derivative", "0"), ("zeta-log-derivative", "0"), ("log-zeta", "0")],
+    )
+    def test_zeta_family_at_huge_re_s(self, capsys, fn, value, re_s):
+        # 2^-Re s underflows: this printed nan,nan after overflow warnings
+        code, out, err = run_cli(capsys, "eval", "--fn", fn, "--re", re_s)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[3:] == [value, "0"]
+
+    def test_budget_miss_names_the_target_only(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--fn", "zeta", "--re", "0.1", "--im", "1500")
+        assert (code, out) == (3, "")
+        assert err == "rgas: numerical failure: zeta: truncation estimate 3.313e-12 exceeds target 1.000e-12\n"
+
     def test_json_matches_csv(self, capsys):
         _, out_csv, _ = run_cli(capsys, "eval", "--fn", "digamma", "--re", "2")
         _, out_json, _ = run_cli(capsys, "eval", "--fn", "digamma", "--re", "2", "--format", "json")
@@ -412,6 +428,11 @@ class TestBreakdownCommand:
         payload = json.loads(out)
         assert abs(payload["total"] - payload["oracle"]) <= payload["abs_error"]
 
+    def test_fewer_than_ten_zeros_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "breakdown", "--lam", "1", "--beta", "1", "--zeros-count", "9")
+        assert (code, out) == (2, "")
+        assert err == "rgas: superzeta sums need at least 10 zeros\n"
+
     def test_zeros_file_reuse(self, capsys, tmp_path):
         zfile = tmp_path / "z.csv"
         assert run_cli(capsys, "zeros", "--count", "150", "--out", str(zfile))[0] == 0
@@ -468,7 +489,7 @@ class TestValidateCommand:
         # break one identity on purpose to exercise the failure exit path
         from rgas import superzeta
 
-        monkeypatch.setattr(superzeta, "g1_via_identity", lambda t, opts=None: 1e9)
+        monkeypatch.setattr(superzeta, "g1_via_identity", lambda t: 1e9)
         code, out, _ = run_cli(capsys, "validate", "--zeros-count", "60")
         assert code == 1
         assert "FAIL" in out

@@ -11,33 +11,23 @@ from rgas.errors import AccuracyError, DomainError, PoleError
 import oracles
 
 
-@pytest.fixture()
-def params1000(zeros1000):
-    return sz.SuperzetaParams(zeros1000)
-
-
-@pytest.fixture()
-def params100(zeros100):
-    return sz.SuperzetaParams(zeros100)
-
-
 class TestG2:
-    def test_value_with_100_zeros(self, params100):
-        r = sz.g2(1.0, 0.5, params100)
+    def test_value_with_100_zeros(self, zeros100):
+        r = sz.g2(1.0, 0.5, zeros100)
         assert r.value == pytest.approx(0.023096, abs=1e-4)
         assert abs(r.value - oracles.RHO_SUM) <= r.tail.bound
 
-    def test_even_in_t(self, params100):
-        assert sz.g2(1.2, 0.7, params100).value == sz.g2(1.2, -0.7, params100).value
+    def test_even_in_t(self, zeros100):
+        assert sz.g2(1.2, 0.7, zeros100).value == sz.g2(1.2, -0.7, zeros100).value
 
     def test_first_term(self, zeros1000):
         gamma1 = float(zeros1000.gammas[0])
         assert 1.0 / (0.25 + gamma1**2) == pytest.approx(0.004998988834, abs=1e-9)
 
-    def test_partial_sums_monotone_in_count(self, params100, params1000):
-        assert params1000.zeros.count > params100.zeros.count
-        small = sz.g2(1.0, 0.5, params100)
-        big = sz.g2(1.0, 0.5, params1000)
+    def test_partial_sums_monotone_in_count(self, zeros100, zeros1000):
+        assert zeros1000.count > zeros100.count
+        small = sz.g2(1.0, 0.5, zeros100)
+        big = sz.g2(1.0, 0.5, zeros1000)
         assert big.partial > small.partial
         # positive terms: partial sums climb toward the closed-form limit
         # and stay bounded by it plus the quoted tail
@@ -45,23 +35,17 @@ class TestG2:
             assert r.partial < oracles.RHO_SUM
             assert r.partial <= oracles.RHO_SUM + r.tail.bound
 
-    def test_tail_bound_decreases_with_count(self, params100, params1000):
-        assert sz.g2(1.0, 0.5, params1000).tail.bound < sz.g2(1.0, 0.5, params100).tail.bound
+    def test_tail_bound_decreases_with_count(self, zeros100, zeros1000):
+        assert sz.g2(1.0, 0.5, zeros1000).tail.bound < sz.g2(1.0, 0.5, zeros100).tail.bound
 
-    def test_insufficient_zeros_signalled(self, params100):
-        from rgas.errors import AccuracyError
-
-        with pytest.raises(AccuracyError):
-            sz.g2(0.75, 0.5, params100, tol=1e-12)
-
-    def test_domain(self, params100):
+    def test_domain(self, zeros100):
         with pytest.raises(DomainError):
-            sz.g2(0.5, 0.5, params100)
+            sz.g2(0.5, 0.5, zeros100)
 
 
 class TestSumInverseRho:
-    def test_closed_form_cross_check(self, params1000):
-        r = sz.sum_inverse_rho(params1000)
+    def test_closed_form_cross_check(self, zeros1000):
+        r = sz.sum_inverse_rho(zeros1000)
         assert r.value == pytest.approx(oracles.RHO_SUM, abs=1e-5)
         assert r.value == pytest.approx(0.0230957, abs=1e-5)
 
@@ -71,35 +55,35 @@ class TestSumInverseRho:
 
 
 class TestG1TwoRoutes:
-    def test_two_route_agreement(self, params1000):
+    def test_two_route_agreement(self, zeros1000):
         for t in (1.0, 1.5, 3.0, 9.5):
-            zs = sz.g1_zero_sum(1.0, t, params1000)
+            zs = sz.g1_zero_sum(1.0, t, zeros1000)
             ident = sz.g1_via_identity(t)
             assert abs(zs.value - ident) <= zs.tail.bound + 1e-10
 
-    def test_agreement_at_x2(self, params1000):
-        zs = sz.g1_zero_sum(1.0, 1.5, params1000)
+    def test_agreement_at_x2(self, zeros1000):
+        zs = sz.g1_zero_sum(1.0, 1.5, zeros1000)
         assert zs.value == pytest.approx(sz.g1_via_identity(1.5), abs=1e-8)
 
-    def test_agreement_at_x10_fast_tail(self, params1000):
-        zs = sz.g1_zero_sum(1.0, 9.5, params1000)
+    def test_agreement_at_x10_fast_tail(self, zeros1000):
+        zs = sz.g1_zero_sum(1.0, 9.5, zeros1000)
         assert zs.value == pytest.approx(sz.g1_via_identity(9.5), abs=1e-8)
 
-    def test_paired_sum_is_real(self, params100):
-        r = sz.g1_zero_sum(2.0, 1.5, params100)
+    def test_paired_sum_is_real(self, zeros100):
+        r = sz.g1_zero_sum(2.0, 1.5, zeros100)
         assert isinstance(r.value, float)
 
-    def test_g1_at_half_equals_rho_sum(self, params1000):
-        r1 = sz.g1_zero_sum(1.0, 0.5, params1000)
-        r2 = sz.sum_inverse_rho(params1000)
+    def test_g1_at_half_equals_rho_sum(self, zeros1000):
+        r1 = sz.g1_zero_sum(1.0, 0.5, zeros1000)
+        r2 = sz.sum_inverse_rho(zeros1000)
         assert r1.value == pytest.approx(r2.value, abs=1e-12)
         assert r1.value == pytest.approx(0.0230957, abs=1e-5)
 
-    def test_s2_matches_derivative_of_identity_route(self, params1000):
+    def test_s2_matches_derivative_of_identity_route(self, zeros1000):
         # d/dt sum 1/(x - rho) = -sum 1/(x - rho)^2
         h = 1e-5
         fd = (sz.g1_via_identity(1.5 + h) - sz.g1_via_identity(1.5 - h)) / (2 * h)
-        zs = sz.g1_zero_sum(2.0, 1.5, params1000)
+        zs = sz.g1_zero_sum(2.0, 1.5, zeros1000)
         assert zs.value == pytest.approx(-fd, abs=1e-6)
 
     def test_identity_route_bounded_near_pole(self):
@@ -111,51 +95,51 @@ class TestG1TwoRoutes:
         with pytest.raises(PoleError):
             sz.g1_via_identity(0.5)
 
-    def test_unpaired_region_rejected(self, params100):
+    def test_unpaired_region_rejected(self, zeros100):
         with pytest.raises(DomainError):
-            sz.g1_zero_sum(0.8, 1.0, params100)
+            sz.g1_zero_sum(0.8, 1.0, zeros100)
 
 
 class TestExpansion:
-    def test_direct_match_100_zeros(self, params100):
-        e = sz.zeta_log_derivative_expansion(2.0, params100)
+    def test_direct_match_100_zeros(self, zeros100):
+        e = sz.zeta_log_derivative_expansion(2.0, zeros100)
         d = nk.zeta_log_derivative(2.0)
         assert abs(e.value - d) <= 1e-3
         assert abs(e.value - d) <= e.tail.bound
 
-    def test_direct_match_1000_zeros(self, params1000):
+    def test_direct_match_1000_zeros(self, zeros1000):
         for s in (2.0, 3.0):
-            e = sz.zeta_log_derivative_expansion(complex(s), params1000)
+            e = sz.zeta_log_derivative_expansion(complex(s), zeros1000)
             assert abs(e.value - nk.zeta_log_derivative(complex(s))) <= 1e-6
 
-    def test_constant_offset_vanishes(self, params1000):
-        d2 = sz.zeta_log_derivative_expansion(2.0, params1000).value - nk.zeta_log_derivative(
+    def test_constant_offset_vanishes(self, zeros1000):
+        d2 = sz.zeta_log_derivative_expansion(2.0, zeros1000).value - nk.zeta_log_derivative(
             2.0
         )
-        d3 = sz.zeta_log_derivative_expansion(3.0, params1000).value - nk.zeta_log_derivative(
+        d3 = sz.zeta_log_derivative_expansion(3.0, zeros1000).value - nk.zeta_log_derivative(
             3.0
         )
         assert abs(d2 - d3) <= 2e-3
         assert abs(d2 - d3) <= 1e-7  # realized accuracy is far better
 
-    def test_vanishes_far_right(self, params1000):
-        e = sz.zeta_log_derivative_expansion(30.5, params1000)
+    def test_vanishes_far_right(self, zeros1000):
+        e = sz.zeta_log_derivative_expansion(30.5, zeros1000)
         assert abs(e.value) < 1e-6
         assert abs(nk.zeta_log_derivative(30.5)) < 1e-8
 
-    def test_random_points_within_tail_bound(self, params1000):
+    def test_random_points_within_tail_bound(self, zeros1000):
         rng = np.random.default_rng(42)
         for _ in range(20):
             s = complex(rng.uniform(1.5, 6.0), rng.uniform(-10.0, 10.0))
-            e = sz.zeta_log_derivative_expansion(s, params1000)
+            e = sz.zeta_log_derivative_expansion(s, zeros1000)
             d = nk.zeta_log_derivative(s)
             assert abs(e.value - d) <= e.tail.bound + 1e-10
 
-    def test_poles_rejected(self, params100):
+    def test_poles_rejected(self, zeros100):
         with pytest.raises(PoleError):
-            sz.zeta_log_derivative_expansion(1.0, params100)
+            sz.zeta_log_derivative_expansion(1.0, zeros100)
         with pytest.raises(PoleError):
-            sz.zeta_log_derivative_expansion(-2.0, params100)
+            sz.zeta_log_derivative_expansion(-2.0, zeros100)
 
     def test_expansion_constant_value(self):
         # validated twice: against the direct kernel at s = 0 and through
@@ -167,14 +151,12 @@ class TestExpansion:
 
 class TestStabilityUnderExtension:
     def test_zero_sums_stable(self, zeros1000, zeros3000):
-        p_small = sz.SuperzetaParams(zeros1000)
-        p_big = sz.SuperzetaParams(zeros3000)
         for sigma, t in ((1.0, 0.5), (0.8, 2.0), (1.5, 0.0)):
-            small = sz.g2(sigma, t, p_small)
-            big = sz.g2(sigma, t, p_big)
+            small = sz.g2(sigma, t, zeros1000)
+            big = sz.g2(sigma, t, zeros3000)
             assert abs(small.value - big.value) <= small.tail.bound
-        s_small = sz.g1_zero_sum(1.0, 1.5, p_small)
-        s_big = sz.g1_zero_sum(1.0, 1.5, p_big)
+        s_small = sz.g1_zero_sum(1.0, 1.5, zeros1000)
+        s_big = sz.g1_zero_sum(1.0, 1.5, zeros3000)
         assert abs(s_small.value - s_big.value) <= s_small.tail.bound
 
 
@@ -237,8 +219,18 @@ class TestMellin:
 
 class TestParamsValidation:
     def test_minimum_zero_count(self, zeros200):
-        with pytest.raises(DomainError):
-            sz.SuperzetaParams(zeros200.head(9))
+        # every zero sum takes T* from _tail_start, which refuses the table
+        nine = zeros200.head(9)
+        for call in (
+            lambda: sz.g2(1.0, 0.5, nine),
+            lambda: sz.sum_inverse_rho(nine),
+            lambda: sz.g1_zero_sum(1.0, 1.5, nine),
+            lambda: sz.g1_zero_sum(2.0, 1.5, nine),
+            lambda: sz.zeta_log_derivative_expansion(2.0, nine),
+        ):
+            with pytest.raises(DomainError, match="at least 10 zeros"):
+                call()
+        assert sz.sum_inverse_rho(zeros200.head(10)).value > 0.0
 
     def test_tail_estimate_sanity(self):
         with pytest.raises(DomainError):

@@ -321,23 +321,27 @@ class TestEnergyBreakdown:
 
 
 class TestPrintedForms:
-    def test_thermal_closed_form_value(self):
-        v = th.thermal_part_printed_form(1.0, 1.0, 1.0)
+    @staticmethod
+    def thermal_printed(beta, zeros):
+        return th.energy_breakdown(th.EnsembleSpec.continuum(1.0), beta, zeros).thermal_printed
+
+    def test_thermal_closed_form_value(self, zeros100):
+        v = self.thermal_printed(1.0, zeros100)
         assert v == pytest.approx(0.19719183692273015, abs=1e-12)
         assert v == pytest.approx(0.1972, abs=1e-4)
 
-    def test_thermal_closed_form_pieces(self):
+    def test_thermal_closed_form_pieces(self, zeros100):
         # 1 - e^-1 Ei(1) - (1/4) e^-1/4 Ei(1/4) with Ei from the kernel
         expect = (
             1.0
             - math.exp(-1.0) * oracles.EI_1
             + 0.25 * math.exp(-0.25) * oracles.EI_QUARTER
         )
-        assert th.thermal_part_printed_form(1.0, 1.0, 1.0) == pytest.approx(expect, abs=1e-13)
+        assert self.thermal_printed(1.0, zeros100) == pytest.approx(expect, abs=1e-13)
 
-    def test_thermal_low_temperature_bound(self):
+    def test_thermal_low_temperature_bound(self, zeros100):
         beta = 100.0
-        assert abs(th.thermal_part_printed_form(beta, 1.0, 1.0)) <= 3.0 / beta
+        assert abs(self.thermal_printed(beta, zeros100)) <= 3.0 / beta
 
     def test_series_coefficients(self):
         assert th.series_coefficient(2) == pytest.approx(math.pi**2 / 12.0, abs=1e-12)
@@ -387,7 +391,8 @@ class TestBreakdownPastTheExpRange:
         bd = th.energy_breakdown(th.EnsembleSpec.continuum(lam), beta, zeros3000.head(count))
         assert abs(bd.total - bd.oracle) <= bd.abs_error
         assert bd.eps2 == 1.0 / beta - nk._exp_neg_ei([lam / beta], lam / (beta * beta))[0]
-        assert bd.thermal_printed == th.thermal_part_printed_form(beta, lam)
+        quarter = nk._exp_neg_ei([0.25 * (lam / beta)], lam / (4.0 * beta * beta))[0]
+        assert bd.thermal_printed == bd.eps2 + quarter
         assert math.isfinite(bd.thermal_printed)
 
 

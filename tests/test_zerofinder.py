@@ -6,7 +6,6 @@ import pytest
 
 from rgas import zerofinder as zf
 from rgas.errors import AccuracyError, DomainError, TableFormatError
-from rgas.numkernel import DEFAULT_OPTIONS
 
 import oracles
 
@@ -189,7 +188,7 @@ class TestCertificate:
         # |Z_RS| exceeds its error bound; check the bound and the signs there.
         g = zeros10000.gammas[::20]
         g = g[g >= 200.0]
-        search = zf._Search(DEFAULT_OPTIONS)
+        search = zf._Search()
         idx, r, delta = zf._refine(search, g, g)
         assert idx.size == g.size
         t = np.concatenate([r - delta, r + delta])
@@ -223,7 +222,7 @@ class TestCertificate:
 
         monkeypatch.setattr(zf, "_central_slope", half_flat)
         g = zeros200.gammas
-        values, settled = zf._certify(zf._Search(DEFAULT_OPTIONS), g, g)
+        values, settled = zf._certify(zf._Search(), g, g)
         assert not settled[::2].any() and not settled[1::4].any()
         assert settled[3::4].any()
         assert np.array_equal(values[settled], g[settled])
