@@ -444,7 +444,16 @@ def hurwitz_zeta(z: complex, q: float) -> complex:
 
     Supported for Re z > -6: further left the continuation emerges from the
     cancellation of (q+N)^|z|-sized pieces and double precision cannot hold
-    a meaningful absolute error."""
+    a meaningful absolute error.
+
+    Far right it is q^-z: zeta(z, q) = q^-z (1 + S) with
+    S = sum_{n>=1} (q/(q+n))^z.  With x = Re z >= 2 and r = q/(q+1), the
+    terms n >= 2 are below the integral of (q/(q+u))^x over u >= 1, so
+    |S| <= r^x (1 + (q+1)/(x-1)) <= r^x (q+2), which is under the unit
+    roundoff 2^-53 once x ln(1 + 1/q) >= 53 ln 2 + ln(q+2) (x >= 54.6 at
+    q = 1, 94.0 at q = 2).  From there on q^-z is returned: exactly 1 at
+    q = 1, 0 where it underflows, and AccuracyError where it overflows
+    (q < 1)."""
     z = complex(z)
     if z == 1.0:
         raise PoleError("hurwitz_zeta has a pole at z = 1")
@@ -452,6 +461,13 @@ def hurwitz_zeta(z: complex, q: float) -> complex:
         raise DomainError("hurwitz_zeta requires finite z and finite q > 0")
     if z.real <= -6.0:
         raise DomainError("hurwitz_zeta supported for Re z > -6 only")
+    if z.real >= max(2.0, (53.0 * math.log(2.0) + math.log(q + 2.0)) / math.log1p(1.0 / q)):
+        try:
+            size = math.pow(q, -z.real)  # not exp(-x ln q), which rounds x ln q
+        except OverflowError:
+            raise AccuracyError("hurwitz_zeta exceeds the float range") from None
+        phase = -z.imag * math.log(q)
+        return complex(size * math.cos(phase), size * math.sin(phase))
     n = _em_cutoff(abs(z.imag), q)
     with np.errstate(all="ignore"):
         val, _, est, floor = _hurwitz_em(np.array([z]), q, n, want_derivative=False)

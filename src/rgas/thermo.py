@@ -39,7 +39,7 @@ beta adds rows to one ``quadrature.integrate_rows`` call, which evaluates
 L once per distinct panel of a dyadic tree that all rows share.  Each row
 refines on its own, so every point equals the one computed alone, and on
 failure the scan raises what a beta-by-beta loop raises first.  A discrete
-grid is one loop over beta, one zeta call per finite point; a beta at or
+grid is one zeta pass on all omega_k beta of its finite points; a beta at or
 past the Hagedorn point becomes a flagged point with nan values.
 """
 
@@ -58,13 +58,14 @@ from .numkernel import (
     _digamma_many,
     _exp_neg_ei,
     _log_regular_zeta_real_many,
+    _em_cutoff,
     _z_exp_e1,
     _zeta_em_many,
     zeta,
 )
 from .quadrature import dyadic_edges, integrate_exp_weight, integrate_rows
 from .superzeta import EXPANSION_CONSTANT, _S_FLUCTUATION, _tail_start, sum_inverse_rho
-from .zerofinder import ZeroTable, _fields_equal
+from .zerofinder import _EM_CHUNK_TERMS, ZeroTable, _fields_equal
 
 __all__ = [
     "EnsembleSpec",
@@ -204,35 +205,59 @@ _DIVERGENT = frozenset({"hagedorn_divergent"})
 
 
 def _discrete_points(spec: EnsembleSpec, betas, with_energy: bool) -> list[ThermoPoint]:
-    """The thermo points of a discrete ensemble along betas, one
-    Euler-Maclaurin call on all omega_k beta per point.  A beta at or past
-    the Hagedorn point beta omega_1 <= 1 becomes a flagged point with nan
+    """The thermo points of a discrete ensemble along betas, from one
+    Euler-Maclaurin pass on all omega_k beta of the finite betas, cut into
+    calls of at most _EM_CHUNK_TERMS points x terms.  A beta at or past the
+    Hagedorn point beta omega_1 <= 1 becomes a flagged point with nan
     values.  Without the energy, eps and entropy are nan and the value-only
     call keeps the accuracy gate of zeta; with it the gate is that of
-    zeta'."""
+    zeta'.  On failure it raises what a loop over the betas, one pass each,
+    raises first."""
     if spec.kind != "discrete":
         raise DomainError("discrete ensemble required")
-    nan = math.nan
-    points = []
-    for b in betas:
-        beta = float(b)
+    betas = [float(b) for b in betas]
+    try:
+        return _discrete_block(spec, betas, with_energy)
+    except RgasError:
+        if len(betas) > 1:
+            for beta in betas:
+                _discrete_block(spec, [beta], with_energy)
+        raise
+
+
+def _discrete_block(spec: EnsembleSpec, betas: list, with_energy: bool) -> list[ThermoPoint]:
+    for beta in betas:
         if not beta > 0.0:
             raise DomainError("beta must be positive")
-        if beta * float(spec.omegas[0]) <= 1.0:
+    omega_1 = float(spec.omegas[0])
+    finite = [beta for beta in betas if beta * omega_1 > 1.0]
+    s = np.multiply.outer(finite, spec.omegas).astype(np.complex128).ravel()
+    z = np.empty_like(s)
+    d = np.empty_like(s) if with_energy else None
+    step = max(1, _EM_CHUNK_TERMS // _em_cutoff(0.0, 1.0))  # real s: no Im part
+    for lo in range(0, s.size, step):
+        part = slice(lo, lo + step)
+        if with_energy:
+            z[part], d[part] = _zeta_em_many(s[part], want_derivative=True)
+        else:
+            z[part] = _zeta_em_many(s[part])
+    k = spec.omegas.size
+    nan = math.nan
+    points, row = [], 0
+    for beta in betas:
+        if beta * omega_1 <= 1.0:
             points.append(ThermoPoint(beta, complex(nan, nan), nan, nan, _DIVERGENT))
             continue
-        s = (spec.omegas * beta).astype(np.complex128)
-        if with_energy:
-            z, d = _zeta_em_many(s, want_derivative=True)
-        else:
-            z, d = _zeta_em_many(s), None
+        zb = z[row * k : (row + 1) * k]
         # contiguous copy: np.log on the strided .real view may round differently
-        ln_z = np.log(np.ascontiguousarray(z.real))
+        ln_z = np.log(np.ascontiguousarray(zb.real))
         f = float(-(spec.masses @ ln_z) / (beta * spec.volume))
         eps = nan
         if d is not None:
-            eps = float(-(spec.masses @ (spec.omegas * (d.real / z.real))) / spec.volume)
+            db = d[row * k : (row + 1) * k]
+            eps = float(-(spec.masses @ (spec.omegas * (db.real / zb.real))) / spec.volume)
         points.append(ThermoPoint(beta, complex(f, 0.0), eps, beta * (eps - f)))
+        row += 1
     return points
 
 
@@ -267,7 +292,7 @@ def energy_entropy_discrete(spec: EnsembleSpec, beta: float) -> tuple[float, flo
 
 def hagedorn_scan(spec: EnsembleSpec, beta_grid) -> list[ThermoPoint]:
     """The free energy view of a discrete thermo_scan: the same points with
-    nan eps and entropy, one value-only kernel call per finite beta."""
+    nan eps and entropy, from one value-only kernel pass per grid."""
     return _discrete_points(spec, beta_grid, with_energy=False)
 
 
@@ -661,9 +686,9 @@ def thermo_scan(spec: EnsembleSpec, beta_grid, tol: float = 1e-9) -> list[Thermo
     with L evaluated once per distinct panel; a point whose rows miss their
     tolerance is flagged ``unconverged``, and on failure the scan raises
     what a beta-by-beta loop raises first.  A discrete grid is one kernel
-    call per finite beta, and its betas at or past the Hagedorn point are
-    flagged ``hagedorn_divergent`` with nan values where thermo_point
-    raises."""
+    pass on all its finite betas, and its betas at or past the Hagedorn
+    point are flagged ``hagedorn_divergent`` with nan values where
+    thermo_point raises."""
     if spec.kind == "discrete":
         return _discrete_points(spec, beta_grid, with_energy=True)
     betas = [float(b) for b in beta_grid]

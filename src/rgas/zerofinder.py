@@ -4,26 +4,29 @@ The zeros are assumed to lie on Re s = 1/2 (Riemann hypothesis, as the model
 requires); their ordinates gamma_k are found as sign changes of the rotated
 real function Z(t) = exp(i theta(t)) zeta(1/2 + it).
 
-`find_zeros` brackets them on a grid of 8 cells per Gram interval.  From
-t = 200 on it evaluates Z by the Riemann-Siegel formula with Gabcke's C0..C4
-corrections, which costs O(sqrt(t)) terms (theta from its real asymptotic
-series, the corrections in one Horner pass), and falls back to
-Euler-Maclaurin wherever |Z| is within the Riemann-Siegel error bound, so
-every sign on the grid is the Euler-Maclaurin sign.  Euler-Maclaurin Z, at
-O(t) terms, runs on sorted chunks sized so that no point pays for a cutoff
-far above its own.  Completeness is judged by Gram blocks:
-by Rosser's rule a block between consecutive good Gram points holds as many
-zeros as it spans Gram intervals, and only the blocks that show fewer sign
-changes are rescanned at 64, 512 and 4096 cells per interval.  The brackets
-are narrowed by vectorized Illinois regula falsi on the same fast kernel.
-A chord step on that kernel gives each root r, and its error bound gives a
-window r -/+ delta that must hold the Euler-Maclaurin zero; the signs at
-the window ends confirm it (they are Euler-Maclaurin signs, like those of
-the grid).  Where both ends round to the same 12 digits the zero is
-settled; only the others (mostly below t ~ 600, where the Riemann-Siegel
-bound is coarse, and those near a rounding edge) are polished by two
-secant steps on Euler-Maclaurin.  The table is audited against the smooth
-counting formula.
+theta has one kernel, `_theta_many`: its real asymptotic series from
+t = 14 on and complex log Gamma below.  The Gram points, both Z kernels and
+superzeta's T* take it.
+
+`find_zeros` brackets the zeros on a grid of 8 cells per Gram interval.
+From t = 200 on it evaluates Z by the Riemann-Siegel formula with Gabcke's
+C0..C4 corrections in one Horner pass, which costs O(sqrt(t)) terms, and
+falls back to Euler-Maclaurin wherever |Z| is within the Riemann-Siegel
+error bound, so every sign on the grid is the Euler-Maclaurin sign.
+Euler-Maclaurin Z, at O(t) terms, runs on sorted chunks sized so that no
+point pays for a cutoff far above its own.  Completeness is judged by Gram
+blocks: by Rosser's rule a block between consecutive good Gram points holds
+as many zeros as it spans Gram intervals, and only the blocks that show
+fewer sign changes are rescanned at 64, 512 and 4096 cells per interval.
+The brackets are narrowed by vectorized Illinois regula falsi on the same
+fast kernel.  A chord step on that kernel gives each root r, and its error
+bound gives a window r -/+ delta that must hold the Euler-Maclaurin zero;
+the signs at the window ends confirm it (they are Euler-Maclaurin signs,
+like those of the grid).  Where both ends round to the same 12 digits (one
+vector pass, `_quantize_many`) the zero is settled; only the others (mostly
+below t ~ 600, where the Riemann-Siegel bound is coarse, and those near a
+rounding edge) are polished by two secant steps on Euler-Maclaurin.  The
+table is audited against the smooth counting formula.
 
 Zero tables are persisted as plain text:
 
@@ -139,10 +142,38 @@ def riemann_siegel_theta(t: float) -> float:
     return float(_theta_many([t])[0])
 
 
+# Asymptotic series of theta(t) - ((t/2) ln(t/2pi) - t/2 - pi/8) in 1/t,
+# 1/t^3, ..., 1/t^9: the coefficient of t^(1-2k) is
+# (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)) (Edwards, Riemann's Zeta Function, 6.5).
+_THETA_SERIES = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0, 511.0 / 1216512.0)
+
+# theta takes the series from here on.  Its first omitted term,
+# (2047/2048) |B_12| / 264 t^-11 = 9.58e-4 t^-11, must be under half an ulp
+# of theta's rounding scale, the ulp of its largest piece (t/2) ln(t/2pi):
+# that half ulp is 4.4e-16 for t in [12.3, 16.7), and the term is 5.3e-16
+# at t = 13 and 2.4e-16 at t = 14, the first integer below it.  Under t0
+# theta is Im log Gamma(1/4 + it/2) - (t/2) ln pi.
+_THETA_SERIES_MIN_T = 14.0
+
+
 def _theta_many(t: np.ndarray) -> np.ndarray:
+    """theta(t) elementwise, the one theta kernel of the package: the real
+    asymptotic series from t = _THETA_SERIES_MIN_T on, where it is as
+    accurate as double precision allows and ~30 times cheaper than complex
+    log Gamma, which serves only below.  Each value depends on its own t
+    only, so a scalar equals its place in a batch bit for bit."""
     t = np.asarray(t, dtype=np.float64)
-    z = 0.25 + 0.5j * t
-    return _log_gamma_many(z).imag - 0.5 * t * _LOG_PI
+    x = np.maximum(t, _THETA_SERIES_MIN_T)  # the points below are replaced
+    inv = 1.0 / x
+    inv2 = inv * inv
+    tail = _THETA_SERIES[-1]
+    for c in reversed(_THETA_SERIES[:-1]):
+        tail = tail * inv2 + c
+    theta = 0.5 * x * np.log(x / _TWO_PI) - 0.5 * x - math.pi / 8.0 + tail * inv
+    low = t < _THETA_SERIES_MIN_T
+    if low.any():
+        theta[low] = _log_gamma_many(0.25 + 0.5j * t[low]).imag - 0.5 * t[low] * _LOG_PI
+    return theta
 
 
 def _z_chunk(t: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -177,7 +208,7 @@ def _z_many(t: np.ndarray) -> np.ndarray:
     """Vectorized Hardy Z over arbitrary finite t > 0: the points are sorted
     and cut into chunks sized by their Euler-Maclaurin cutoffs
     N = ceil(t/2) + 10, so no point pays for a cutoff far above its own.
-    theta is taken once for all points (`_log_gamma_many` is elementwise, so
+    theta is taken once for all points (`_theta_many` is elementwise, so
     this gives the same bits as per chunk)."""
     t = np.asarray(t, dtype=np.float64)
     if not np.all((t > 0.0) & (t < math.inf)):
@@ -256,25 +287,6 @@ _RS_CORRECTIONS = _rs_correction_polys()
 # nonzero coefficients of C_k, and C1, C3 take one more factor x.
 _RS_PARITY = np.array([np.append(poly, 0.0)[k % 2 :: 2] for k, poly in enumerate(_RS_CORRECTIONS)])
 
-# Asymptotic series of theta(t) - ((t/2) ln(t/2pi) - t/2 - pi/8) in 1/t,
-# 1/t^3, ..., 1/t^9; the first omitted term is below 1e-28 at t = 200.
-_THETA_SERIES = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0, 511.0 / 1216512.0)
-
-
-def _theta_rs(t: np.ndarray) -> np.ndarray:
-    """theta(t) for t >= 200 from its real asymptotic series.  It agrees with
-    `_theta_many` to a few ulps of t ln t, but not bit for bit, so only the
-    Riemann-Siegel kernel uses it: its values never reach the output (every
-    sign it settles is confirmed on Euler-Maclaurin), while the Gram points,
-    and through them T* and the printed breakdowns, keep `_theta_many`."""
-    inv = 1.0 / t
-    inv2 = inv * inv
-    tail = _THETA_SERIES[-1]
-    for c in reversed(_THETA_SERIES[:-1]):
-        tail = tail * inv2 + c
-    return 0.5 * t * np.log(t / _TWO_PI) - 0.5 * t - math.pi / 8.0 + tail * inv
-
-
 def _rs_corrections(x: np.ndarray) -> np.ndarray:
     """C0(x)..C4(x) as rows, by one Horner pass in x^2 over `_RS_PARITY`."""
     x2 = x * x
@@ -289,7 +301,7 @@ def _rs_corrections(x: np.ndarray) -> np.ndarray:
 def _z_rs(t: np.ndarray) -> np.ndarray:
     """Riemann-Siegel Z(t) for t >= 200: the main sum
     2 sum_{n <= sqrt(t/2pi)} n^{-1/2} cos(theta - t ln n) plus the C0..C4
-    remainder terms, with theta from `_theta_rs`.  It differs from
+    remainder terms, with theta from `_theta_many`.  It differs from
     Euler-Maclaurin Z by at most `_rs_error_bound(t)`.  The points are
     sorted, so term n is summed over the suffix of points with
     sqrt(t/2pi) >= n and no cosine is wasted; each value depends on its own
@@ -297,7 +309,7 @@ def _z_rs(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     order = np.argsort(t, kind="stable")
     sorted_t = t[order]
-    theta = _theta_rs(sorted_t)
+    theta = _theta_many(sorted_t)
     tau = np.sqrt(sorted_t / _TWO_PI)
     n_max = np.floor(tau)  # nondecreasing, as sorted_t is
     main = np.zeros_like(sorted_t)
@@ -549,7 +561,7 @@ def _certify(search: _Search, a, b):
         raise AccuracyError(
             f"no Euler-Maclaurin sign change on [{ends[bad]:.12g}, {ends[r.size + bad]:.12g}]"
         )
-    rounded = np.array([_quantize(t) for t in ends])
+    rounded = _quantize_many(ends)
     values = np.zeros(a.size)
     settled = np.zeros(a.size, dtype=bool)
     values[idx] = rounded[: r.size]
@@ -606,7 +618,7 @@ def find_zeros(count: int) -> ZeroTable:
     a, b = _illinois(search, lo, hi, zlo, zhi)
     quantized, settled = _certify(search, a, b)
     rest = np.flatnonzero(~settled)
-    quantized[rest] = [_quantize(g) for g in _polish(search, a[rest], b[rest])]
+    quantized[rest] = _quantize_many(_polish(search, a[rest], b[rest]))
     g_max = float(quantized[-1])
     half_ulp = 0.5 * 10.0 ** (math.floor(math.log10(g_max)) - 11)
     abs_error = max(1e-11, half_ulp)
@@ -630,9 +642,27 @@ def find_zeros(count: int) -> ZeroTable:
     return table
 
 
-def _quantize(g: float) -> float:
-    """Round to the 12-significant-digit precision of the file format."""
-    return float(format(g, ".12g"))
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+
+
+def _quantize_many(g: np.ndarray) -> np.ndarray:
+    """Round to the 12 significant digits of the file format, equal to
+    float(format(g, ".12g")) elementwise.  With d = 11 - floor(log10 g),
+    p = g 10^d is one rounding (at most 6.1e-5 off below 1e12) from the
+    exact product, so where p lies more than 1e-3 from a half-integer,
+    rint(p) is the correctly rounded 12-digit integer m, and m / 10^d, a
+    quotient of exact doubles, is the double nearest the decimal, as float()
+    reads it.  Near-ties and p outside [1e11, 1e12) (log10 off by one next
+    to a power of ten) go through format."""
+    g = np.asarray(g, dtype=np.float64)
+    d = 11 - np.floor(np.log10(g)).astype(np.int64)
+    scale = _POW10[np.clip(d, 0, _POW10.size - 1)]
+    p = g * scale
+    out = np.rint(p) / scale
+    exact = (d >= 0) & (p >= 1e11) & (p < 1e12) & (np.abs(p - np.floor(p) - 0.5) > 1e-3)
+    for i in np.flatnonzero(~exact):
+        out[i] = float(format(g[i], ".12g"))
+    return out
 
 
 # ----------------------------------------------------------------------

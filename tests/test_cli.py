@@ -135,6 +135,21 @@ class TestEvalCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split(",")[3:] == [value, "0"]
 
+    @pytest.mark.parametrize(
+        "q,value", [("1", ["1", "0"]), ("2", ["0", "0"]), ("0.5", None)]
+    )
+    def test_hurwitz_at_huge_re_z(self, capsys, q, value):
+        # zeta(1e14, q) is q^-1e14 to rounding: 1, an underflow to 0, and an
+        # overflow (exit 3); the first two exited 3 when the sum's rising
+        # product overflowed.  RuntimeWarnings are errors under pytest.
+        code, out, err = run_cli(capsys, "eval", "--fn", "hurwitz", "--re", "1e14", "--q", q)
+        if value is None:
+            assert (code, out) == (3, "")
+            assert err == "rgas: numerical failure: hurwitz_zeta exceeds the float range\n"
+        else:
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1].split(",")[3:] == value
+
     def test_budget_miss_names_the_target_only(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--fn", "zeta", "--re", "0.1", "--im", "1500")
         assert (code, out) == (3, "")

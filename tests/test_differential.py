@@ -111,11 +111,46 @@ class TestTheta:
         assert scaled(zf.riemann_siegel_theta(t), ref) <= BOUND
 
     @settings(max_examples=150, deadline=None)
-    @given(magnitudes(200.0, 1e6))
+    @given(magnitudes(zf._THETA_SERIES_MIN_T, 1e6))
     def test_series_against_siegeltheta(self, t):
         with mp.workdps(30):
             ref = float(mp.siegeltheta(t))
-        assert scaled(float(zf._theta_rs(np.array([t]))[0]), ref) <= BOUND
+        assert scaled(float(zf._theta_many(np.array([t]))[0]), ref) <= BOUND
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-2.0, max_value=2.0))
+    def test_both_sides_of_the_series_edge(self, offset):
+        """Dense draws on t0 -/+ 2: log Gamma below t0, the series from t0
+        on, where its truncation is below the rounding of its leading term
+        (t/2) ln(t/2pi), so it stays within 4 ulps of that term."""
+        t = zf._THETA_SERIES_MIN_T + offset
+        with mp.workdps(30):
+            ref = float(mp.siegeltheta(t))
+        value = float(zf._theta_many(np.array([t]))[0])
+        assert scaled(value, ref) <= BOUND
+        if offset >= 0.0:
+            assert abs(value - ref) <= 4.0 * np.spacing(0.5 * t * math.log(t / (2.0 * math.pi)))
+
+
+class TestGramPoints:
+    @staticmethod
+    def reference(n):
+        with mp.workdps(30):
+            if n == -1:  # mp.grampoint starts at g_0
+                return mp.findroot(lambda t: mp.siegeltheta(t) + mp.pi, mp.mpf(9.7))
+            return mp.grampoint(n)
+
+    def test_against_grampoint(self):
+        """g_-1 .. g_10006, the Gram points of the largest zero search, on 40
+        sampled n with both ends, against mpmath within 4 ulps."""
+        gram = zf._gram_points(-1, 10006)
+        rng = np.random.default_rng(1979)
+        picks = np.concatenate(([-1, 0, 1, 2, 10006], rng.integers(3, 10006, 35)))
+        for n in picks:
+            value = float(gram[n + 1])
+            with mp.workdps(30):
+                err = abs(mp.mpf(value) - self.reference(int(n)))
+            assert float(err) <= 4.0 * np.spacing(value), n
 
 
 class TestExponentialIntegral:

@@ -269,6 +269,26 @@ class TestHurwitz:
             rhs = nk.hurwitz_zeta(complex(z), q + 1.0) + complex(q) ** (-z)
             assert lhs == pytest.approx(rhs, abs=1e-7 * max(1.0, abs(lhs)))
 
+    def test_power_of_q_where_the_sum_rounds_away(self):
+        """Past x ln(1 + 1/q) = 53 ln 2 + ln(q + 2) the value is q^-z, within
+        the unit roundoff of mpmath, times 1 + |y ln q| for the rounding of
+        the phase (the sum just below that edge, within 1e-13 relative);
+        exactly 1 at q = 1, 0 where q^-z underflows, and AccuracyError where
+        it overflows."""
+        mp = pytest.importorskip("mpmath")
+        for q in (0.3, 1.0, 2.0, 7.5):
+            edge = (53.0 * math.log(2.0) + math.log(q + 2.0)) / math.log1p(1.0 / q)
+            for x, bound in ((0.9 * edge, 1e-13), (edge, 2.0**-52), (1.01 * edge, 2.0**-52), (2.0 * edge, 2.0**-52)):
+                for y in (0.0, 5.0):
+                    value = nk.hurwitz_zeta(complex(x, y), q)
+                    with mp.workdps(30):
+                        ref = complex(mp.zeta(mp.mpc(x, y), q))
+                    assert abs(value - ref) <= bound * abs(ref) * (1.0 + abs(y * math.log(q)))
+        assert nk.hurwitz_zeta(complex(1e14, 3.0), 1.0) == 1.0
+        assert nk.hurwitz_zeta(1e14, 2.0) == 0.0
+        with pytest.raises(AccuracyError, match="float range"):
+            nk.hurwitz_zeta(1e14, 0.5)
+
     def test_deep_negative_rejected(self):
         with pytest.raises(DomainError):
             nk.hurwitz_zeta(-8.0, 1.0)

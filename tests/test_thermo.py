@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rgas import numkernel as nk
@@ -121,7 +121,7 @@ def _random_spec(seed: int, k: int, volume: float = 1.0) -> th.EnsembleSpec:
 
 
 class TestDiscreteBatching:
-    """One Euler-Maclaurin call per beta, with the rounding of the one-point
+    """One Euler-Maclaurin pass per grid, with the rounding of the one-point
     scalar path it replaced."""
 
     @staticmethod
@@ -143,15 +143,22 @@ class TestDiscreteBatching:
                 point = th.thermo_point(spec, beta)
                 assert (point.f, point.eps, point.entropy) == (complex(f, 0.0), eps, entropy)
 
-    def test_one_kernel_call_per_beta(self, monkeypatch):
+    @staticmethod
+    def counted_kernel(monkeypatch):
+        """Patch the Euler-Maclaurin core to record the points x terms of
+        each call."""
         calls = []
         original = nk._hurwitz_em
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(s, a, n_terms, want_derivative):
+            calls.append(np.size(s) * n_terms)
+            return original(s, a, n_terms, want_derivative)
 
         monkeypatch.setattr(nk, "_hurwitz_em", counted)
+        return calls
+
+    def test_one_kernel_call_per_grid(self, monkeypatch):
+        calls = self.counted_kernel(monkeypatch)
         spec = _random_spec(5, 50)
         beta = 2.0 / float(spec.omegas[0])
         th.thermo_point(spec, beta)
@@ -162,7 +169,60 @@ class TestDiscreteBatching:
         assert len(calls) == 1
         calls.clear()
         th.thermo_scan(spec, [0.5 / float(spec.omegas[0]), beta, 2.0 * beta])
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @staticmethod
+    def same_point(a, b):
+        return a.beta == b.beta and a.flags == b.flags and np.array_equal(
+            [a.f.real, a.f.imag, a.eps, a.entropy],
+            [b.f.real, b.f.imag, b.eps, b.entropy],
+            equal_nan=True,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=2, max_value=80),
+        st.booleans(),
+    )
+    @example(seed=7, k=200, steps=80, with_energy=True)  # 3 calls at the cap
+    def test_scan_equals_points_alone(self, seed, k, steps, with_energy):
+        """A grid across 1/omega_1 equals its finite betas computed alone,
+        bit for bit, and no kernel call exceeds the chunk cap."""
+        spec = _random_spec(seed, k)
+        edge = 1.0 / float(spec.omegas[0])
+        grid = np.linspace(0.5 * edge, 3.0 * edge, steps)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self.counted_kernel(monkeypatch)
+            points = th._discrete_points(spec, grid, with_energy)
+        assert calls and max(calls) <= th._EM_CHUNK_TERMS
+        for beta, point in zip(grid, points):
+            if beta * float(spec.omegas[0]) <= 1.0:
+                assert point.flags == {"hagedorn_divergent"}
+            else:
+                assert self.same_point(point, th._finite_point(spec, float(beta), with_energy))
+
+    def test_failure_is_that_of_the_first_failing_beta(self, monkeypatch):
+        spec = _random_spec(6, 20)
+        edge = 1.0 / float(spec.omegas[0])
+        with pytest.raises(DomainError, match="beta must be positive"):
+            th.thermo_scan(spec, [2.0 * edge, 0.0, 3.0 * edge])
+        original = th._zeta_em_many
+
+        # fails on any call holding an s past 2 edge omega_K, naming the call's size
+        def failing(s, want_derivative=False):
+            if np.max(s.real) > 2.0 * edge * float(spec.omegas[-1]):
+                raise AccuracyError(f"fails on {s.size} points from {np.min(s.real)!r}")
+            return original(s, want_derivative)
+
+        monkeypatch.setattr(th, "_zeta_em_many", failing)
+        grid = [1.5 * edge, 4.0 * edge, 3.0 * edge]
+        with pytest.raises(AccuracyError) as alone:
+            th._finite_point(spec, grid[1], True)
+        with pytest.raises(AccuracyError) as scan:
+            th.thermo_scan(spec, grid)
+        assert str(scan.value) == str(alone.value)
 
 
 def _divergent(point) -> bool:

@@ -1,8 +1,11 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgas import zerofinder as zf
 from rgas.errors import AccuracyError, DomainError, TableFormatError
@@ -76,9 +79,12 @@ class TestFastKernels:
     and the cutoff-sized chunks of Euler-Maclaurin Z."""
 
     def test_theta_series_matches_theta(self):
-        t = np.geomspace(200.0, 1e6, 5001)
+        from rgas import numkernel as nk
+
+        t = np.geomspace(zf._THETA_SERIES_MIN_T, 1e4, 5001)
+        log_gamma = nk._log_gamma_many(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
         ulps = np.spacing(t * np.log(t))
-        assert np.all(np.abs(zf._theta_rs(t) - zf._theta_many(t)) <= 4.0 * ulps)
+        assert np.all(np.abs(zf._theta_many(t) - log_gamma) <= 4.0 * ulps)
 
     def test_parity_horner_matches_polyval(self):
         x = np.linspace(-0.5, 0.5, 2001)
@@ -237,6 +243,52 @@ class TestCertificate:
         )
         with pytest.raises(AccuracyError, match="slope"):
             zf.find_zeros(50)
+
+
+def _steps(x: float, ulps: int) -> float:
+    """x moved by `ulps` adjacent doubles (down for a negative count)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+# a 12-digit integer m in [1e11, 1e12) and d = 6..10 place m / 10^d, or the
+# decimal midpoint (m + 1/2) / 10^d, in [10, 1e6)
+_digits = st.integers(min_value=10**11, max_value=10**12 - 1)
+_places = st.integers(min_value=6, max_value=10)
+_offsets = st.integers(min_value=-4, max_value=4)
+
+
+class TestQuantize:
+    """The vectorized 12-digit rounding equals format + float, including
+    values a few ulps from a rounding tie, where its fallback decides."""
+
+    @staticmethod
+    def assert_matches(values):
+        values = np.asarray(values, dtype=np.float64)
+        expected = np.array([float(format(g, ".12g")) for g in values])
+        assert np.array_equal(zf._quantize_many(values), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=10.0, max_value=1e6, exclude_max=True), min_size=1, max_size=50))
+    def test_plain_floats(self, values):
+        self.assert_matches(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_digits, _places, _offsets), min_size=1, max_size=20))
+    def test_near_decimal_midpoints(self, draws):
+        self.assert_matches(
+            [_steps(float(Fraction(2 * m + 1, 2 * 10**d)), k) for m, d, k in draws]
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_digits, _places, _offsets), min_size=1, max_size=20))
+    def test_near_exact_twelve_digit_values(self, draws):
+        self.assert_matches([_steps(m / 10**d, k) for m, d, k in draws])
+
+    def test_powers_of_ten(self):
+        powers = [10.0**k for k in range(1, 6)]
+        self.assert_matches(powers + [_steps(p, k) for p in powers for k in (-4, -1, 1, 4)])
 
 
 class TestCountEstimate:
