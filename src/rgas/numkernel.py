@@ -591,14 +591,17 @@ def _z_exp_e1(z) -> tuple[np.ndarray, np.ndarray]:
     return h, g
 
 
-def _exp_neg_ei(x, scale=1.0) -> np.ndarray:
+def _exp_neg_ei(x, scale=1.0, g=None) -> np.ndarray:
     """scale * e^(-x) Ei(x) for a 1-d array of real x, as scale * Re g(-x + i0)/x,
-    with no exponential formed.  x must be finite with |x| >= 2.2e-308: for
-    a subnormal x, g ~ x ln|x| keeps too few bits."""
+    with no exponential formed; g, when given, holds those g(-x) from a
+    larger batch.  x must be finite with |x| >= 2.2e-308: for a subnormal
+    x, g ~ x ln|x| keeps too few bits."""
     x = np.asarray(x, dtype=np.float64)
     if not (np.abs(x) >= np.finfo(np.float64).tiny).all():
         raise DomainError("Ei needs finite x with |x| >= 2.2e-308")
-    return scale * (_z_exp_e1(-x)[1].real / x)
+    if g is None:
+        g = _z_exp_e1(-x)[1]
+    return scale * (g.real / x)
 
 
 def exp_integral_ei(x: float) -> float:

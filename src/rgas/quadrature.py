@@ -22,6 +22,9 @@ panel, and each round makes one kernel call for the panels no row has
 asked for before.  So a row returns the same QuadResult whatever rows run
 beside it.
 
+A ``RowSet`` is the rows of one integral and the step that makes its value
+of their QuadResults; ``fuse_rows`` joins several into one call.
+
 The other entry points are views of it, for real elementwise integrands
 that receive one 1-d array holding the nodes of all the panels of a round
 and return an array of the same length whose k-th value depends on the
@@ -38,6 +41,7 @@ k-th node alone:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +50,10 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "QuadResult",
+    "RowSet",
     "dyadic_edges",
+    "exp_weight_rows",
+    "fuse_rows",
     "integrate",
     "integrate_exp_weight",
     "integrate_rows",
@@ -102,6 +109,12 @@ class QuadResult:
     converged: bool
 
 
+# the arguments of integrate_rows for the rows of one integral, weight(rows,
+# x) numbering them from 0, and finish, which makes the integral's value of
+# their QuadResults
+RowSet = namedtuple("RowSet", "weight edges tols with_kernel finish")
+
+
 def _gk15(lo, hi, y):
     """K15 and G7 values of the panels [lo[i], hi[i]] from the integrand's
     values y[i] at their nodes; DomainError where a value is not finite."""
@@ -124,10 +137,10 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
     share, so an integrable singularity belongs at a = 0 or b = 0."""
     if not a < b:
         raise DomainError("integrate requires a < b")
-    return _row(f, [a, b], tol)
+    return _integrate(_real_row(f, [a, b], tol, lambda results: results[0]))
 
 
-def _row(f, edges, tol: float) -> QuadResult:
+def _real_row(f, edges, tol: float, finish) -> RowSet:
     """The integral of f over [edges[0], edges[-1]] as one row without
     kernel, starting from the panels between the edges."""
 
@@ -137,16 +150,16 @@ def _row(f, edges, tol: float) -> QuadResult:
             raise DomainError("integrand must be real")
         return np.asarray(y, dtype=np.float64).reshape(x.shape)
 
-    return integrate_rows(None, weight, [np.asarray(edges, dtype=np.float64)], [tol], [False])[0]
+    return RowSet(weight, [np.asarray(edges, dtype=np.float64)], [tol], [False], finish)
 
 
-def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
-    """integral_0^inf g(w) * rate * exp(-rate w) dw for a real g.
+def _integrate(rows: RowSet):
+    """rows.finish of integrate_rows on rows, without kernel."""
+    return rows.finish(integrate_rows(None, rows.weight, rows.edges, rows.tols, rows.with_kernel))
 
-    The density is integrated exactly over [0, 40/rate], from panels graded
-    toward 0 in rate w; the remainder is bounded by exp(-40) times a sampled
-    bound on |g| and folded into the error estimate.  g must grow
-    sub-exponentially."""
+
+def exp_weight_rows(g, rate: float, tol: float = 1e-10) -> RowSet:
+    """The row of integrate_exp_weight, whose finish gives its QuadResult."""
     if not rate > 0.0:
         raise DomainError("rate must be positive")
     cutoff = 40.0 / rate
@@ -156,9 +169,23 @@ def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
     if g60 > 1e6 * (1.0 + g40):
         raise DomainError("integrand grows too fast for the exponential weight")
     edges = np.append(dyadic_edges(-3, 5), 40.0) / rate
-    res = _row(lambda w: np.asarray(g(w)) * (rate * np.exp(-rate * w)), edges, tol)
     tail = 4.0 * (float(np.max(probes)) + 1e-300) * math.exp(-40.0)
-    return QuadResult(res.value, res.abs_error + tail, res.evaluations + 3, res.converged)
+
+    def finish(results):
+        (res,) = results
+        return QuadResult(res.value, res.abs_error + tail, res.evaluations + 3, res.converged)
+
+    return _real_row(lambda w: np.asarray(g(w)) * (rate * np.exp(-rate * w)), edges, tol, finish)
+
+
+def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
+    """integral_0^inf g(w) * rate * exp(-rate w) dw for a real g.
+
+    The density is integrated exactly over [0, 40/rate], from panels graded
+    toward 0 in rate w; the remainder is bounded by exp(-40) times a sampled
+    bound on |g| and folded into the error estimate.  g must grow
+    sub-exponentially."""
+    return _integrate(exp_weight_rows(g, rate, tol))
 
 
 def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> QuadResult:
@@ -234,6 +261,27 @@ _MAX_PANELS = 4096
 _ROW_BLOCK = 256
 
 
+def fuse_rows(sets: list) -> RowSet:
+    """The rows of all sets as one set, whose finish gives their finishes;
+    a round calls each set's weight once, on its panels, if it has any."""
+    starts = np.cumsum([0] + [len(s.edges) for s in sets])
+
+    def weight(rows, x):
+        # the rows come in ascending order, so each set's panels are a slice
+        out = np.empty_like(x)
+        cuts = rows.searchsorted(starts).tolist()
+        for s, first, a, b in zip(sets, starts.tolist(), cuts, cuts[1:]):
+            if a < b:
+                out[a:b] = s.weight(rows[a:b] - first, x[a:b])
+        return out
+
+    def finish(results):
+        return [s.finish(results[a:b]) for s, a, b in zip(sets, starts[:-1], starts[1:])]
+
+    joined = [[v for s in sets for v in getattr(s, f)] for f in ("edges", "tols", "with_kernel")]
+    return RowSet(weight, *joined, finish)
+
+
 def dyadic_edges(first: int, last: int) -> np.ndarray:
     """Edges 0, 2^first, 2^(first+1), ..., 2^last: panels of the dyadic
     tree, graded toward 0."""
@@ -266,8 +314,8 @@ def integrate_rows(kernel, weight, edges, tols, with_kernel) -> list[QuadResult]
     QuadResult per row r.
 
     kernel is a real elementwise kernel on a 1-d array of s; weight(rows, x)
-    gives the real weights of the given rows at the nodes x, one row of x
-    per panel; kernel may be None when no row uses it.  Row r starts from
+    gives the real weights of the given rows, in ascending order, at the
+    nodes x, one row of x per panel; kernel may be None when no row uses it.  Row r starts from
     the panels between its edges, which should be dyadic intervals where
     the row uses the kernel (see ``dyadic_edges``), and each round splits
     every leaf whose error exceeds its share tols[r]/(2 n) of the n leaves,
@@ -290,11 +338,12 @@ def _refine(table, weight, edges, tols, with_kernel, first_row):
     n = len(edges)
     results = [None] * n
     evals = np.zeros(n, dtype=np.int64)
-    # the panels to evaluate this round, and the leaves so far
+    # the panels to evaluate this round, and the leaves so far, one line
+    # each: row (exact as a float), lo, hi, K15 value, error
     row = np.repeat(np.arange(n), [len(e) - 1 for e in edges])
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
-    leaves = [np.empty(0, dtype=t) for t in (np.intp, float, float, float, float)]
+    leaves = np.empty((5, 0))
     while row.size:
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
         y = weight(row + first_row, c[:, None] + h[:, None] * _NODES)
@@ -304,10 +353,10 @@ def _refine(table, weight, edges, tols, with_kernel, first_row):
         i15, i7 = _gk15(lo, hi, y)
         err = np.abs(i15 - i7) + _PANEL_ROUNDING * np.abs(i15)
         evals += 15 * np.bincount(row, minlength=n)
+        leaves = np.concatenate((leaves, np.array((row, lo, hi, i15, err))), axis=1)
         # sorted by row, then s: bincount adds up each row's leaves in s order
-        leaves = [np.concatenate(p) for p in zip(leaves, (row, lo, hi, i15, err))]
-        order = np.lexsort((leaves[1], leaves[0]))
-        r, a, b, v, e = leaves = [p[order] for p in leaves]
+        leaves = leaves[:, np.lexsort(leaves[1::-1])]
+        r, (a, b, v, e) = leaves[0].astype(np.intp), leaves[1:]
 
         count = np.bincount(r, minlength=n)
         total = np.bincount(r, weights=e, minlength=n)
@@ -330,10 +379,9 @@ def _refine(table, weight, edges, tols, with_kernel, first_row):
         for j in np.flatnonzero(stop).tolist():
             value, error = float(values[j]), float(total[j])
             results[j] = QuadResult(value, error, int(evals[j]), bool(error <= tols[j]))
-        mid = 0.5 * (a[split] + b[split])
+        # each split leaf [a, b] becomes [a, mid] and [mid, b], in row order
         row = np.repeat(r[split], 2)
-        lo = np.stack((a[split], mid), axis=1).reshape(-1)
-        hi = np.stack((mid, b[split]), axis=1).reshape(-1)
-        keep = ~split & ~stop[r]
-        leaves = [p[keep] for p in leaves]
+        lo, hi = np.repeat(a[split], 2), np.repeat(b[split], 2)
+        lo[1::2] = hi[::2] = 0.5 * (lo[1::2] + hi[::2])
+        leaves = leaves[:, ~split & ~stop[r]]
     return results

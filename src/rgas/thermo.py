@@ -26,8 +26,9 @@ the module's ground truth, ``energy_oracle``.  It is also expanded through
 the pole/zero decomposition of zeta'/zeta into six pieces eps1..eps6 (pole,
 nontrivial zeros in pairs, trivial zeros in their convergent combination,
 and constants), whose sum is checked against the oracle.  eps3 (the
-nontrivial zeros) is one complex-E1 kernel call on the table and one
-quadrature of the same kernel against the zero density past it.
+nontrivial zeros) is the complex-E1 kernel on the table plus a quadrature
+of the same kernel against the zero density past it.  The breakdown is one
+E1 call and one integrate_rows call (see ``energy_breakdown``).
 
 Closed forms printed in terms of Ei and the factorially divergent series
 sum g(k) (beta/lam)^k are also provided verbatim ("printed" forms) with
@@ -46,6 +47,7 @@ past the Hagedorn point becomes a flagged point with nan values.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -63,7 +65,9 @@ from .numkernel import (
     _zeta_em_many,
     zeta,
 )
-from .quadrature import dyadic_edges, integrate_exp_weight, integrate_rows
+from .quadrature import (
+    RowSet, dyadic_edges, exp_weight_rows, fuse_rows, integrate_exp_weight, integrate_rows
+)
 from .superzeta import EXPANSION_CONSTANT, _S_FLUCTUATION, _tail_start, sum_inverse_rho
 from .zerofinder import _EM_CHUNK_TERMS, ZeroTable, _fields_equal
 
@@ -313,40 +317,64 @@ def free_energy_im_closed_form(spec: EnsembleSpec, beta: float) -> float:
 _SHI_COEF = tuple(2.0 / ((2 * j + 1) * math.factorial(2 * j + 1)) for j in range(10))
 
 
-def _pole_log_window(kappa: np.ndarray) -> np.ndarray:
+def _window_z(kappa: np.ndarray) -> np.ndarray:
+    """The E1 arguments of the pole windows: -k, then k, for kappa above 1."""
+    k = kappa[~(kappa <= 1.0)]
+    return np.concatenate((-k, k))
+
+
+def _e1_parts(*parts) -> list:
+    """(h, g) of _z_exp_e1 on each array of z from one kernel call, none if
+    all are empty; the kernel is elementwise, so each is its own call's."""
+    z = np.concatenate([np.asarray(p, dtype=np.complex128).reshape(-1) for p in parts])
+    h, g = _z_exp_e1(z) if z.size else (z, z)
+    ends = list(itertools.accumulate(np.size(p) for p in parts))
+    return [(h[a:b], g[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def _pole_log_window(kappa: np.ndarray, e1=None) -> np.ndarray:
     """The pole window -int_0^2 e^(-kappa s) ln|s - 1| ds, which equals
     e^(-kappa) (Ei(kappa) + E1(kappa))/kappa, for an array of kappa > 0,
     elementwise.  Above kappa = 1 it is
     (e^(-kappa) Ei(kappa) + e^(-2 kappa) g(kappa)/kappa)/kappa with
-    g = kappa e^kappa E1(kappa); at or below 1, where Ei and E1 nearly
+    g = kappa e^kappa E1(kappa), from e1, (h, g) at _window_z(kappa), if
+    given; at or below 1, where Ei and E1 nearly
     cancel, the same value as 2 e^(-kappa) Shi(kappa)/kappa by its series."""
     kappa = np.asarray(kappa, dtype=np.float64)
     out = np.empty_like(kappa)
     small = kappa <= 1.0
-    k, k2 = kappa[~small], kappa[small] ** 2
-    series = np.zeros_like(k2)
-    for c in reversed(_SHI_COEF):
-        series = series * k2 + c
-    out[small] = np.exp(-kappa[small]) * series
-    out[~small] = (_exp_neg_ei(k) + np.exp(-2.0 * k) * _z_exp_e1(k)[1].real / k) / k
+    if small.any():
+        k2 = kappa[small] ** 2
+        series = np.zeros_like(k2)
+        for c in reversed(_SHI_COEF):
+            series = series * k2 + c
+        out[small] = np.exp(-kappa[small]) * series
+    if not small.all():
+        k = kappa[~small]
+        _, g = _e1_parts(_window_z(kappa))[0] if e1 is None else e1
+        out[~small] = (g[: k.size].real / k + np.exp(-2.0 * k) * g[k.size :].real / k) / k
     return out
 
 
-def _energy_pole_window(kappa: np.ndarray) -> np.ndarray:
+def _energy_pole_window(kappa: np.ndarray, e1=None) -> np.ndarray:
     """The pole window of eps, -int_0^2 (1 - kappa s) e^(-kappa s) ln|s - 1| ds
     = d/dkappa [kappa W] = (1 - e^(-2 kappa))/kappa - kappa W, W the window of
     f, for an array of kappa >= 0, elementwise.  Above kappa = 1, where the two
     terms cancel to ~ -1/kappa^2, it is -(Re h(-kappa) + e^(-2 kappa) (1 +
-    g(kappa)))/kappa with h = g - 1 the E1 kernel, terms that do not cancel."""
+    g(kappa)))/kappa with h = g - 1 the E1 kernel (e1 as in the window of
+    f), terms that do not cancel."""
     kappa = np.asarray(kappa, dtype=np.float64)
     out = np.empty_like(kappa)
     small = kappa <= 1.0
-    k = kappa[small]
-    # (1 - e^(-2 kappa))/kappa tends to 2 at kappa = 0
-    ratio = np.divide(-np.expm1(-2.0 * k), k, out=np.full_like(k, 2.0), where=k > 0.0)
-    out[small] = ratio - k * _pole_log_window(k)
-    k = kappa[~small]
-    out[~small] = -(_z_exp_e1(-k)[0].real + np.exp(-2.0 * k) * (1.0 + _z_exp_e1(k)[1].real)) / k
+    if small.any():
+        k = kappa[small]
+        # (1 - e^(-2 kappa))/kappa tends to 2 at kappa = 0
+        ratio = np.divide(-np.expm1(-2.0 * k), k, out=np.full_like(k, 2.0), where=k > 0.0)
+        out[small] = ratio - k * _pole_log_window(k)
+    if not small.all():
+        k = kappa[~small]
+        h, g = _e1_parts(_window_z(kappa))[0] if e1 is None else e1
+        out[~small] = -(h[: k.size].real + np.exp(-2.0 * k) * (1.0 + g[k.size :].real)) / k
     return out
 
 
@@ -368,18 +396,19 @@ def _log_zeta_kernel(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _continuum_block(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple) -> list:
-    """(f, eps, entropy, (f budget, eps budget), converged) at each beta,
-    with None for f unless kinds holds _RE and _IM, for eps unless it holds
+def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, window_e1=None) -> RowSet:
+    """The rows of the continuum points at betas, whose finish gives
+    (f, eps, entropy, (f budget, eps budget), converged) at each beta, with
+    None for f unless kinds holds _RE and _IM, for eps unless it holds
     _EPS, and for the entropy unless it holds all three.
 
-    Each beta adds one row per kind to one integrate_rows call, each to
-    tol/2: e^(-kappa s) K(s) for Re f, (1 - kappa s) e^(-kappa s) K(s) for
-    eps, pi e^(-kappa s) on [0, 1] for Im f (K = _log_zeta_kernel, kappa =
-    lam/beta).  Re f and eps end at the first power of two past s_max, where
-    the ln zeta tail (~2^-s) is below double precision; every row starts
-    graded toward 0, down to a first leaf of at most min(1/2, 40/kappa).
-    The windows -int_0^2 w ln|s - 1| ds are added in closed form."""
+    Each beta has one row per kind, each to tol/2: e^(-kappa s) K(s) for
+    Re f, (1 - kappa s) e^(-kappa s) K(s) for eps, pi e^(-kappa s) on
+    [0, 1] for Im f (K = _log_zeta_kernel, kappa = lam/beta).  Re f and eps
+    end at the first power of two past s_max, where the ln zeta tail
+    (~2^-s) is below double precision; every row starts graded toward 0,
+    down to a first leaf of at most min(1/2, 40/kappa).  The windows
+    -int_0^2 w ln|s - 1| ds are added in closed form, from window_e1 if given."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     kappas, ends, edges, rows = [], [], [], []
@@ -408,54 +437,64 @@ def _continuum_block(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple) 
         w[im] *= math.pi
         return w
 
-    results = integrate_rows(_log_zeta_kernel, weight, edges, [tol / 2.0] * len(rows), row_kind != _IM)
-    kappa_array = np.array(kappas)
-    window_f = _pole_log_window(kappa_array).tolist() if _RE in kinds else None
-    window_eps = _energy_pole_window(kappa_array).tolist() if _EPS in kinds else None
-    points = []
-    for i, (beta, kappa, end) in enumerate(zip(betas, kappas, ends)):
-        part = dict(zip(kinds, results[i * len(kinds) : (i + 1) * len(kinds)]))
+    def finish(results):
+        kappa_array = np.array(kappas)
+        e1 = _e1_parts(_window_z(kappa_array))[0] if window_e1 is None else window_e1
+        window_f = _pole_log_window(kappa_array, e1).tolist() if _RE in kinds else None
+        window_eps = _energy_pole_window(kappa_array, e1).tolist() if _EPS in kinds else None
+        points = []
+        for i, (beta, kappa, end) in enumerate(zip(betas, kappas, ends)):
+            part = dict(zip(kinds, results[i * len(kinds) : (i + 1) * len(kinds)]))
 
-        def scaled(v):
-            # lam/(beta^2 V) v, in an order that cannot overflow beta^2
-            return kappa * v / beta / spec.volume
+            def scaled(v):
+                # lam/(beta^2 V) v, in an order that cannot overflow beta^2
+                return kappa * v / beta / spec.volume
 
-        f = eps = entropy = f_err = eps_err = None
-        if _RE in part:
-            re, im = part[_RE], part[_IM]
-            f = complex(-scaled(re.value + window_f[i]), -scaled(im.value))
-            f_err = scaled(re.abs_error + im.abs_error)
-        if _EPS in part:
-            # past the end, 0 < ln zeta(s) <= zeta(s) - 1 <= (5/3) 2^-s as
-            # s >= 4, and (1 + kappa s) e^(-decay s) integrates in closed form
-            decay = kappa + math.log(2.0)
-            err = 5.0 / 3.0 * math.exp(-decay * end) * (1.0 + kappa * (end + 1.0 / decay)) / decay
-            err += part[_EPS].abs_error
-            if err > max(tol, 1e-12) * 50.0:
-                raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
-            eps = scaled(part[_EPS].value + window_eps[i])
-            eps_err = scaled(err)
-            entropy = beta * (eps - f.real) if f is not None else None
-        if not all(np.isfinite(v) for v in (f, eps, entropy) if v is not None):
-            raise AccuracyError(
-                f"thermo at beta = {beta!r} exceeds the float range "
-                f"(lam/beta^2 = {kappa / beta:.6g})"
-            )
-        converged = all(r.converged for r in part.values())
-        points.append((f, eps, entropy, (f_err, eps_err), converged))
-    return points
+            f = eps = entropy = f_err = eps_err = None
+            if _RE in part:
+                re, im = part[_RE], part[_IM]
+                f = complex(-scaled(re.value + window_f[i]), -scaled(im.value))
+                f_err = scaled(re.abs_error + im.abs_error)
+            if _EPS in part:
+                # past the end, 0 < ln zeta(s) <= zeta(s) - 1 <= (5/3) 2^-s as
+                # s >= 4, and (1 + kappa s) e^(-decay s) integrates in closed form
+                decay = kappa + math.log(2.0)
+                err = 5.0 / 3.0 * math.exp(-decay * end) * (1.0 + kappa * (end + 1.0 / decay)) / decay
+                err += part[_EPS].abs_error
+                if err > max(tol, 1e-12) * 50.0:
+                    raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
+                eps = scaled(part[_EPS].value + window_eps[i])
+                eps_err = scaled(err)
+                entropy = beta * (eps - f.real) if f is not None else None
+            if not all(np.isfinite(v) for v in (f, eps, entropy) if v is not None):
+                raise AccuracyError(
+                    f"thermo at beta = {beta!r} exceeds the float range "
+                    f"(lam/beta^2 = {kappa / beta:.6g})"
+                )
+            converged = all(r.converged for r in part.values())
+            points.append((f, eps, entropy, (f_err, eps_err), converged))
+        return points
+
+    return RowSet(weight, edges, [tol / 2.0] * len(rows), row_kind != _IM, finish)
+
+
+def _integrate(rows: RowSet):
+    """rows.finish of integrate_rows on rows, with kernel _log_zeta_kernel."""
+    results = integrate_rows(_log_zeta_kernel, rows.weight, rows.edges, rows.tols, rows.with_kernel)
+    return rows.finish(results)
 
 
 def _continuum(spec: EnsembleSpec, beta_grid, tol: float, kinds: tuple) -> list:
-    """_continuum_block on a beta grid.  On failure it raises what a loop
-    over the betas, one block each, raises first."""
+    """The finish of _continuum_rows on a beta grid, from one integrate_rows
+    call.  On failure it raises what a loop over the betas, one call each,
+    raises first."""
     betas = [float(b) for b in beta_grid]
     try:
-        return _continuum_block(spec, betas, tol, kinds)
+        return _integrate(_continuum_rows(spec, betas, tol, kinds))
     except RgasError:
         if len(betas) > 1:
             for beta in betas:
-                _continuum_block(spec, [beta], tol, kinds)
+                _integrate(_continuum_rows(spec, [beta], tol, kinds))
         raise
 
 
@@ -547,35 +586,41 @@ def _series_optimally_truncated(beta: float, lam: float) -> tuple[float, int, fl
     return total, k - 1, prev
 
 
-def _ei_terms(beta: float, lam: float, volume: float) -> list:
+def _ei_terms(beta: float, lam: float, volume: float, g=None) -> list:
     """(lam/(beta^2 V)) e^(-x) Ei(x) and (lam/(4 beta^2 V)) e^(-x/4) Ei(x/4)
-    at x = lam/beta, from one kernel call."""
+    at x = lam/beta, from one kernel call, or from g at -x and -x/4."""
     x = lam / beta
     scale = np.array([lam / (beta * beta * volume), lam / (4.0 * beta * beta * volume)])
-    return _exp_neg_ei(np.array([x, 0.25 * x]), scale).tolist()
+    return _exp_neg_ei(np.array([x, 0.25 * x]), scale, g).tolist()
 
 
 # ----------------------------------------------------------------------
 # the six-term decomposition
 # ----------------------------------------------------------------------
 
-def _pair_integrals(gammas, beta: float, lam: float) -> np.ndarray:
+def _pair_z(gammas, beta: float, lam: float) -> np.ndarray:
+    """The E1 arguments z = -lam rho/beta of the pair integrals."""
+    return (-lam / beta) * (0.5 + 1j * np.asarray(gammas, dtype=np.float64))
+
+
+def _pair_integrals(gammas, beta: float, lam: float, h=None) -> np.ndarray:
     """I(gamma) = int_0^inf omega e^(-lam omega) 2u/(u^2 + gamma^2) d omega
     with u = beta omega - 1/2, per gamma.  As 2u/(u^2 + gamma^2) =
     2 Re 1/(beta omega - rho), rho = 1/2 + i gamma, the Laplace transform
     of 1/(omega + a) gives I = -(2/(beta lam)) Re h(-lam rho/beta) with
-    h(z) = z e^z E1(z) - 1."""
-    z = (-lam / beta) * (0.5 + 1j * np.asarray(gammas, dtype=np.float64))
-    return (-2.0 / (beta * lam)) * _z_exp_e1(z)[0].real
+    h(z) = z e^z E1(z) - 1: one kernel call, or h at _pair_z if given."""
+    if h is None:
+        h = _z_exp_e1(_pair_z(gammas, beta, lam))[0]
+    return (-2.0 / (beta * lam)) * h.real
 
 
-def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, float]:
+def _eps3_tail_rows(count: int, beta: float, lam: float, tol: float, edge_h=None) -> RowSet:
     """The pair integrals past the table as the integral of I against the
     zero density (1/2pi) ln(gamma/2pi) from T* on, with its bound: the
-    quadrature error plus 2 |S| |I(T*)| for the counting fluctuation.  In
-    gamma = T*/v^2 the integrand vanishes like v ln(1/v) at v = 0; it is
-    one row of integrate_rows on [0, 1], from dyadic panels graded toward
-    v = 0."""
+    quadrature error plus 2 |S| |I(T*)| for the counting fluctuation, I(T*)
+    from edge_h, h at the _pair_z of T*, if given.  In gamma = T*/v^2 the
+    integrand vanishes like v ln(1/v) at v = 0; it is one row on [0, 1],
+    from dyadic panels graded toward v = 0, one kernel call per round."""
     t_star = _tail_start(count)
 
     def weight(rows, v):
@@ -583,9 +628,16 @@ def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, 
         pair = _pair_integrals(gam.reshape(-1), beta, lam).reshape(v.shape)
         return pair * np.log(gam / (2.0 * math.pi)) * gam / (math.pi * v)
 
-    (res,) = integrate_rows(None, weight, [dyadic_edges(-20, 0)], [tol], [False])
-    edge = abs(float(_pair_integrals([t_star], beta, lam)[0]))
-    return res.value, res.abs_error + 2.0 * _S_FLUCTUATION * edge
+    def finish(results):
+        edge = abs(float(_pair_integrals([t_star], beta, lam, edge_h)[0]))
+        return results[0].value, results[0].abs_error + 2.0 * _S_FLUCTUATION * edge
+
+    return RowSet(weight, [dyadic_edges(-20, 0)], [tol], [False], finish)
+
+
+def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, float]:
+    """(value, bound) of the tail row alone."""
+    return _integrate(_eps3_tail_rows(count, beta, lam, tol))
 
 
 def energy_breakdown(
@@ -598,26 +650,54 @@ def energy_breakdown(
     vacuum/thermal regrouping, the quadrature oracle, and the printed forms
     with deviations.  ``abs_error`` sums the error budgets of eps3 (its
     tail: the closed-form pair integrals carry rounding only), eps4 and
-    eps5."""
+    eps5.
+
+    One E1 call makes every E1 value known up front, and one integrate_rows
+    call the rows of the oracle, the eps3 tail and eps5, so the values are
+    those of their own entries; on failure it raises what those, one at a
+    time in the order of the sum, raise first."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     lam, vol = spec.rate, spec.volume
-    lv = lam * vol
+    lv, x = lam * vol, lam / beta
+    tail_tol, quad_tol = tol * 0.1 * vol / lam, tol * 0.1
+
+    def psi(om):  # the integrand of eps5 against the density
+        return om * _digamma_many(0.5 * beta * om)
+
+    try:
+        t_star_z = _pair_z([_tail_start(zeros.count)], beta, lam)
+        (pair_h, _), (edge_h, _), (_, ei_g), window = _e1_parts(
+            _pair_z(zeros.gammas, beta, lam), t_star_z, [-x, -0.25 * x], _window_z(np.array([x]))
+        )
+        whole, quarter = _ei_terms(beta, lam, vol, ei_g)
+        pairs = float(np.sum(_pair_integrals(zeros.gammas, beta, lam, pair_h)))
+        rho = sum_inverse_rho(zeros)
+        rows = [
+            _continuum_rows(spec, [beta], quad_tol, (_EPS,), window),
+            _eps3_tail_rows(zeros.count, beta, lam, tail_tol, edge_h),
+            exp_weight_rows(psi, lam, quad_tol),
+        ]
+        (point,), (tail, tail_bound), ipsi = _integrate(fuse_rows(rows))
+    except RgasError:
+        _ei_terms(beta, lam, vol)
+        _pair_integrals(zeros.gammas, beta, lam)
+        _eps3_tail(zeros.count, beta, lam, tail_tol)
+        sum_inverse_rho(zeros)
+        integrate_exp_weight(psi, lam, quad_tol)
+        energy_oracle(spec, beta, quad_tol)
+        raise
+    oracle = point[1]
 
     eps1 = -EXPANSION_CONSTANT / lv
-    whole, quarter = _ei_terms(beta, lam, vol)
     eps2 = 1.0 / (beta * vol) - whole
 
-    pairs = float(np.sum(_pair_integrals(zeros.gammas, beta, lam)))
-    tail, tail_bound = _eps3_tail(zeros.count, beta, lam, tol * 0.1 * vol / lam)
     eps3 = -(lam / vol) * (pairs + tail)
     eps3_err = (lam / vol) * tail_bound
 
-    rho = sum_inverse_rho(zeros)
     eps4 = -rho.value / lv
     eps4_err = rho.tail.bound / lv
 
-    ipsi = integrate_exp_weight(lambda om: om * _digamma_many(0.5 * beta * om), lam, tol * 0.1)
     eps5 = 1.0 / (beta * vol) + lam / (2.0 * vol) * (ipsi.value / lam)
     eps5_err = ipsi.abs_error / (2.0 * vol)
 
@@ -627,7 +707,6 @@ def energy_breakdown(
     eps_a = eps1 + eps4 + eps6
     eps_b = total - eps_a
 
-    oracle = energy_oracle(spec, beta, tol * 0.1)
     abs_error = eps3_err + eps4_err + eps5_err
 
     # printed forms, verbatim, with smallest-term truncation of the series

@@ -152,6 +152,17 @@ class TestGramPoints:
                 err = abs(mp.mpf(value) - self.reference(int(n)))
             assert float(err) <= 4.0 * np.spacing(value), n
 
+    def test_g_minus_1_is_a_constant(self):
+        """g_-1, the one Gram point below the theta series, is a constant
+        that every batch starts with, within 4 ulps of mp.grampoint(-1)."""
+        value = zf._GRAM_MINUS_1
+        assert zf.gram_point(-1) == value
+        assert zf._gram_points(-1, 5)[0] == value
+        assert np.array_equal(zf._gram_points(-1, 5)[1:], zf._gram_points(0, 5))
+        with mp.workdps(30):
+            err = abs(mp.mpf(value) - mp.grampoint(-1))
+        assert float(err) <= 4.0 * np.spacing(value)
+
 
 class TestExponentialIntegral:
     @staticmethod

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from rgas import numkernel as nk
 from rgas import quadrature as q
 from rgas import thermo as th
-from rgas.errors import AccuracyError, DomainError, HagedornError
+from rgas.errors import AccuracyError, ConvergenceError, DomainError, HagedornError
+from rgas.superzeta import sum_inverse_rho
 
 import oracles
 
@@ -576,6 +577,146 @@ class TestBreakdownInvariants:
         monkeypatch.setattr(nk, "_hurwitz_em", counted)
         th.energy_breakdown(spec, 1.0, table)
         assert len(calls) <= 6
+
+
+def _breakdown_from_pieces(spec, beta, zeros, tol):
+    """The breakdown's fields built from its pieces, each from its own
+    entry, in the order of the sum."""
+    lam, vol = spec.rate, spec.volume
+    lv = lam * vol
+    whole, quarter = th._ei_terms(beta, lam, vol)
+    pairs = float(np.sum(th._pair_integrals(zeros.gammas, beta, lam)))
+    tail, tail_bound = th._eps3_tail(zeros.count, beta, lam, tol * 0.1 * vol / lam)
+    rho = sum_inverse_rho(zeros)
+    ipsi = q.integrate_exp_weight(lambda om: om * nk._digamma_many(0.5 * beta * om), lam, tol * 0.1)
+    oracle = th.energy_oracle(spec, beta, tol * 0.1)
+    eps1 = -th.EXPANSION_CONSTANT / lv
+    eps2 = 1.0 / (beta * vol) - whole
+    eps3 = -(lam / vol) * (pairs + tail)
+    eps4 = -rho.value / lv
+    eps5 = 1.0 / (beta * vol) + lam / (2.0 * vol) * (ipsi.value / lam)
+    eps6 = nk.EULER_GAMMA / (2.0 * lv)
+    total = eps1 + eps2 + eps3 + eps4 + eps5 + eps6
+    eps_a = eps1 + eps4 + eps6
+    series_sum, k_opt, omitted = th._series_optimally_truncated(beta, lam)
+    eps1_printed = -th.PRINTED_EXPANSION_CONSTANT / lv
+    eps3_printed = nk.EULER_GAMMA / (2.0 * lv) - series_sum / (beta * vol) + quarter
+    thermal_printed = eps2 + quarter
+    return th.EnergyBreakdown(
+        beta, lam, vol, eps1, eps2, eps3, eps4, eps5, eps6, eps_a, total - eps_a, total, oracle,
+        (lam / vol) * tail_bound + rho.tail.bound / lv + ipsi.abs_error / (2.0 * vol),
+        eps1_printed, eps3_printed, -nk.EULER_GAMMA / (2.0 * lv) + series_sum / (beta * vol),
+        thermal_printed, k_opt, omitted / (beta * vol), eps1_printed - eps1, eps3_printed - eps3,
+        thermal_printed - (oracle - eps_a),
+    )
+
+
+class TestBreakdownInOnePass:
+    """The breakdown is one integrate_rows call and one batch of the E1
+    kernel, with the values and the first error of its pieces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.log(0.01), math.log(100.0)),
+        st.floats(math.log(0.1), math.log(10.0)),
+        st.integers(10, 3000),
+        st.sampled_from([1e-6, 1e-8, 1e-10]),
+        st.sampled_from([1.0, 0.3]),
+    )
+    @example(math.log(100.0), math.log(0.1), 3000, 1e-8, 1.0)  # lam/beta = 1000
+    @example(math.log(0.01), math.log(10.0), 10, 1e-8, 1.0)  # lam/beta = 0.001
+    def test_equals_its_pieces(self, zeros3000, log_lam, log_beta, count, tol, volume):
+        spec = th.EnsembleSpec.continuum(math.exp(log_lam), volume)
+        beta = math.exp(log_beta)
+        table = zeros3000.head(count)
+        fused = dataclasses.astuple(th.energy_breakdown(spec, beta, table, tol))
+        pieces = dataclasses.astuple(_breakdown_from_pieces(spec, beta, table, tol))
+        # == on each field: bit for bit, and no nan
+        assert all(a == b for a, b in zip(fused, pieces, strict=True))
+
+    def test_failure_is_that_of_the_first_failing_piece(self, monkeypatch, zeros100):
+        # with 8 panels per row the psi row and the oracle's row both run out:
+        # the one pass meets the oracle's row first, and the pieces in turn
+        # meet the psi integral's failure first
+        monkeypatch.setattr(q, "_MAX_PANELS", 8)
+        spec, beta, tol = th.EnsembleSpec.continuum(0.05), 2.0, 1e-8
+        th._eps3_tail(zeros100.count, beta, spec.rate, tol * 0.1 / spec.rate)
+
+        def integrand(om):
+            return om * nk._digamma_many(0.5 * beta * om)
+
+        with pytest.raises(ConvergenceError) as psi:
+            q.integrate_exp_weight(integrand, spec.rate, tol * 0.1)
+        with pytest.raises(ConvergenceError) as oracle:
+            th.energy_oracle(spec, beta, tol * 0.1)
+        assert str(psi.value) != str(oracle.value)
+        raised, rows = [], th.integrate_rows
+
+        def recorded(*args):
+            try:
+                return rows(*args)
+            except ConvergenceError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(th, "integrate_rows", recorded)
+        with pytest.raises(ConvergenceError) as breakdown:
+            th.energy_breakdown(spec, beta, zeros100, tol)
+        assert raised[0] == str(oracle.value)
+        assert str(breakdown.value) == str(psi.value)
+
+    def test_small_table_refused_by_tail_start(self, zeros100):
+        with pytest.raises(DomainError, match="at least 10 zeros"):
+            th.energy_breakdown(CONT, 1.0, zeros100.head(9))
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count integrate_rows calls, and the sizes of the E1 kernel calls."""
+        counts = {"rows": 0, "e1": []}
+        rows, e1 = q.integrate_rows, nk._z_exp_e1
+
+        def counted_rows(*args, **kwargs):
+            counts["rows"] += 1
+            return rows(*args, **kwargs)
+
+        def counted_e1(z):
+            counts["e1"].append(np.size(z))
+            return e1(z)
+
+        for module in (q, th):
+            monkeypatch.setattr(module, "integrate_rows", counted_rows)
+        for module in (nk, th):
+            monkeypatch.setattr(module, "_z_exp_e1", counted_e1)
+        return counts
+
+    @pytest.mark.parametrize(
+        "lam,beta,count", [(1.0, 1.0, 300), (50.0, 0.2, 3000), (0.01, 5.0, 100), (3.0, 1.0, 10)]
+    )
+    def test_one_engine_pass_and_one_e1_batch(self, monkeypatch, zeros3000, lam, beta, count):
+        # the breakdown makes one integrate_rows call and one E1 call ahead
+        # of it; the others are the tail row's, one per round, as many as
+        # _eps3_tail makes with its one call for the pair at T*
+        spec, table = th.EnsembleSpec.continuum(lam), zeros3000.head(count)
+        counts = self.count_calls(monkeypatch)
+        th._eps3_tail(count, beta, lam, 1e-8 * 0.1 / lam)
+        tail_calls = len(counts["e1"])
+        counts["e1"].clear()
+        counts["rows"] = 0
+        th.energy_breakdown(spec, beta, table, 1e-8)
+        assert counts["rows"] == 1
+        assert counts["e1"][0] == count + 1 + 2 + (2 if lam / beta > 1.0 else 0)
+        assert len(counts["e1"]) == tail_calls
+        assert 0 not in counts["e1"]
+
+    def test_continuum_scan_windows_take_one_e1_call(self, monkeypatch):
+        counts = self.count_calls(monkeypatch)
+        th.thermo_scan(CONT, [0.5, 2.0, 4.0], 1e-8)  # kappa = 2, 0.5, 0.25
+        assert counts["e1"] == [2]
+        counts["e1"].clear()
+        th.thermo_scan(CONT, [1.0, 2.0, 4.0], 1e-8)
+        assert counts["e1"] == []
+        th.energy_oracle(CONT, 2.0)
+        assert counts["e1"] == []
 
 
 def _reference_point(spec, beta, tol):
