@@ -155,22 +155,18 @@ def dirichlet_inverse_zeta(s: float, n_terms: int) -> float:
     return float(np.sum(mu[1:].astype(np.float64) * n**-s))
 
 
-def _zeta_real(s: float) -> float:
-    return zeta(complex(s, 0.0)).real
-
-
 def partition_bosonic(beta_omega: float) -> float:
     """Z_B = zeta(beta omega); diverges at and below the pole."""
     if not beta_omega > 1.0:
         raise HagedornError(f"bosonic partition diverges for beta*omega = {beta_omega} <= 1")
-    return _zeta_real(beta_omega)
+    return zeta(beta_omega).real
 
 
 def partition_fermionic(beta_omega: float) -> float:
     """Z_F = zeta(beta omega) / zeta(2 beta omega)."""
     if not beta_omega > 1.0:
         raise HagedornError(f"fermionic partition diverges for beta*omega = {beta_omega} <= 1")
-    return _zeta_real(beta_omega) / _zeta_real(2.0 * beta_omega)
+    return zeta(beta_omega).real / zeta(2.0 * beta_omega).real
 
 
 def partition_parafermion(beta_omega: float, r: int) -> float:
@@ -180,7 +176,7 @@ def partition_parafermion(beta_omega: float, r: int) -> float:
         raise DomainError("parafermion order must be >= 2")
     if not beta_omega > 1.0:
         raise HagedornError(f"parafermion partition diverges for beta*omega = {beta_omega} <= 1")
-    return _zeta_real(beta_omega) / _zeta_real(r * beta_omega)
+    return zeta(beta_omega).real / zeta(r * beta_omega).real
 
 
 def mixture_identity_residual(beta_omega: float, n_terms: int = 100_000) -> float:
@@ -191,8 +187,8 @@ def mixture_identity_residual(beta_omega: float, n_terms: int = 100_000) -> floa
     zeta(2x)."""
     if not beta_omega > 1.0:
         raise HagedornError("mixture identity needs beta*omega > 1")
-    zb = _zeta_real(beta_omega)
-    zb2 = _zeta_real(2.0 * beta_omega)
+    zb = zeta(beta_omega).real
+    zb2 = zeta(2.0 * beta_omega).real
     zf_indep = zb * dirichlet_inverse_zeta(2.0 * beta_omega, n_terms)
     return abs(zf_indep * zb2 - zb)
 

@@ -10,6 +10,10 @@ The private ``*_many`` kernels take 1-d numpy arrays (quadrature nodes,
 zero-search grids); these, the real-axis zeta and the exponential-integral
 kernels give each element the value it has alone.  The scalar zeta and
 gamma-family functions wrap them, as one call on a one-element array.
+Real in, real arithmetic: the Euler-Maclaurin zeta kernel, like the
+digamma, runs a float64 array in float64 and anything else in complex128,
+and the scalar zeta, zeta' and zeta'/zeta hand it a real-valued s with
+Re s >= 0 as float64, so a real s has the bits of the real-axis kernels.
 The zeta family has one fixed accuracy target: the Euler-Maclaurin
 truncation estimate must be at most 1e-12, from a Dirichlet-sum cutoff of
 ceil(|Im s|/2) + 10 terms (at least 21) capped at 200,000; past either it
@@ -106,7 +110,9 @@ def _em_cutoff(im_max: float, base: float) -> int:
 
 
 def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
-    """Euler-Maclaurin evaluation of zeta(s, a) for an array of complex s.
+    """Euler-Maclaurin evaluation of zeta(s, a) for an array of s, in the
+    arithmetic of its dtype: a real array stays float64 throughout (powers,
+    corrections, estimate and floor), anything else is complex128.
 
     Returns ``(value, derivative, estimate, floor)``; ``derivative`` is None
     unless ``want_derivative``.  ``estimate`` bounds the error: the first
@@ -118,7 +124,8 @@ def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
     whose last bits may differ from a step-by-step product; ``value`` and
     ``derivative`` keep a fixed order of operations.
     """
-    s = np.asarray(s, dtype=np.complex128)
+    real = not np.iscomplexobj(s)
+    s = np.asarray(s, dtype=np.float64 if real else np.complex128)
     shape = s.shape
     sf = s.reshape(-1)
 
@@ -149,26 +156,33 @@ def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
             for j in (2 * k - 3, 2 * k - 2):
                 sj = sf + j
                 if want_derivative:
-                    dp = dp * sj + p
-                p = p * sj
-        w_pow = w_pow * inv_w2
+                    dp *= sj
+                    dp += p
+                p *= sj
+        w_pow *= inv_w2
         coef = _B_OVER_FACT[k - 1]
-        value = value + coef * p * w_pow
+        value += coef * p * w_pow
         if want_derivative:
-            dvalue = dvalue + coef * (dp - p * ln_w) * w_pow
+            dvalue += coef * (dp - p * ln_w) * w_pow
 
     # error estimate: the k = J+1 correction term, plus a summation-rounding
     # floor proportional to the absolute mass of the evaluated pieces; the
     # rising-product factors |s+j|, j = 0..2J, are clamped away from zero so
     # an exact hit on a negative integer cannot silence the estimate
-    shifted = np.hypot(sf.real[:, None] + _RISING_SHIFTS, sf.imag[:, None])
-    rising = np.prod(np.maximum(shifted, 1.0), axis=1)
+    # (real s: the powers and w^(-s-2k+1) are positive, and hypot(x, 0) = |x|)
     w_pow = w_pow * inv_w2
-    re_s = sf.real
-    denom = re_s + 2 * _EM_ORDER + 1
+    if real:
+        shifted = np.abs(sf[:, None] + _RISING_SHIFTS)
+        size_w_pow, size_w_ms, size_powers = w_pow, w_ms, main
+    else:
+        shifted = np.hypot(sf.real[:, None] + _RISING_SHIFTS, sf.imag[:, None])
+        size_w_pow, size_w_ms = np.abs(w_pow), np.abs(w_ms)
+        size_powers = np.abs(powers).sum(axis=1)
+    rising = np.prod(np.maximum(shifted, 1.0), axis=1)
+    denom = sf.real + 2 * _EM_ORDER + 1
     factor = np.abs(sf + (2 * _EM_ORDER + 1)) / np.where(denom > 0.5, denom, 0.5)
-    est = abs(_B_OVER_FACT[_EM_ORDER]) * rising * np.abs(w_pow) * np.maximum(factor, 1.0)
-    abs_mass = np.abs(powers).sum(axis=1) + np.abs(pole) + 0.5 * np.abs(w_ms)
+    est = abs(_B_OVER_FACT[_EM_ORDER]) * rising * size_w_pow * np.maximum(factor, 1.0)
+    abs_mass = size_powers + np.abs(pole) + 0.5 * size_w_ms
     floor = 8.0 * np.finfo(float).eps * abs_mass
 
     if want_derivative:
@@ -193,10 +207,11 @@ def _check_est(est, floor, what: str) -> None:
 
 
 def _zeta_em_many(s: np.ndarray, want_derivative: bool = False):
-    """zeta (and optionally zeta') on an array of complex s with Re s >= 0;
+    """zeta (and optionally zeta') on an array of s with Re s >= 0, in the
+    arithmetic of its dtype as in ``_hurwitz_em``: float64 in, float64 out;
     exactly 1 (and 0) from Re s = _UNIT_RE_S on, where the sum reads so and
     its terms would leave the float range on the way."""
-    s = np.asarray(s, dtype=np.complex128)
+    s = np.asarray(s, dtype=np.complex128 if np.iscomplexobj(s) else np.float64)
     if np.any(s == 1.0):
         raise PoleError("zeta has a pole at s = 1")
     far = s.real >= _UNIT_RE_S
@@ -353,6 +368,12 @@ def _finite_arg(s: complex, what: str) -> complex:
     return s
 
 
+def _em_point(s: complex) -> np.ndarray:
+    """s as a one-element kernel array: float64 where s is real, so the
+    scalar functions take the real-axis kernels' arithmetic and bits."""
+    return np.array([s.real if s.imag == 0.0 else s])
+
+
 def zeta(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin summation; reflection for Re s < 0."""
     s = _finite_arg(s, "zeta")
@@ -362,7 +383,7 @@ def zeta(s: complex) -> complex:
         if _is_trivial_zero(s):
             return 0.0 + 0.0j
         return _reflect(s, zeta(1.0 - s))
-    return complex(_zeta_em_many(np.array([s]))[0])
+    return complex(_zeta_em_many(_em_point(s))[0])
 
 
 def zeta_derivative(s: complex) -> complex:
@@ -376,7 +397,7 @@ def zeta_derivative(s: complex) -> complex:
     if s.real < 0.0:
         z1, d1 = zeta(1.0 - s), zeta_derivative(1.0 - s)
         return _reflect(s, _chi_log_slope(s) * z1 - d1)
-    _, d = _zeta_em_many(np.array([s]), want_derivative=True)
+    _, d = _zeta_em_many(_em_point(s), want_derivative=True)
     return complex(d[0])
 
 
@@ -403,7 +424,7 @@ def zeta_log_derivative(s: complex) -> complex:
     if s.real < 0.0:
         # log-derivative of the reflection: chi, possibly huge, cancels unformed
         return _chi_log_slope(s) - zeta_log_derivative(1.0 - s)
-    z, d = _zeta_em_many(np.array([s]), want_derivative=True)
+    z, d = _zeta_em_many(_em_point(s), want_derivative=True)
     zv = complex(z[0])
     if zv == 0.0:
         raise PoleError("zeta'/zeta evaluated at a zero of zeta")
@@ -415,8 +436,8 @@ def _zeta_log_derivative_real_many(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     if np.any(s <= 0.0) or np.any(s == 1.0):
         raise DomainError("fast path requires real s > 0, s != 1")
-    z, d = _zeta_em_many(s.astype(np.complex128), want_derivative=True)
-    return d.real / z.real
+    z, d = _zeta_em_many(s, want_derivative=True)
+    return d / z
 
 
 def _log_regular_zeta_real_many(s: np.ndarray) -> np.ndarray:
@@ -430,7 +451,7 @@ def _log_regular_zeta_real_many(s: np.ndarray) -> np.ndarray:
     off = s != 1.0
     if off.any():
         sv = s[off]
-        out[off] = np.log((sv - 1.0) * _zeta_em_many(sv.astype(np.complex128)).real)
+        out[off] = np.log((sv - 1.0) * _zeta_em_many(sv))
     return out
 
 
@@ -541,8 +562,10 @@ def _h_fraction(z: np.ndarray, depth: np.ndarray):
     g = z/t_0 and h = (1/t_1 - 1)/t_0, as t_0 = z + 1 - 1/t_1."""
     m = _prefixes(depth)
     t = z + (2.0 * depth + 1.0)
-    for k in range(len(m) - 1, 1, -1):  # t_(k-1) from t_k
-        t[: m[k]] = (z[: m[k]] + (2 * k - 1)) - k * k / t[: m[k]]
+    for k in range(len(m) - 1, 1, -1):  # t_(k-1) from t_k, in place
+        live = t[: m[k]]
+        np.divide(k * k, live, out=live)
+        np.subtract(z[: m[k]] + (2 * k - 1), live, out=live)
     r = 1.0 / t
     t0 = z + 1.0 - r
     return (r - 1.0) / t0, z / t0
@@ -555,7 +578,8 @@ def _h_asymptotic(z: np.ndarray, terms: np.ndarray):
     mw = -1.0 / z
     term, total = np.ones(z.size, complex), np.zeros(z.size, complex)
     for k in range(1, len(m)):
-        term[: m[k]] = live = term[: m[k]] * (k * mw[: m[k]])
+        live = term[: m[k]]
+        np.multiply(live, k * mw[: m[k]], out=live)
         total[: m[k]] += live
     return total, total + 1.0
 

@@ -235,7 +235,7 @@ def _discrete_block(spec: EnsembleSpec, betas: list, with_energy: bool) -> list[
             raise DomainError("beta must be positive")
     omega_1 = float(spec.omegas[0])
     finite = [beta for beta in betas if beta * omega_1 > 1.0]
-    s = np.multiply.outer(finite, spec.omegas).astype(np.complex128).ravel()
+    s = np.multiply.outer(finite, spec.omegas).ravel()
     z = np.empty_like(s)
     d = np.empty_like(s) if with_energy else None
     step = max(1, _EM_CHUNK_TERMS // _em_cutoff(0.0, 1.0))  # real s: no Im part
@@ -253,13 +253,11 @@ def _discrete_block(spec: EnsembleSpec, betas: list, with_energy: bool) -> list[
             points.append(ThermoPoint(beta, complex(nan, nan), nan, nan, _DIVERGENT))
             continue
         zb = z[row * k : (row + 1) * k]
-        # contiguous copy: np.log on the strided .real view may round differently
-        ln_z = np.log(np.ascontiguousarray(zb.real))
-        f = float(-(spec.masses @ ln_z) / (beta * spec.volume))
+        f = float(-(spec.masses @ np.log(zb)) / (beta * spec.volume))
         eps = nan
         if d is not None:
             db = d[row * k : (row + 1) * k]
-            eps = float(-(spec.masses @ (spec.omegas * (db.real / zb.real))) / spec.volume)
+            eps = float(-(spec.masses @ (spec.omegas * (db / zb))) / spec.volume)
         points.append(ThermoPoint(beta, complex(f, 0.0), eps, beta * (eps - f)))
         row += 1
     return points
@@ -532,19 +530,19 @@ def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
 @functools.cache
 def _zeta_at_integers() -> np.ndarray:
     """zeta(k) at index k for k = 2.._SERIES_END-1 (indices 0 and 1 hold
-    nan), from one batched Euler-Maclaurin call.  zeta(k) is a constant, so
-    the read-only table is kept for the life of the process; each entry
-    equals the scalar zeta(complex(k)).real."""
+    nan), from one batched real Euler-Maclaurin call.  zeta(k) is a
+    constant, so the read-only table is kept for the life of the process;
+    each entry equals the scalar zeta(k).real."""
     k = np.arange(2, _SERIES_END, dtype=np.float64)
     table = np.full(_SERIES_END, np.nan)
-    table[2:] = _zeta_em_many(k.astype(np.complex128)).real
+    table[2:] = _zeta_em_many(k)
     table.setflags(write=False)
     return table
 
 
 def _zeta_integer(k: int) -> float:
     """zeta(k) for an integer k >= 2, from the table below _SERIES_END."""
-    return float(_zeta_at_integers()[k]) if k < _SERIES_END else zeta(complex(k)).real
+    return float(_zeta_at_integers()[k]) if k < _SERIES_END else zeta(k).real
 
 
 def series_coefficient(k: int) -> float:

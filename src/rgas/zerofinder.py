@@ -365,21 +365,26 @@ _GRAM_MINUS_1 = float.fromhex("0x1.35574f9050947p+3")
 
 def _gram_points(n_lo: int, n_hi: int) -> np.ndarray:
     """Gram points g_n for n = n_lo..n_hi, n_lo >= -1: g_-1 the constant, the
-    others by vectorized Newton iteration."""
+    others by vectorized Newton iteration.  Each element stops on its own,
+    so g_n has the same bits in every batch."""
     if n_lo == -1:
         rest = _gram_points(0, n_hi) if n_hi >= 0 else np.empty(0)
         return np.concatenate(([_GRAM_MINUS_1], rest))
     n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     target = n * math.pi
-    # asymptotic seed from theta(t) ~ (t/2) ln(t/(2 pi e)) - pi/8
+    # asymptotic seed from theta(t) ~ (t/2) ln(t/(2 pi e)) - pi/8; an element
+    # freezes after its first step below 1e-9
     t = np.full_like(n, 18.0)
+    live = np.arange(n.size)
     for _ in range(80):
-        x = t / _TWO_PI
-        guess = 0.5 * t * np.log(x) - 0.5 * t - math.pi / 8.0
+        tl = t[live]
+        x = tl / _TWO_PI
+        guess = 0.5 * tl * np.log(x) - 0.5 * tl - math.pi / 8.0
         slope = 0.5 * np.log(x)
-        step = (target - guess) / np.where(np.abs(slope) < 0.05, 0.05, slope)
-        t = np.clip(t + step, 8.0, None)
-        if float(np.max(np.abs(step))) < 1e-9:
+        step = (target[live] - guess) / np.where(np.abs(slope) < 0.05, 0.05, slope)
+        t[live] = np.clip(tl + step, 8.0, None)
+        live = live[~(np.abs(step) < 1e-9)]
+        if not live.size:
             break
     # polish on the exact theta
     for _ in range(8):

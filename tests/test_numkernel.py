@@ -127,6 +127,55 @@ class TestZeta:
                 assert np.max(np.abs(est - ref) / ref) <= 1e-12
 
 
+class TestRealAxisKernel:
+    """A real s stays in float64 arithmetic: zeta, zeta' and zeta'/zeta are
+    the real kernel on a one-element array, whose value does not depend on
+    the batch around it, and lies within the kernel's estimate of the
+    complex path's real part and of mpmath.  The estimate of zeta' omits
+    the rounding of its 1/(s-1)^2 pole term, so zeta' also gets 8 ulps of
+    its size."""
+
+    # s in [0, 80] \ {1}, with draws at 1e-15 .. 0.1 from the pole
+    POINTS = st.one_of(
+        st.floats(min_value=0.0, max_value=80.0),
+        st.builds(
+            lambda d, sign: 1.0 + sign * d,
+            st.floats(min_value=1e-15, max_value=0.1),
+            st.sampled_from([-1.0, 1.0]),
+        ),
+    ).filter(lambda s: s != 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(POINTS, st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 15, 300]))
+    def test_scalar_is_the_real_kernel(self, s, seed, size):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        batch = rng.uniform(0.0, 80.0, size)
+        batch[batch == 1.0] = 2.0
+        k = int(rng.integers(0, size))
+        batch[k] = s
+        z, d = nk._zeta_em_many(np.array([s]), want_derivative=True)
+        assert z.dtype == d.dtype == np.float64
+        zb, db = nk._zeta_em_many(batch, want_derivative=True)
+        assert (zb[k], db[k]) == (z[0], d[0])
+        assert nk._zeta_em_many(batch)[k] == z[0]
+        for arg in (s, complex(s, 0.0)):
+            assert nk.zeta(arg) == complex(z[0])
+            assert nk.zeta_derivative(arg) == complex(d[0])
+            assert nk.zeta_log_derivative(arg) == complex(d[0] / z[0])
+
+        n = nk._em_cutoff(0.0, 1.0)
+        est = nk._hurwitz_em(np.array([s]), 1.0, n, False)[2][0]
+        est_d = nk._hurwitz_em(np.array([s]), 1.0, n, True)[2][0]
+        zc, dc = nk._zeta_em_many(np.array([s], dtype=np.complex128), want_derivative=True)
+        with mp.workdps(30):
+            ref, ref_d = float(mp.zeta(s)), float(mp.zeta(s, derivative=1))
+        ulps = 8.0 * np.finfo(float).eps * abs(ref_d)
+        for value, deriv in ((zc[0].real, dc[0].real), (ref, ref_d)):
+            assert abs(z[0] - value) <= est
+            assert abs(d[0] - deriv) <= est_d + ulps
+
+
 class TestNegativeHalfPlaneAgainstMpmath:
     """Re s < 0 with |Im s| > 2, where the reflection formula evaluates
     log Gamma through the large-|Im| branch of log sin(pi z)."""

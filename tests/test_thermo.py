@@ -1088,3 +1088,41 @@ class TestKernelContract:
         assert nk._log_regular_zeta_real_many(np.array([1.0]))[0] == 0.0
         for k in (0, 2, 3):
             assert values[k] == nk._log_regular_zeta_real_many(batch[k : k + 1])[0]
+
+
+class TestRealAxisArithmetic:
+    """At real temperature thermo evaluates zeta on the real axis only, so
+    the Euler-Maclaurin kernel gets float64 arrays and no complex128 one."""
+
+    @staticmethod
+    def dtypes(monkeypatch):
+        """Patch the Euler-Maclaurin core to record the dtype of each
+        call's points."""
+        seen = []
+        original = nk._hurwitz_em
+
+        def recorded(s, a, n_terms, want_derivative):
+            seen.append(np.asarray(s).dtype)
+            return original(s, a, n_terms, want_derivative)
+
+        monkeypatch.setattr(nk, "_hurwitz_em", recorded)
+        return seen
+
+    def assert_real_only(self, seen):
+        assert set(seen) == {np.dtype(np.float64)}
+
+    def test_discrete_scan(self, monkeypatch):
+        seen = self.dtypes(monkeypatch)
+        spec = _random_spec(6, 20)
+        th.thermo_scan(spec, np.linspace(0.5, 3.0, 6) / float(spec.omegas[0]))
+        self.assert_real_only(seen)
+
+    def test_continuum_scan(self, monkeypatch):
+        seen = self.dtypes(monkeypatch)
+        th.thermo_scan(th.EnsembleSpec.continuum(1.0), [0.3, 1.0, 4.0])
+        self.assert_real_only(seen)
+
+    def test_energy_breakdown(self, monkeypatch, zeros200):
+        seen = self.dtypes(monkeypatch)
+        th.energy_breakdown(th.EnsembleSpec.continuum(0.5), 1.5, zeros200)
+        self.assert_real_only(seen)

@@ -36,6 +36,23 @@ class TestTheta:
             zf.riemann_siegel_theta(math.inf)
 
 
+class TestGramPointBatches:
+    """A Gram point has the same bits alone (gram_point, T* of the zero
+    sums) and in any batch (a zero search)."""
+
+    def test_every_point_alone_equals_the_batch(self):
+        whole = zf._gram_points(-1, 3006)
+        alone = np.array([zf.gram_point(n) for n in range(-1, 3007)])
+        assert np.array_equal(whole, alone)
+
+    def test_sub_batches(self):
+        whole = zf._gram_points(0, 10006)
+        rng = np.random.default_rng(3006)
+        for size in (1, 2, 17, 500, 4000):
+            lo = int(rng.integers(0, 10007 - size))
+            assert np.array_equal(zf._gram_points(lo, lo + size - 1), whole[lo : lo + size])
+
+
 class TestHardyZ:
     def test_sign_change_brackets_first_zero(self):
         assert zf.hardy_z(14.0) * zf.hardy_z(14.2) < 0.0
