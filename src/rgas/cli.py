@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import arith, numkernel, superzeta, thermo, zerofinder
+from . import arith, numkernel, quadrature, superzeta, thermo, zerofinder
 from .errors import (
     AccuracyError,
     ConvergenceError,
@@ -360,6 +360,27 @@ def _validate_checks(tol: float, zeros_count: int):
         f = thermo.free_energy_continuum(spec, 1.3, 1e-10)
         return abs(f.imag - thermo.free_energy_im_closed_form(spec, 1.3))
 
+    def large_kappa_series(eff: float) -> float:
+        # Watson's series at beta = 1 against plain integrate calls of
+        # kappa w ln|zeta| on [0, 1], [1, 2] and [2, 8] (w < e^-320 past 8):
+        # the excess of the difference over the sum of both budgets
+        worst = 0.0
+        for kappa in (thermo._WATSON_KAPPA, 100.0, 2000.0):
+            point = thermo.thermo_point(thermo.EnsembleSpec.continuum(kappa), 1.0, eff)
+            for value, budget, weight in (
+                (point.f.real, point.abs_error[0], lambda s: -kappa),
+                (point.eps, point.abs_error[1], lambda s: kappa * (1.0 - kappa * s)),
+            ):
+                def integrand(s):
+                    log_zeta = numkernel._log_regular_zeta_real_many(s) - np.log(np.abs(s - 1.0))
+                    return weight(s) * np.exp(-kappa * s) * log_zeta
+
+                pieces = ((0.0, 1.0), (1.0, 2.0), (2.0, 8.0))
+                parts = [quadrature.integrate(integrand, a, b, 1e-14) for a, b in pieces]
+                reference, error = sum(p.value for p in parts), sum(p.abs_error for p in parts)
+                worst = max(worst, abs(value - reference) - error - budget)
+        return max(worst, 0.0)
+
     def entropy_identity(eff: float) -> float:
         spec = thermo.EnsembleSpec.continuum(1.0)
         b, h = 1.7, 1e-3
@@ -386,6 +407,7 @@ def _validate_checks(tol: float, zeros_count: int):
     run("mixture_identity", 1e-4, mixture)
     run("superzeta_two_route", 0.0, two_route)
     run("im_free_energy_closed_form", 1e-8, im_free_energy)
+    run("large_kappa_series", 0.0, large_kappa_series)
     run("entropy_identity", 1e-6, entropy_identity)
     run("zero_count_audit", 0.0, zero_audit)
     return checks

@@ -518,22 +518,37 @@ _E1_ASYMPTOTIC_EDGE = 50.0
 _E1_SERIES_COEF = tuple(1.0 / (k * math.factorial(k)) for k in range(1, 161))
 # Step counts, closed forms in r = |z| and s = |z| + Re z.  Series: the fewest
 # K with r^(K+1)/(K+1)! <= 1e-17 to r = 6.2 (K = 40); beyond, where e^r
-# dominates the terms, ceil(e r) + 24, whose tail is below 1e-17 e^r/r^2
-# (160 terms at r = 50).  Fraction: its truncation error falls about like
+# dominates the terms, the fewest K with r^(K+1)/(K+1)! <= 1e-17 e^r/r^2
+# (129 terms at r = 50).  Fraction: its truncation error falls about like
 # exp(-sqrt(8 n s)) with the depth n, so ceil(250/s) + 8 leaves it near
 # e^-45 ~ 3e-20.  Asymptotic: the fewest K >= 2 whose first omitted term,
 # (K+1)!/r^(K+1), is at most 1e-15/r^2, a hundredth of the scale of Re h
 # next to the imaginary axis.  The reaches are the r up to which K = 1..40
-# series terms, and from which K = 29..2 asymptotic terms, suffice.
+# series terms (K = 1..160 past r = 6.2), and from which K = 29..2
+# asymptotic terms, suffice.
 _E1_SERIES_REACH = np.array(
     [math.exp((math.lgamma(k + 2.0) - 17.0 * math.log(10.0)) / (k + 1)) for k in range(1, 41)]
 )
+
+
+def _e1_series_far_reach() -> np.ndarray:
+    """Past r = 6.2, the smallest roots of (K + 3) ln r - r = ln (K+1)! - 17 ln 10,
+    from below by r <- e^((c + r)/(K + 3)), which contracts by r/(K + 3) <= 0.43."""
+    k = np.arange(1.0, 161.0)
+    c = np.array([math.lgamma(j + 2.0) for j in k.tolist()]) - 17.0 * math.log(10.0)
+    r = np.zeros_like(k)
+    for _ in range(40):
+        r = np.exp((c + r) / (k + 3.0))
+    return r
+
+
+_E1_SERIES_FAR_REACH = _e1_series_far_reach()
 _E1_ASYMPTOTIC_REACH = np.array(
     [math.exp((math.lgamma(k + 2.0) + 15.0 * math.log(10.0)) / (k - 1)) for k in range(29, 1, -1)]
 )
 _E1_STEPS = (
-    lambda r, s: np.where(r <= _E1_SERIES_REACH[-1], 1 + _E1_SERIES_REACH.searchsorted(r),
-                          np.ceil(math.e * r) + 24),
+    lambda r, s: 1 + np.where(r <= _E1_SERIES_REACH[-1], _E1_SERIES_REACH.searchsorted(r),
+                              _E1_SERIES_FAR_REACH.searchsorted(r)),
     lambda r, s: np.ceil(250.0 / s) + 8,
     lambda r, s: 30 - _E1_ASYMPTOTIC_REACH.searchsorted(r, side="right"),
 )

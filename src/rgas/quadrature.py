@@ -40,6 +40,7 @@ k-th node alone:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -282,10 +283,14 @@ def fuse_rows(sets: list) -> RowSet:
     return RowSet(weight, *joined, finish)
 
 
+@functools.cache
 def dyadic_edges(first: int, last: int) -> np.ndarray:
     """Edges 0, 2^first, 2^(first+1), ..., 2^last: panels of the dyadic
-    tree, graded toward 0."""
-    return np.concatenate(([0.0], np.ldexp(1.0, np.arange(first, last + 1))))
+    tree, graded toward 0.  One read-only array per (first, last), kept for
+    the life of the process."""
+    edges = np.concatenate(([0.0], np.ldexp(1.0, np.arange(first, last + 1))))
+    edges.setflags(write=False)
+    return edges
 
 
 def _kernel_table(kernel):

@@ -13,7 +13,8 @@ in int_0^inf e^(-kappa s) ln|zeta(s)| ds, kappa = lam/beta, but it picks up
 the imaginary part -(pi/(beta V)) (1 - exp(-lam/beta)) from the segment
 0 < s < 1 where zeta is negative.  The real part is computed as the
 quadrature of e^(-kappa s) L(s), with the smooth L(s) = ln((s-1) zeta(s)),
-plus -int_0^2 e^(-kappa s) ln|s - 1| ds in closed form (Ei and E1).
+plus -int_0^2 e^(-kappa s) ln|s - 1| ds in closed form (Ei and E1); from
+kappa = 40 on, it is Watson's series in 1/kappa, with no quadrature.
 
 The average energy density is eps = d(beta f)/d beta.  Integrated by parts,
 its principal value of zeta'/zeta becomes the integral of ln|zeta| that f
@@ -150,9 +151,10 @@ class ThermoPoint:
     """One temperature point: complex free energy density, energy density,
     entropy density, and status flags.
 
-    For the continuum, ``abs_error`` holds the quadrature error budgets of f
-    and eps (each its rows' summed estimates times lam/(beta^2 V); eps adds
-    a bound on ln zeta past the last panel), which are not printed, and
+    For the continuum, ``abs_error`` holds the error budgets of f and eps
+    (each its rows' summed estimates times lam/(beta^2 V), and eps adds a
+    bound on ln zeta past the last panel; or from kappa = lam/beta = 40 on
+    the bound of Watson's series plus rounding), which are not printed, and
     ``converged`` whether every row met its tolerance; a point where one
     did not has the flag ``unconverged``.  A discrete point has no
     quadrature: its ``abs_error`` is None, and its zeta values pass the
@@ -376,12 +378,71 @@ def _energy_pole_window(kappa: np.ndarray, e1=None) -> np.ndarray:
     return out
 
 
-# A row's first leaf is [0, 2^-fine] with 2^-fine <= 40/kappa and fine <= 52;
-# past this kappa, e^(-kappa s) would be narrower than that leaf allows
-_KAPPA_MAX = 40.0 * 2.0**52
-
 # the rows of a continuum point: Re f, Im f, eps
 _RE, _IM, _EPS = range(3)
+
+
+# Taylor coefficients a_n of ln(-zeta(s)) at s = 0, n = 0..35 (a_0 = -ln 2,
+# a_1 = ln 2pi, n a_n -> 1 from the pole at s = 1), generated once with
+# mpmath at 50 digits as the Cauchy sum (1/512) sum_k ln(-zeta(r w^k)) (r w^k)^-n
+# with w = e^(2 pi i/512) and r = 9/10
+_LOG_ZETA_TAYLOR = (
+    -0.6931471805599453, 1.8378770664093456, 0.317460400291874, 0.38345609037546713,
+    0.23307029266794804, 0.2064806554509749, 0.16401738268215166, 0.14398253332910535,
+    0.12450972769481046, 0.111328560845996, 0.09990224662412245, 0.09095350205029076,
+    0.08331298327460386, 0.07693246809939659, 0.0714242115075329, 0.06666870123410693,
+    0.062499046311109294, 0.05882397820310579, 0.055555343627120696, 0.05263167933433013,
+    0.04999995231623869, 0.04761907032558979, 0.04545453461733473, 0.04347826605257842,
+    0.041666664183139655, 0.04000000119209293, 0.03846153788841687, 0.03703703731298447,
+    0.03571428558123963, 0.0344827586849188, 0.03333333330228925, 0.03225806453115036,
+    0.031249999992724042, 0.03030303030655804, 0.029411764704170364, 0.02857142857226011,
+)
+_TAYLOR_A = np.array(_LOG_ZETA_TAYLOR)
+_TAYLOR_N = np.arange(_TAYLOR_A.size, dtype=np.float64)
+# kappa_0, from which a continuum point is Watson's series, and its split rho
+_WATSON_KAPPA, _WATSON_RHO = 40.0, 0.95
+
+
+def _watson(kappa: np.ndarray) -> tuple:
+    """(kappa I, kappa J, budget of kappa I, budget of kappa J) for kappa >=
+    _WATSON_KAPPA, where I, J = int_0^inf w ln|zeta(s)| ds are the
+    s-integrals of f and eps, w = e^(-kappa s) resp. (1 - kappa s) e^(-kappa s).
+
+    ln|zeta| = ln(-zeta) = sum a_n s^n on |s| < 1, so by Watson's lemma
+    (Olver, Asymptotics and Special Functions, 1974, ch. 3 sec. 3) kappa I ~
+    sum a_n c_n and kappa J ~ -sum n a_n c_n, c_n = n!/kappa^n a running
+    product of j/kappa < 1, over the N = 36 terms of _LOG_ZETA_TAYLOR.  The
+    bound: |w| <= W = e^(-kappa s) resp. (1 + kappa s) e^(-kappa s), which
+    falls; P is the N-term polynomial and d = 1 - rho.  On [0, rho],
+    |ln|zeta| - P| <= A s^N/(N d), as n |a_n| <= A = 1 + 1e-6 past N (the
+    n a_n - 1 are n times the coefficients of ln((s - 1) zeta), analytic in
+    |s| < 2 and at most 4.7 on |s| = 1.9), which integrates to the Watson
+    remainder A (N-1)!/(d kappa^(N+1)), times N + 2 for J.  Past rho,
+    |ln|zeta|| <= |ln|1 - s|| + 1/2, so int W |ln|zeta|| <= 2 d (1 + ln(1/d))
+    W(rho) + (ln(1/d) + 1/2) int_rho^inf W; and W s^n <= W(rho) rho^n
+    e^(-(kappa - N/rho)(s - rho)) for n < N, so int W |P| <= W(rho)
+    A1/(kappa - N/rho), A1 = sum |a_n| rho^n.  kappa_0 = 40 > N/rho + 2;
+    there the bound is 5e-15 of |I| and 3e-12 of |J| (the errors against
+    mpmath are 1e-17 and 6e-15 of them), and it falls like e^(-kappa rho).
+    Rounding adds 4 eps sum (n + 1) |t_n|: a term t_n takes 2n + 2
+    roundings, the sum, from the last term, n + 1, and 1/(beta V) two."""
+    n, rho = _TAYLOR_N.size, _WATSON_RHO
+    ratio = _TAYLOR_N / kappa[:, None]
+    ratio[:, 0] = 1.0
+    c = np.cumprod(ratio, axis=1)
+    values, errors = [], []
+    for t in (c * _TAYLOR_A, c * -(_TAYLOR_N * _TAYLOR_A)):
+        # running sums from the last term: a point alone equals it in a batch
+        values.append(np.cumsum(t[:, ::-1], axis=1)[:, -1])
+        rounding = np.cumsum(np.abs(t) * (_TAYLOR_N + 1.0), axis=1)[:, -1]
+        errors.append(4.0 * sys.float_info.epsilon * rounding)
+    d, a1 = 1.0 - rho, float(np.abs(_TAYLOR_A) @ rho**_TAYLOR_N)
+    near, far = 2.0 * d * (1.0 - math.log(d)) + a1 / (kappa - n / rho), 0.5 - math.log(d)
+    remainder = (1.0 + 1e-6) / d * np.exp(math.lgamma(n) - n * np.log(kappa))
+    e, e_rho = np.exp(-rho * kappa), 1.0 + rho * kappa
+    errors[0] += remainder + e * kappa * near + e * far
+    errors[1] += (n + 2) * remainder + e * kappa * e_rho * near + e * (1.0 + e_rho) * far
+    return (*values, *errors)
 
 
 def _log_zeta_kernel(s: np.ndarray) -> np.ndarray:
@@ -400,13 +461,17 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
     None for f unless kinds holds _RE and _IM, for eps unless it holds
     _EPS, and for the entropy unless it holds all three.
 
-    Each beta has one row per kind, each to tol/2: e^(-kappa s) K(s) for
-    Re f, (1 - kappa s) e^(-kappa s) K(s) for eps, pi e^(-kappa s) on
-    [0, 1] for Im f (K = _log_zeta_kernel, kappa = lam/beta).  Re f and eps
-    end at the first power of two past s_max, where the ln zeta tail
-    (~2^-s) is below double precision; every row starts graded toward 0,
-    down to a first leaf of at most min(1/2, 40/kappa).  The windows
-    -int_0^2 w ln|s - 1| ds are added in closed form, from window_e1 if given."""
+    A beta with kappa = lam/beta >= _WATSON_KAPPA has no rows: f and eps are
+    Watson's series (Im f in closed form).  Each other beta has one row per
+    kind, each to tol/2: e^(-kappa s) K(s) for Re f, (1 - kappa s) e^(-kappa s)
+    K(s) for eps, pi e^(-kappa s) on [0, 1] for Im f (K = _log_zeta_kernel).
+    Re f and eps end at the first power of two past s_max, where the ln zeta
+    tail (~2^-s) is below double precision; every row starts graded toward
+    0, down to a first leaf of at most min(1/2, 4/kappa), across which
+    e^(-kappa s) falls by at most e^4, so most rows need one round.  The
+    windows -int_0^2 w ln|s - 1| ds are added in closed form, from window_e1,
+    (h, g) at _window_z of the kappas of the rows, if given.  A beta where
+    lam/beta^2 leaves the float range is refused."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     kappas, ends, edges, rows = [], [], [], []
@@ -414,14 +479,15 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
         if not beta > 0.0:
             raise DomainError("beta must be positive")
         kappa = spec.rate / beta
-        if not kappa <= _KAPPA_MAX:
+        if not kappa / beta < math.inf:
             raise DomainError(
-                f"kappa = lam/beta = {kappa:.6g} exceeds {_KAPPA_MAX:.6g}: "
-                "e^(-kappa s) is narrower than the finest panels"
+                f"kappa = lam/beta = {kappa:.6g} at beta = {beta:.6g}: lam/beta^2 is not finite"
             )
-        fine = max(1, math.ceil(math.log2(kappa / 40.0))) if kappa > 0.0 else 1
-        last = math.ceil(math.log2(max(4.0, math.log(1e18) / (kappa + math.log(2.0)))))
         kappas.append(kappa)
+        if kappa >= _WATSON_KAPPA:
+            continue
+        fine = max(1, math.ceil(math.log2(kappa / 4.0))) if kappa > 0.0 else 1
+        last = math.ceil(math.log2(max(4.0, math.log(1e18) / (kappa + math.log(2.0)))))
         ends.append(2.0**last)
         edges += [dyadic_edges(-fine, 0 if kind == _IM else last) for kind in kinds]
         rows += [(kappa, kind) for kind in kinds]
@@ -437,39 +503,55 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
 
     def finish(results):
         kappa_array = np.array(kappas)
-        e1 = _e1_parts(_window_z(kappa_array))[0] if window_e1 is None else window_e1
-        window_f = _pole_log_window(kappa_array, e1).tolist() if _RE in kinds else None
-        window_eps = _energy_pole_window(kappa_array, e1).tolist() if _EPS in kinds else None
-        points = []
-        for i, (beta, kappa, end) in enumerate(zip(betas, kappas, ends)):
-            part = dict(zip(kinds, results[i * len(kinds) : (i + 1) * len(kinds)]))
-
-            def scaled(v):
-                # lam/(beta^2 V) v, in an order that cannot overflow beta^2
-                return kappa * v / beta / spec.volume
-
+        series = kappa_array >= _WATSON_KAPPA
+        quad = kappa_array[~series]
+        e1 = _e1_parts(_window_z(quad))[0] if window_e1 is None else window_e1
+        window_f = _pole_log_window(quad, e1).tolist() if _RE in kinds else None
+        window_eps = _energy_pole_window(quad, e1).tolist() if _EPS in kinds else None
+        watson = zip(*(v.tolist() for v in _watson(kappa_array[series]))) if series.any() else None
+        points, i = [], 0
+        for beta, kappa in zip(betas, kappas):
             f = eps = entropy = f_err = eps_err = None
-            if _RE in part:
-                re, im = part[_RE], part[_IM]
-                f = complex(-scaled(re.value + window_f[i]), -scaled(im.value))
-                f_err = scaled(re.abs_error + im.abs_error)
-            if _EPS in part:
-                # past the end, 0 < ln zeta(s) <= zeta(s) - 1 <= (5/3) 2^-s as
-                # s >= 4, and (1 + kappa s) e^(-decay s) integrates in closed form
-                decay = kappa + math.log(2.0)
-                err = 5.0 / 3.0 * math.exp(-decay * end) * (1.0 + kappa * (end + 1.0 / decay)) / decay
-                err += part[_EPS].abs_error
-                if err > max(tol, 1e-12) * 50.0:
-                    raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
-                eps = scaled(part[_EPS].value + window_eps[i])
-                eps_err = scaled(err)
-                entropy = beta * (eps - f.real) if f is not None else None
+            if kappa >= _WATSON_KAPPA:
+                # kappa times the s-integrals, so divide by beta V
+                re, j, re_err, j_err = next(watson)
+                if _RE in kinds:
+                    im = math.pi * (1.0 - math.exp(-kappa))
+                    f = complex(-re / beta / spec.volume, -im / beta / spec.volume)
+                    f_err = (re_err + 4.0 * sys.float_info.epsilon * im) / beta / spec.volume
+                if _EPS in kinds:
+                    eps, eps_err = j / beta / spec.volume, j_err / beta / spec.volume
+                converged = True
+            else:
+                part = dict(zip(kinds, results[i * len(kinds) : (i + 1) * len(kinds)]))
+
+                def scaled(v):
+                    # lam/(beta^2 V) v, in an order that cannot overflow beta^2
+                    return kappa * v / beta / spec.volume
+
+                if _RE in part:
+                    re, im = part[_RE], part[_IM]
+                    f = complex(-scaled(re.value + window_f[i]), -scaled(im.value))
+                    f_err = scaled(re.abs_error + im.abs_error)
+                if _EPS in part:
+                    # past the end, 0 < ln zeta(s) <= zeta(s) - 1 <= (5/3) 2^-s as
+                    # s >= 4, and (1 + kappa s) e^(-decay s) integrates in closed form
+                    decay, end = kappa + math.log(2.0), ends[i]
+                    err = 5.0 / 3.0 * math.exp(-decay * end) * (1.0 + kappa * (end + 1.0 / decay)) / decay
+                    err += part[_EPS].abs_error
+                    if err > max(tol, 1e-12) * 50.0:
+                        raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
+                    eps = scaled(part[_EPS].value + window_eps[i])
+                    eps_err = scaled(err)
+                converged = all(r.converged for r in part.values())
+                i += 1
+            if f is not None and eps is not None:
+                entropy = beta * (eps - f.real)
             if not all(np.isfinite(v) for v in (f, eps, entropy) if v is not None):
                 raise AccuracyError(
                     f"thermo at beta = {beta!r} exceeds the float range "
                     f"(lam/beta^2 = {kappa / beta:.6g})"
                 )
-            converged = all(r.converged for r in part.values())
             points.append((f, eps, entropy, (f_err, eps_err), converged))
         return points
 
@@ -505,7 +587,8 @@ def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -
     lam/beta), and -int_0^2 e^(-kappa s) ln|s - 1| ds, which holds the
     integrable singularity at the pole, is added in closed form.  The
     imaginary part integrates the principal-branch phase (exactly +pi where
-    zeta < 0, i.e. on 0 < s < 1)."""
+    zeta < 0, i.e. on 0 < s < 1).  From kappa = 40 on, both are closed
+    forms: Watson's series in 1/kappa and -(pi/(beta V)) (1 - e^(-kappa))."""
     return _continuum(spec, [beta], tol, (_RE, _IM))[0][0]
 
 
@@ -516,10 +599,11 @@ def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
             = (lam/(beta^2 V)) int_0^inf (1 - kappa s) e^(-kappa s) ln|zeta(s)| ds,
 
     integrated by parts (kappa = lam/beta; the boundary terms vanish, the
-    symmetric ones at the pole too).  The panels and the pole window are
-    those of free_energy_continuum under the weight (1 - kappa s) e^(-kappa s),
-    and the budget adds a closed-form bound on ln zeta past the last panel;
-    AccuracyError when the budget exceeds 50 max(tol, 1e-12)."""
+    symmetric ones at the pole too).  The panels and the pole window, or
+    from kappa = 40 on Watson's series, are those of free_energy_continuum
+    under the weight (1 - kappa s) e^(-kappa s); a row's budget adds a
+    closed-form bound on ln zeta past the last panel, and AccuracyError
+    when the budget exceeds 50 max(tol, 1e-12)."""
     return _continuum(spec, [beta], tol, (_EPS,))[0][1]
 
 

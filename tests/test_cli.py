@@ -478,7 +478,7 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", "--zeros-count", "60")
         assert code == 0
         assert "all checks passed" in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
 
     def test_zero_table_computed_once(self, capsys, monkeypatch):
         counts = []
@@ -490,7 +490,7 @@ class TestValidateCommand:
 
         monkeypatch.setattr(zerofinder, "find_zeros", counted)
         code, out, _ = run_cli(capsys, "validate", "--zeros-count", "60")
-        assert code == 0 and out.count("PASS") == 6
+        assert code == 0 and out.count("PASS") == 7
         assert counts == [60]
 
     def test_out_of_range_tolerance_fails_controlled(self, capsys):

@@ -497,6 +497,28 @@ class TestExponentialIntegral:
             ref = float(mp.ei(x))
         assert nk.exp_integral_ei(x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
+    def test_series_steps_are_the_fewest_that_suffice(self):
+        # past |z| = 6.2, the reach of 40 terms, the series takes the fewest
+        # K with r^(K+1)/(K+1)! <= 1e-17 e^r/r^2 (129 at r = 50, 73 at r = 20)
+        edge = float(nk._E1_SERIES_REACH[-1])
+        r = np.concatenate([np.linspace(np.nextafter(edge, 51.0), 50.0, 400), [20.0, 50.0]])
+        k = nk._E1_STEPS[0](r, None)
+        assert k[-2:].tolist() == [73, 129]
+
+        def omitted(k):
+            return (k + 1) * np.log(r) - np.array([math.lgamma(j + 2.0) for j in k]) + 2.0 * np.log(r) - r
+
+        assert np.all(omitted(k) <= -17.0 * math.log(10.0))
+        assert np.all(omitted(k - 1) > -17.0 * math.log(10.0))
+
+    @pytest.mark.parametrize("x", [6.3, 9.0, 14.0, 20.0, 33.0, 49.9])
+    def test_series_band_against_mpmath(self, x):
+        # Ei(x) for 6.2 < x <= 50 is the power series of g at z = -x + i0
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = float(mp.ei(x))
+        assert nk.exp_integral_ei(x) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_subnormal_is_a_domain_error(self):
         for x in (1e-320, -5e-324):
             with pytest.raises(DomainError):

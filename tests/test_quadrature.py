@@ -344,3 +344,7 @@ class TestIntegrateRows:
 
     def test_dyadic_edges(self):
         assert q.dyadic_edges(-2, 1).tolist() == [0.0, 0.25, 0.5, 1.0, 2.0]
+        # one read-only array per (first, last), shared by every caller
+        assert q.dyadic_edges(-2, 1) is q.dyadic_edges(-2, 1)
+        with pytest.raises(ValueError):
+            q.dyadic_edges(-2, 1)[0] = 1.0

@@ -969,6 +969,107 @@ class TestFreeEnergyConvergence:
         assert abs(point.f.real - ref) <= point.abs_error[0]
 
 
+@pytest.fixture(scope="module")
+def mp_log_zeta_taylor():
+    """mpmath and the Taylor coefficients a_0..a_59 of ln(-zeta(s)) at s = 0
+    at 40 digits, as the Cauchy sum over 128 points on |s| = 1/2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        m, r = 128, mp.mpf(1) / 2
+        w = [mp.expjpi(mp.mpf(2 * k) / m) for k in range(m)]
+        values = [mp.log(-mp.zeta(r * wk)) for wk in w]
+        taylor = [mp.re(mp.fsum(v * wk**-n for v, wk in zip(values, w))) / (m * r**n) for n in range(60)]
+    return mp, taylor
+
+
+def _mp_transforms(mp, taylor, kappa):
+    """(kappa I, kappa J) at 30 digits, I and J the s-integrals of f and eps.
+    Up to kappa = 1e3, mpmath quadrature in u = kappa s of e^(-u) (1 or
+    1 - u) ln|zeta(u/kappa)|; past it, Watson's sums over 60 coefficients,
+    whose remainder, below 60!/kappa^60, is far under double precision."""
+    with mp.workdps(30):
+        k = mp.mpf(kappa)
+        if kappa > 1e3:
+            terms = [a * mp.factorial(n) / k**n for n, a in enumerate(taylor)]
+            return mp.fsum(terms), -mp.fsum(n * t for n, t in enumerate(terms))
+        edges = sorted({mp.mpf(0), 1, 5, 20, 60} | ({k, 2 * k} if kappa <= 100 else set()))
+        edges += [mp.inf] if kappa <= 100 else [mp.mpf(100)]  # past u = 100: below 1e-40
+
+        def transform(weight):
+            return mp.quad(lambda u: weight(u) * mp.exp(-u) * mp.log(abs(mp.zeta(u / k))), edges)
+
+        return transform(lambda u: 1), transform(lambda u: 1 - u)
+
+
+class TestWatsonSeries:
+    """From kappa = lam/beta = _WATSON_KAPPA on, f and eps are Watson's
+    series in 1/kappa, with no rows; below it each row starts from a first
+    leaf of at most 4/kappa and meets tol on its first panels."""
+
+    @pytest.mark.parametrize("kappa,rounds", [(5.0, 1), (12.0, 1), (30.0, 1), (39.0, 1), (40.0, 0), (1e18, 0)])
+    def test_rows_take_one_round(self, monkeypatch, kappa, rounds):
+        counts = {"rounds": 0, "kernel": 0}
+        gk15, kernel = q._gk15, th._log_zeta_kernel
+
+        def counted_gk15(*args):
+            counts["rounds"] += 1  # one call per round
+            return gk15(*args)
+
+        def counted_kernel(s):
+            counts["kernel"] += 1
+            return kernel(s)
+
+        monkeypatch.setattr(q, "_gk15", counted_gk15)
+        monkeypatch.setattr(th, "_log_zeta_kernel", counted_kernel)
+        (point,) = th.thermo_scan(CONT, [1.0 / kappa], 1e-8)
+        assert point.converged
+        assert counts == {"rounds": rounds, "kernel": rounds}
+
+    def test_against_mpmath_within_the_budget(self, mp_log_zeta_taylor):
+        # kappa log-uniform on [kappa_0, 1e300/beta], beta log-uniform on
+        # [1e-3, 1e3], and four kappa where the quadrature reference runs
+        mp, taylor = mp_log_zeta_taylor
+        rng = np.random.default_rng(2112)
+        betas = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 24))
+        kappas = np.exp(rng.uniform(math.log(th._WATSON_KAPPA), np.log(1e300 / betas)))
+        kappas[:4] = [th._WATSON_KAPPA, 57.0, 150.0, 700.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa, beta in zip(kappas.tolist(), betas.tolist()):
+                point = th.thermo_point(th.EnsembleSpec.continuum(kappa * beta), beta, 1e-8)
+                i, j = _mp_transforms(mp, taylor, kappa)
+                assert abs(point.f.real + i / beta) <= point.abs_error[0]
+                assert abs(point.eps - j / beta) <= point.abs_error[1]
+                assert point.converged and point.flags == {"complex_branch_active"}
+
+    def test_both_ends_of_the_beta_axis(self):
+        # lam = 1, beta from 1e-12 to 1e12: eps lam V -> -ln 2pi as beta -> 0
+        # (the next term, 4 a_2/(a_1 kappa), is 0.69/kappa), and eps -> 0 as
+        # beta -> inf like (lam/beta^2) int_0^inf ln|zeta(s)| ds
+        betas = np.geomspace(1e-12, 1e12, 49)
+        scan = th.thermo_scan(CONT, betas, 1e-8)
+        assert all(p.converged and math.isfinite(p.eps) and math.isfinite(p.entropy) for p in scan)
+        eps = np.array([p.eps for p in scan])
+        series = eps[1.0 / betas >= th._WATSON_KAPPA]
+        assert series.size >= 20
+        assert np.all(np.abs(series / -math.log(2.0 * math.pi) - 1.0) <= betas[: series.size])
+        assert abs(eps[0] / -math.log(2.0 * math.pi) - 1.0) <= 1e-12
+        # int_0^inf ln|zeta(s)| ds, from mpmath quad at 20 digits
+        assert eps[-1] * betas[-1] ** 2 == pytest.approx(2.4724628273177464, rel=1e-8)
+        assert abs(eps[-1]) < 1e-23
+        assert np.abs(eps).max() < 2.5  # the largest, -2.2, lies near beta = 0.3
+
+    @pytest.mark.parametrize("lam", [1e8, 1e12])
+    def test_large_lam_at_unit_beta(self, mp_log_zeta_taylor, lam):
+        mp, taylor = mp_log_zeta_taylor
+        point = th.thermo_point(th.EnsembleSpec.continuum(lam), 1.0, 1e-8)
+        assert point.f.imag == pytest.approx(-math.pi * (1.0 - math.exp(-lam)), rel=1e-12, abs=0.0)
+        i, j = _mp_transforms(mp, taylor, lam)
+        assert abs(point.f.real + i) <= point.abs_error[0]
+        assert abs(point.eps - j) <= point.abs_error[1]
+        assert point.abs_error[1] <= 1e-13 * abs(point.eps)
+
+
 # the (lam, beta) grid: lam in [0.01, 100] and beta in [0.05, 20], 9 x 9
 # log-spaced
 GRID_LAMS = np.logspace(-2.0, 2.0, 9)
