@@ -7,8 +7,8 @@ frequency is treated as a random variable; quenched averages of the free
 energy, energy, and entropy densities are computed for discrete and
 exponential-continuum ensembles, including the decomposition of the average
 energy density into pole, nontrivial-zero, and trivial-zero contributions,
-each of which is validated against an independent principal-value quadrature
-oracle.
+whose sum is validated against an independent oracle: the quadrature of
+ln|zeta| under the weight (1 - kappa s) e^(-kappa s), kappa = lam/beta.
 """
 
 from . import arith, numkernel, quadrature, superzeta, thermo, zerofinder

@@ -152,9 +152,9 @@ class ThermoPoint:
     entropy density, and status flags.
 
     For the continuum, ``abs_error`` holds the error budgets of f and eps
-    (each its rows' summed estimates times lam/(beta^2 V), and eps adds a
-    bound on ln zeta past the last panel; or from kappa = lam/beta = 40 on
-    the bound of Watson's series plus rounding), which are not printed, and
+    (its row's estimate times lam/(beta^2 V), or from kappa = lam/beta = 40
+    on the bound of Watson's series plus rounding; eps adds a bound on ln
+    zeta past the last panel, f the rounding of Im f), not printed, and
     ``converged`` whether every row met its tolerance; a point where one
     did not has the flag ``unconverged``.  A discrete point has no
     quadrature: its ``abs_error`` is None, and its zeta values pass the
@@ -304,12 +304,23 @@ def hagedorn_scan(spec: EnsembleSpec, beta_grid) -> list[ThermoPoint]:
 # continuum ensemble
 # ----------------------------------------------------------------------
 
+def _im_free_energy(kappa: float, beta: float, volume: float) -> float:
+    """Im f = -(pi/(beta V)) (1 - e^(-kappa)), kappa = lam/beta: the principal
+    branch of ln zeta is +pi on 0 < s < 1, where zeta < 0, and 0 past it."""
+    return -(math.pi * -math.expm1(-kappa)) / beta / volume
+
+
 def free_energy_im_closed_form(spec: EnsembleSpec, beta: float) -> float:
-    """Im f = -(pi/(beta V)) (1 - exp(-lam/beta)): the principal branch
-    contributes +pi on the whole segment 0 < s < 1 where zeta < 0."""
+    """Im f = -(pi/(beta V)) (1 - exp(-lam/beta)), the imaginary part of
+    free_energy_continuum; AccuracyError where it leaves the float range."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
-    return -math.pi / (beta * spec.volume) * (1.0 - math.exp(-spec.rate / beta))
+    if not beta > 0.0:
+        raise DomainError("beta must be positive")
+    im = _im_free_energy(spec.rate / beta, beta, spec.volume)
+    if not math.isfinite(im):
+        raise AccuracyError(f"Im f at beta = {beta!r} exceeds the float range")
+    return im
 
 
 # 2 / ((2j+1) (2j+1)!), j = 0..9: 2 Shi(k)/k = sum_j c_j k^(2j) to double
@@ -318,8 +329,8 @@ _SHI_COEF = tuple(2.0 / ((2 * j + 1) * math.factorial(2 * j + 1)) for j in range
 
 
 def _window_z(kappa: np.ndarray) -> np.ndarray:
-    """The E1 arguments of the pole windows: -k, then k, for kappa above 1."""
-    k = kappa[~(kappa <= 1.0)]
+    """The E1 arguments -k, then k, of the pole windows of 1 < kappa < _WATSON_KAPPA."""
+    k = kappa[(kappa > 1.0) & (kappa < _WATSON_KAPPA)]
     return np.concatenate((-k, k))
 
 
@@ -337,8 +348,8 @@ def _pole_log_window(kappa: np.ndarray, e1=None) -> np.ndarray:
     e^(-kappa) (Ei(kappa) + E1(kappa))/kappa, for an array of kappa > 0,
     elementwise.  Above kappa = 1 it is
     (e^(-kappa) Ei(kappa) + e^(-2 kappa) g(kappa)/kappa)/kappa with
-    g = kappa e^kappa E1(kappa), from e1, (h, g) at _window_z(kappa), if
-    given; at or below 1, where Ei and E1 nearly
+    g = kappa e^kappa E1(kappa), from e1, (h, g) at -k and then k for the
+    kappas k above 1, if given; at or below 1, where Ei and E1 nearly
     cancel, the same value as 2 e^(-kappa) Shi(kappa)/kappa by its series."""
     kappa = np.asarray(kappa, dtype=np.float64)
     out = np.empty_like(kappa)
@@ -351,7 +362,7 @@ def _pole_log_window(kappa: np.ndarray, e1=None) -> np.ndarray:
         out[small] = np.exp(-kappa[small]) * series
     if not small.all():
         k = kappa[~small]
-        _, g = _e1_parts(_window_z(kappa))[0] if e1 is None else e1
+        _, g = _e1_parts(np.concatenate((-k, k)))[0] if e1 is None else e1
         out[~small] = (g[: k.size].real / k + np.exp(-2.0 * k) * g[k.size :].real / k) / k
     return out
 
@@ -373,13 +384,13 @@ def _energy_pole_window(kappa: np.ndarray, e1=None) -> np.ndarray:
         out[small] = ratio - k * _pole_log_window(k)
     if not small.all():
         k = kappa[~small]
-        h, g = _e1_parts(_window_z(kappa))[0] if e1 is None else e1
+        h, g = _e1_parts(np.concatenate((-k, k)))[0] if e1 is None else e1
         out[~small] = -(h[: k.size].real + np.exp(-2.0 * k) * (1.0 + g[k.size :].real)) / k
     return out
 
 
-# the rows of a continuum point: Re f, Im f, eps
-_RE, _IM, _EPS = range(3)
+# the rows of a continuum point: Re f, eps
+_RE, _EPS = range(2)
 
 
 # Taylor coefficients a_n of ln(-zeta(s)) at s = 0, n = 0..35 (a_0 = -ln 2,
@@ -458,20 +469,20 @@ def _log_zeta_kernel(s: np.ndarray) -> np.ndarray:
 def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, window_e1=None) -> RowSet:
     """The rows of the continuum points at betas, whose finish gives
     (f, eps, entropy, (f budget, eps budget), converged) at each beta, with
-    None for f unless kinds holds _RE and _IM, for eps unless it holds
-    _EPS, and for the entropy unless it holds all three.
+    None for f unless kinds holds _RE, for eps unless it holds _EPS, and
+    for the entropy unless it holds both.
 
-    A beta with kappa = lam/beta >= _WATSON_KAPPA has no rows: f and eps are
-    Watson's series (Im f in closed form).  Each other beta has one row per
-    kind, each to tol/2: e^(-kappa s) K(s) for Re f, (1 - kappa s) e^(-kappa s)
-    K(s) for eps, pi e^(-kappa s) on [0, 1] for Im f (K = _log_zeta_kernel).
-    Re f and eps end at the first power of two past s_max, where the ln zeta
-    tail (~2^-s) is below double precision; every row starts graded toward
-    0, down to a first leaf of at most min(1/2, 4/kappa), across which
+    A beta with kappa = lam/beta >= _WATSON_KAPPA has no rows: kappa times
+    the s-integrals of f and eps are Watson's series.  Each other beta has
+    one row per kind, each to tol/2: e^(-kappa s) K(s) for Re f and
+    (1 - kappa s) e^(-kappa s) K(s) for eps (K = _log_zeta_kernel).  The
+    rows end at the first power of two past s_max, where the ln zeta tail
+    (~2^-s) is below double precision; every row starts graded toward 0,
+    down to a first leaf of at most min(1/2, 4/kappa), across which
     e^(-kappa s) falls by at most e^4, so most rows need one round.  The
-    windows -int_0^2 w ln|s - 1| ds are added in closed form, from window_e1,
-    (h, g) at _window_z of the kappas of the rows, if given.  A beta where
-    lam/beta^2 leaves the float range is refused."""
+    windows -int_0^2 w ln|s - 1| ds are added in closed form, from
+    window_e1, (h, g) at _window_z of the kappas of the rows, if given, and
+    Im f is _im_free_energy.  A beta where lam/beta^2 is not finite is refused."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     kappas, ends, edges, rows = [], [], [], []
@@ -489,16 +500,15 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
         fine = max(1, math.ceil(math.log2(kappa / 4.0))) if kappa > 0.0 else 1
         last = math.ceil(math.log2(max(4.0, math.log(1e18) / (kappa + math.log(2.0)))))
         ends.append(2.0**last)
-        edges += [dyadic_edges(-fine, 0 if kind == _IM else last) for kind in kinds]
+        edges += [dyadic_edges(-fine, last)] * len(kinds)
         rows += [(kappa, kind) for kind in kinds]
     row_kappa, row_kind = np.array(rows).reshape(-1, 2).T
 
     def weight(r, x):
         kx = row_kappa[r, None] * x
         w = np.exp(-kx)
-        eps, im = row_kind[r] == _EPS, row_kind[r] == _IM
+        eps = row_kind[r] == _EPS
         w[eps] *= 1.0 - kx[eps]
-        w[im] *= math.pi
         return w
 
     def finish(results):
@@ -511,28 +521,16 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
         watson = zip(*(v.tolist() for v in _watson(kappa_array[series]))) if series.any() else None
         points, i = [], 0
         for beta, kappa in zip(betas, kappas):
-            f = eps = entropy = f_err = eps_err = None
+            # kappa I, kappa J and their budgets, I and J the s-integrals, so
+            # divide by beta, then by V: an order that cannot overflow beta^2
             if kappa >= _WATSON_KAPPA:
-                # kappa times the s-integrals, so divide by beta V
                 re, j, re_err, j_err = next(watson)
-                if _RE in kinds:
-                    im = math.pi * (1.0 - math.exp(-kappa))
-                    f = complex(-re / beta / spec.volume, -im / beta / spec.volume)
-                    f_err = (re_err + 4.0 * sys.float_info.epsilon * im) / beta / spec.volume
-                if _EPS in kinds:
-                    eps, eps_err = j / beta / spec.volume, j_err / beta / spec.volume
                 converged = True
             else:
                 part = dict(zip(kinds, results[i * len(kinds) : (i + 1) * len(kinds)]))
-
-                def scaled(v):
-                    # lam/(beta^2 V) v, in an order that cannot overflow beta^2
-                    return kappa * v / beta / spec.volume
-
                 if _RE in part:
-                    re, im = part[_RE], part[_IM]
-                    f = complex(-scaled(re.value + window_f[i]), -scaled(im.value))
-                    f_err = scaled(re.abs_error + im.abs_error)
+                    re = kappa * (part[_RE].value + window_f[i])
+                    re_err = kappa * part[_RE].abs_error
                 if _EPS in part:
                     # past the end, 0 < ln zeta(s) <= zeta(s) - 1 <= (5/3) 2^-s as
                     # s >= 4, and (1 + kappa s) e^(-decay s) integrates in closed form
@@ -541,10 +539,16 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
                     err += part[_EPS].abs_error
                     if err > max(tol, 1e-12) * 50.0:
                         raise AccuracyError(f"energy oracle error estimate {err:.2e} too large")
-                    eps = scaled(part[_EPS].value + window_eps[i])
-                    eps_err = scaled(err)
+                    j, j_err = kappa * (part[_EPS].value + window_eps[i]), kappa * err
                 converged = all(r.converged for r in part.values())
                 i += 1
+            f = eps = entropy = f_err = eps_err = None
+            if _RE in kinds:
+                im = _im_free_energy(kappa, beta, spec.volume)
+                f = complex(-re / beta / spec.volume, im)
+                f_err = re_err / beta / spec.volume + 4.0 * sys.float_info.epsilon * abs(im)
+            if _EPS in kinds:
+                eps, eps_err = j / beta / spec.volume, j_err / beta / spec.volume
             if f is not None and eps is not None:
                 entropy = beta * (eps - f.real)
             if not all(np.isfinite(v) for v in (f, eps, entropy) if v is not None):
@@ -555,7 +559,7 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
             points.append((f, eps, entropy, (f_err, eps_err), converged))
         return points
 
-    return RowSet(weight, edges, [tol / 2.0] * len(rows), row_kind != _IM, finish)
+    return RowSet(weight, edges, [tol / 2.0] * len(rows), [True] * len(rows), finish)
 
 
 def _integrate(rows: RowSet):
@@ -585,11 +589,11 @@ def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -
     L(s) = ln((s-1) zeta(s)): e^(-kappa s) L on [0, 2] and e^(-kappa s)
     ln zeta past it are one row on the panels of a dyadic tree (kappa =
     lam/beta), and -int_0^2 e^(-kappa s) ln|s - 1| ds, which holds the
-    integrable singularity at the pole, is added in closed form.  The
-    imaginary part integrates the principal-branch phase (exactly +pi where
-    zeta < 0, i.e. on 0 < s < 1).  From kappa = 40 on, both are closed
-    forms: Watson's series in 1/kappa and -(pi/(beta V)) (1 - e^(-kappa))."""
-    return _continuum(spec, [beta], tol, (_RE, _IM))[0][0]
+    integrable singularity at the pole, is added in closed form; from
+    kappa = 40 on, it is Watson's series in 1/kappa.  The principal-branch
+    phase is exactly +pi where zeta < 0, i.e. on 0 < s < 1, and 0 past it,
+    so the imaginary part is free_energy_im_closed_form at every kappa."""
+    return _continuum(spec, [beta], tol, (_RE,))[0][0]
 
 
 def energy_oracle(spec: EnsembleSpec, beta: float, tol: float = 1e-9) -> float:
@@ -855,7 +859,7 @@ def thermo_scan(spec: EnsembleSpec, beta_grid, tol: float = 1e-9) -> list[Thermo
     betas = [float(b) for b in beta_grid]
     points = []
     for beta, (f, eps, entropy, budget, converged) in zip(
-        betas, _continuum(spec, betas, tol, (_RE, _IM, _EPS))
+        betas, _continuum(spec, betas, tol, (_RE, _EPS))
     ):
         flags = {"complex_branch_active"} if f.imag != 0.0 else set()
         if not converged:

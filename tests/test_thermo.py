@@ -259,12 +259,42 @@ class TestHagedornScan:
         assert points[0].f.real / asym == pytest.approx(1.0, abs=0.05)
 
 
+def _phase_quadrature(lam, beta):
+    """Im f at volume 1 from the kernel: the principal phase Im ln zeta(s) of
+    numkernel.log_zeta_principal against kappa e^(-kappa s), integrated on
+    [0, 1] and [1, 64], over -beta; (value, quadrature budget)."""
+    kappa = lam / beta
+
+    def integrand(s):
+        phase = [nk.log_zeta_principal(complex(x)).imag for x in s]
+        return kappa * np.exp(-kappa * s) * np.array(phase)
+
+    parts = [q.integrate(integrand, a, b, 1e-14) for a, b in ((0.0, 1.0), (1.0, 64.0))]
+    return -sum(p.value for p in parts) / beta, sum(p.abs_error for p in parts) / beta
+
+
+# (lam, beta) from kappa = 1e-5 to 2000, on both sides of kappa = 1 and of
+# _WATSON_KAPPA = 40
+IM_POINTS = [
+    (1e-4, 10.0), (3e-4, 0.5), (0.02, 3.0), (0.3, 0.9), (1.0, 1.0), (1.0, 1.3),
+    (5.0, 0.5), (39.0, 1.0), (40.0, 1.0), (100.0, 1.0), (2000.0, 1.0),
+]
+
+
 class TestContinuumFreeEnergy:
     def test_imaginary_part_closed_form(self):
         f = th.free_energy_continuum(CONT, 1.0, 1e-10)
         expect = -math.pi * (1.0 - math.exp(-1.0))
         assert f.imag == pytest.approx(expect, abs=1e-8)
         assert f.imag == pytest.approx(-1.98587, abs=1e-5)
+        # the closed form against the kernel's phase, within the quadrature
+        # budget and the closed form's rounding, at volume 1 and 0.25
+        for lam, beta in IM_POINTS:
+            value, budget = _phase_quadrature(lam, beta)
+            for volume in (1.0, 0.25):
+                closed = th.free_energy_im_closed_form(th.EnsembleSpec.continuum(lam, volume), beta)
+                slack = budget / volume + 4.0 * np.finfo(float).eps * abs(closed)
+                assert abs(closed - value / volume) <= slack
 
     def test_imaginary_part_random_parameters(self):
         rng = np.random.default_rng(5)
@@ -276,6 +306,26 @@ class TestContinuumFreeEnergy:
             assert f.imag == pytest.approx(
                 th.free_energy_im_closed_form(spec, beta), abs=1e-8
             )
+            value, budget = _phase_quadrature(lam, beta)
+            assert abs(f.imag - value) <= budget + 4.0 * np.finfo(float).eps * abs(value)
+
+    def test_imaginary_part_is_the_closed_form_at_every_kappa(self):
+        # f, the scan and the public closed form share one Im f, bit for bit
+        for lam, beta in IM_POINTS:
+            spec = th.EnsembleSpec.continuum(lam, 0.5)
+            closed = th.free_energy_im_closed_form(spec, beta)
+            assert th.free_energy_continuum(spec, beta).imag == closed
+            assert th.thermo_point(spec, beta).f.imag == closed
+
+    def test_imaginary_part_past_the_float_range(self):
+        # -(pi/(beta V)) overflows: AccuracyError, not a ZeroDivisionError
+        spec = th.EnsembleSpec.continuum(1.0, volume=1e-200)
+        with pytest.raises(AccuracyError, match="float range"):
+            th.free_energy_im_closed_form(spec, 1e-200)
+        with pytest.raises(DomainError):
+            th.free_energy_im_closed_form(CONT, 0.0)
+        with pytest.raises(DomainError):
+            th.free_energy_im_closed_form(SINGLE, 1.0)
 
     def test_concentration_limit(self):
         # lam/beta -> inf: beta V f -> ln 2 - i pi
@@ -704,7 +754,9 @@ class TestBreakdownInOnePass:
         counts["rows"] = 0
         th.energy_breakdown(spec, beta, table, 1e-8)
         assert counts["rows"] == 1
-        assert counts["e1"][0] == count + 1 + 2 + (2 if lam / beta > 1.0 else 0)
+        # the pole window's pair -kappa, kappa only where a row reads it
+        window = 2 if 1.0 < lam / beta < th._WATSON_KAPPA else 0
+        assert counts["e1"][0] == count + 1 + 2 + window
         assert len(counts["e1"]) == tail_calls
         assert 0 not in counts["e1"]
 
@@ -815,10 +867,28 @@ class TestThermoScan:
         assert f_err > 0.0 and eps_err > 0.0
         assert th.thermo_point(SINGLE, 2.0).abs_error is None
 
+    def test_two_rows_per_beta_below_the_watson_kappa(self, monkeypatch):
+        # Re f and eps are rows, Im f is its closed form, and from kappa = 40
+        # on a point is Watson's series, with no rows
+        sent, original = [], th.integrate_rows
+
+        def counted(kernel, weight, edges, tols, with_kernel):
+            sent.append(len(edges))
+            return original(kernel, weight, edges, tols, with_kernel)
+
+        monkeypatch.setattr(th, "integrate_rows", counted)
+        spec = th.EnsembleSpec.continuum(4.0)
+        th.thermo_scan(spec, [0.05, 0.1, 0.5, 1.0, 2.0], 1e-9)  # kappa = 80, 40, 8, 4, 2
+        th.thermo_scan(spec, [0.01, 0.1], 1e-9)
+        th.free_energy_continuum(spec, 1.0)
+        th.free_energy_continuum(spec, 0.1)
+        th.energy_oracle(spec, 1.0)
+        assert sent == [2 * 3, 0, 1, 0, 1]
+
     @staticmethod
     def mark_one_row_unconverged(monkeypatch, which):
         """Patch integrate_rows so that row `which` of each call reports
-        converged=False; a point's rows are Re f, Im f and eps."""
+        converged=False; a point's rows are Re f and eps."""
         original = th.integrate_rows
 
         def marked(*args, **kwargs):
@@ -835,7 +905,7 @@ class TestThermoScan:
         # is that of the converged run
         spec = th.EnsembleSpec.continuum(0.3)
         expected = th.thermo_scan(spec, [0.9, 1.2, 1.5], 1e-9)
-        self.mark_one_row_unconverged(monkeypatch, 3)
+        self.mark_one_row_unconverged(monkeypatch, 2)
         scan = th.thermo_scan(spec, [0.9, 1.2, 1.5], 1e-9)
         assert [p.converged for p in scan] == [True, False, True]
         assert scan[1].flags == {"complex_branch_active", "unconverged"}
@@ -846,7 +916,7 @@ class TestThermoScan:
         # the same for the row of eps, which f does not share
         spec = th.EnsembleSpec.continuum(0.3)
         expected = th.thermo_scan(spec, [0.9, 1.2, 1.5], 1e-9)
-        self.mark_one_row_unconverged(monkeypatch, 5)
+        self.mark_one_row_unconverged(monkeypatch, 3)
         scan = th.thermo_scan(spec, [0.9, 1.2, 1.5], 1e-9)
         assert [p.converged for p in scan] == [True, False, True]
         assert scan[1] == dataclasses.replace(expected[1], flags=scan[1].flags, converged=False)
