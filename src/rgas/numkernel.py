@@ -186,12 +186,15 @@ def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
     floor = 8.0 * np.finfo(float).eps * abs_mass
 
     if want_derivative:
-        # the derivative's omitted term carries an extra ln(w)-size factor
+        # the derivative's omitted term carries an extra ln(w)-size factor,
+        # and its floor the rounding of the pole term w^(1-s)/(s-1)^2, which
+        # outgrows every other piece next to s = 1
+        pole_floor = 8.0 * np.finfo(float).eps * np.abs(pole / sm1)
         return (
             value.reshape(shape),
             dvalue.reshape(shape),
-            (est * (ln_w + 1.0) + floor).reshape(shape),
-            (floor * (ln_w + 1.0)).reshape(shape),
+            (est * (ln_w + 1.0) + floor + pole_floor).reshape(shape),
+            (floor * (ln_w + 1.0) + pole_floor).reshape(shape),
         )
     return value.reshape(shape), None, (est + floor).reshape(shape), floor.reshape(shape)
 

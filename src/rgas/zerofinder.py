@@ -10,7 +10,7 @@ superzeta's T* take it.
 
 `find_zeros` brackets the zeros on a grid of 8 cells per Gram interval.
 From t = 200 on it evaluates Z by the Riemann-Siegel formula with Gabcke's
-C0..C4 corrections in one Horner pass, which costs O(sqrt(t)) terms, and
+C0..C6 corrections in one Horner pass, which costs O(sqrt(t)) terms, and
 falls back to Euler-Maclaurin wherever |Z| is within the Riemann-Siegel
 error bound, so every sign on the grid is the Euler-Maclaurin sign.
 Euler-Maclaurin Z, at O(t) terms, runs on sorted chunks sized so that no
@@ -23,10 +23,10 @@ fast kernel.  A chord step on that kernel gives each root r, and its error
 bound gives a window r -/+ delta that must hold the Euler-Maclaurin zero;
 the signs at the window ends confirm it (they are Euler-Maclaurin signs,
 like those of the grid).  Where both ends round to the same 12 digits (one
-vector pass, `_quantize_many`) the zero is settled; only the others (mostly
-below t ~ 600, where the Riemann-Siegel bound is coarse, and those near a
-rounding edge) are polished by two secant steps on Euler-Maclaurin.  The
-table is audited against the smooth counting formula.
+vector pass, `_quantize_many`) the zero is settled; the others, whose
+window straddles a rounding edge, take one secant step between the
+Euler-Maclaurin values at the window's ends.  The table is audited against
+the smooth counting formula.
 
 Zero tables are persisted as plain text:
 
@@ -246,49 +246,60 @@ def hardy_z(t: float) -> float:
 
 _RS_MIN_T = 200.0  # Gabcke's remainder bound holds from here; below, Euler-Maclaurin is cheap
 
-# Taylor coefficients of Psi(1/2 + x), Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p,
-# in the even powers x^0, x^2, ..., x^50 (Psi is even about p = 1/2; the odd
-# coefficients vanish).  Generated once with mpmath.taylor at 60 digits.
-_PSI_TAYLOR = (
-    0.3826834323650898, 1.7489618723100817, 2.118025207685496, -0.8707216670511481,
-    -3.4733112243465167, -1.6626947308999325, 1.216731288919232, 1.3014304161007977,
-    0.03051102182736167, -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
-    0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
-    -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
-    -2.3025650027239108e-05, -9.380006601906792e-06, 6.323514947609108e-07,
-    6.551022819231502e-07, 2.210523745552697e-08, -3.322316176445629e-08,
-    -3.734910989933656e-09, 1.2445067060797738e-09,
+# Gabcke's C0..C6 in powers of x = p - 1/2, p the fractional part of
+# sqrt(t/2pi).  C_k has the parity of k, so row k holds only the coefficients
+# of x^(k%2), x^(k%2 + 2), ...; it ends where the rest of its terms sum to
+# under 1e-18 in Z at t = 200.  Generated once at 80 digits by
+# `rs_correction_series` in tests/test_zerofinder.py, Arias de Reyna's
+# recursion (Math. Comp. 80 (2011)) at sigma = 1/2.  Its C0..C4 are Edwards's
+# (Riemann's Zeta Function, 7.4), and its C5, C6 those of Gabcke's form in
+# derivatives of Psi; the tests check both.
+_RS_CORRECTIONS = (
+    (0.3826834323650898, 1.7489618723100817, 2.118025207685496, -0.8707216670511481,
+     -3.4733112243465167, -1.6626947308999325, 1.216731288919232, 1.3014304161007977,
+     0.03051102182736167, -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+     0.029999480619902277, -0.0022759396706125644, -0.004382647416580339, -0.0004064230183729847,
+     0.0004006097785422114, 8.971057991388841e-05, -2.3025650027239108e-05, -9.380006601906792e-06),
+    (-0.053650205256750697, 0.11027818741081483, 1.2317200154315227, 1.2634964862799458,
+     -1.695108997559503, -2.9998711967650102, -0.10819944959899208, 1.9407662946212714,
+     0.7838423561500687, -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
+     0.09092026610973176, 0.01044923755006451, -0.012582979651583417, -0.003399503721151274,
+     0.0010410950537714891, 0.0005010949051118486, -3.956359669003182e-05, -4.7624592453571896e-05),
+    (0.005188542830293168, 0.0012378633552253898, -0.18137505725166997, 0.14291492748532125,
+     1.3303391766687565, 0.3522472353403734, -2.421001595891951, -1.6760787022538108,
+     1.3689416723328371, 1.5539019430222982, -0.1722164273472998, -0.6359068055045431,
+     -0.09911649873041208, 0.14033480067387008, 0.04782352019827292, -0.017356040641479782,
+     -0.010225012534028593, 0.0009274149159794888, 0.0013572194372373386, 6.41369012029388e-05,
+     -0.0001230080569819663),
+    (-0.0026794321814389136, 0.02995372109103515, -0.042570172541828696, -0.28997965779803886,
+     0.4888831999235446, 1.230855876395746, -0.8297560708527408, -2.249763536666567,
+     0.07845139961005472, 1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
+     -0.31590441036173633, 0.12844792545207495, 0.10073382716626152, -0.009530183848825268,
+     -0.019264421687514088, -0.001246463715876929, 0.0024243969641103086, 0.000437647697741857),
+    (0.00046483389361763383, -0.004022642946136188, 0.003847177051796127, 0.06581175135809486,
+     -0.19604124343694448, -0.20854053686358853, 0.9507754185141751, 0.5341535312914873,
+     -1.67634944117634, -1.076747157875129, 1.235339301656597, 1.0257825340057276,
+     -0.40124095793988546, -0.5036663995108304, 0.03573487795502745, 0.14431763086785418,
+     0.01509152741790347, -0.026098874779194363, -0.006126628379519262, 0.003077503129870841),
+    (0.00022686811845737363, 0.0011081246853718388, -0.016218579255550092, 0.052765034053987414,
+     0.02570880200903324, -0.38058660440806397, 0.22531987892642316, 1.0344573316495222,
+     -0.5528257697050813, -1.5287712641078073, 0.32828366427719585, 1.229110218540087,
+     0.040936939383115295, -0.558604047264202, -0.11241976368059116, 0.1521267771179559,
+     0.051737188455280386, -0.025612276897007284, -0.012963672514046178),
+    (3.369099840108094e-05, -0.00048730387277374067, 0.0034913041151209494, -0.010636181410824536,
+     -0.007962052861482919, 0.1237587562368654, -0.1849404122581205, -0.30393580239679546,
+     0.7612833126395632, 0.4067440568556812, -1.2301721808541708, -0.5117640855696522,
+     0.9962463615472547, 0.47056716161861106, -0.4414445866526114, -0.25918493310535273,
+     0.11117688993542343, 0.08794868546608423, -0.014803271886103406),
 )
 
+# the rows zero-padded to one array; C1, C3 and C5 take one more factor x
+_RS_WIDTH = max(len(row) for row in _RS_CORRECTIONS)
+_RS_PARITY = np.array([row + (0.0,) * (_RS_WIDTH - len(row)) for row in _RS_CORRECTIONS])
 
-def _rs_correction_polys() -> tuple[np.ndarray, ...]:
-    """Gabcke's C0..C4 as polynomials in x = p - 1/2 (ascending coefficients),
-    each a combination of derivatives of Psi (Edwards, ch. 7)."""
-    psi = np.zeros(2 * len(_PSI_TAYLOR) - 1)
-    psi[::2] = _PSI_TAYLOR
-    d = [psi]  # d[j]: coefficients of the j-th derivative, zero-padded
-    for _ in range(12):
-        d.append(np.append(d[-1][1:] * np.arange(1.0, psi.size), 0.0))
-    pi2 = math.pi**2
-    return (
-        d[0],
-        -d[3] / (96.0 * pi2),
-        d[2] / (64.0 * pi2) + d[6] / (18432.0 * pi2**2),
-        -d[1] / (64.0 * pi2) - d[5] / (3840.0 * pi2**2) - d[9] / (5308416.0 * pi2**3),
-        d[0] / (128.0 * pi2) + 19.0 * d[4] / (24576.0 * pi2**2)
-        + 11.0 * d[8] / (5898240.0 * pi2**3) + d[12] / (2038431744.0 * pi2**4),
-    )
-
-
-_RS_CORRECTIONS = _rs_correction_polys()
-
-# C0..C4 in powers of x^2: C0, C2 and C4 are even in x, C1 and C3 odd (their
-# coefficients of the other parity are exact zeros), so row k holds the
-# nonzero coefficients of C_k, and C1, C3 take one more factor x.
-_RS_PARITY = np.array([np.append(poly, 0.0)[k % 2 :: 2] for k, poly in enumerate(_RS_CORRECTIONS)])
 
 def _rs_corrections(x: np.ndarray) -> np.ndarray:
-    """C0(x)..C4(x) as rows, by one Horner pass in x^2 over `_RS_PARITY`."""
+    """C0(x)..C6(x) as rows, by one Horner pass in x^2 over `_RS_PARITY`."""
     x2 = x * x
     acc = np.repeat(_RS_PARITY[:, -1:], x.size, axis=1)
     for col in _RS_PARITY.T[-2::-1]:
@@ -300,7 +311,7 @@ def _rs_corrections(x: np.ndarray) -> np.ndarray:
 
 def _z_rs(t: np.ndarray) -> np.ndarray:
     """Riemann-Siegel Z(t) for t >= 200: the main sum
-    2 sum_{n <= sqrt(t/2pi)} n^{-1/2} cos(theta - t ln n) plus the C0..C4
+    2 sum_{n <= sqrt(t/2pi)} n^{-1/2} cos(theta - t ln n) plus the C0..C6
     remainder terms, with theta from `_theta_many`.  It differs from
     Euler-Maclaurin Z by at most `_rs_error_bound(t)`.  The points are
     sorted, so term n is summed over the suffix of points with
@@ -329,12 +340,14 @@ def _z_rs(t: np.ndarray) -> np.ndarray:
 
 
 def _rs_error_bound(t: np.ndarray) -> np.ndarray:
-    """Bound on |Z_RS(t) - Z_EM(t)| for t >= 200: Gabcke's 0.017 t^(-11/4)
-    for the remainder after C4, plus rounding: theta and t ln n are of size
-    t ln t, so the phases carry absolute errors growing like t.  The
-    rounding term is about 8 times the largest difference seen between the
-    two kernels on 3,000 points of t in [3000, 1e4], 6.4e-15 t."""
-    return 0.017 * t**-2.75 + 5e-14 * t
+    """Bound on |Z_RS(t) - Z_EM(t)| for t >= 200: Gabcke's d_6 t^(-15/4),
+    d_6 = 0.661, for the remainder after C6 (W. Gabcke, thesis, Goettingen
+    1979), plus rounding: theta and t ln n are of size t ln t, so the phases
+    carry absolute errors growing like t.  The rounding term is about 8
+    times the largest difference seen between the two kernels on 3,000
+    points of t in [3000, 1e4], 6.4e-15 t; from t ~ 600 on it is the larger
+    term."""
+    return 0.661 * t**-3.75 + 5e-14 * t
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +580,8 @@ def _certify(search: _Search, a, b):
     `_refine` is confirmed by a sign change of Z at r -/+ delta (Euler-
     Maclaurin signs, by `_Search.signs`), so the zero lies in that window;
     it is settled where both window ends round to the same 12 digits.
-    Returns the rounded zeros and the mask of settled ones."""
+    Returns the rounded zeros, the mask of settled ones and the window ends,
+    NaN where the bracket has no usable slope."""
     idx, r, delta = _refine(search, a, b)
     ends = np.concatenate([r - delta, r + delta])
     z = search.signs(ends)
@@ -580,23 +594,22 @@ def _certify(search: _Search, a, b):
     rounded = _quantize_many(ends)
     values = np.zeros(a.size)
     settled = np.zeros(a.size, dtype=bool)
+    lo, hi = np.full(a.size, np.nan), np.full(a.size, np.nan)
     values[idx] = rounded[: r.size]
     settled[idx] = rounded[: r.size] == rounded[r.size :]
-    return values, settled
+    lo[idx], hi[idx] = ends[: r.size], ends[r.size :]
+    return values, settled, lo, hi
 
 
-def _polish(search: _Search, a, b) -> np.ndarray:
-    """Euler-Maclaurin roots from fast-kernel brackets: widen each bracket by
-    the fast kernel's error over the slope of Z, confirm the sign change on
-    Euler-Maclaurin, and take two secant steps."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    slope = np.abs(_central_slope(search, 0.5 * (lo + hi))[0])
-    flat = np.flatnonzero(~(np.isfinite(slope) & (slope > 0.0)))
+def _polish(search: _Search, lo, hi) -> np.ndarray:
+    """Euler-Maclaurin roots in the windows [lo, hi] of `_certify`, which
+    hold an Euler-Maclaurin sign change: one secant step between the Euler-
+    Maclaurin values at the window ends.  A window is a few fast-kernel
+    error bounds over |Z'| wide, so the chord's error, of order |Z''/Z'|
+    times the square of that width, is far below the 12 digits."""
+    flat = np.flatnonzero(np.isnan(lo))
     if flat.size:
-        bad = int(flat[0])
-        raise AccuracyError(f"slope {slope[bad]:.3g} of Z on [{lo[bad]:.12g}, {hi[bad]:.12g}]")
-    pad = 2.0 * search.error(hi) / slope
-    lo, hi = lo - pad, hi + pad
+        raise AccuracyError(f"no usable slope of Z, so no certified window, for {flat.size} zeros")
     f = search.em(np.concatenate([lo, hi]))
     flo, fhi = f[: lo.size], f[lo.size :]
     if np.any(flo * fhi >= 0.0):
@@ -604,12 +617,7 @@ def _polish(search: _Search, a, b) -> np.ndarray:
         raise AccuracyError(
             f"no Euler-Maclaurin sign change on [{lo[bad]:.12g}, {hi[bad]:.12g}]"
         )
-    c1 = hi - fhi * (hi - lo) / (fhi - flo)
-    f1 = search.em(c1)
-    left = f1 * flo < 0.0  # the root lies between lo and c1
-    other = np.where(left, lo, hi)
-    f_other = np.where(left, flo, fhi)
-    return c1 - f1 * (c1 - other) / (f1 - f_other)
+    return hi - fhi * (hi - lo) / (fhi - flo)
 
 
 def find_zeros(count: int) -> ZeroTable:
@@ -619,10 +627,10 @@ def find_zeros(count: int) -> ZeroTable:
     Rosser's count are rescanned at 64, 512 and 4096 cells.  Illinois regula
     falsi narrows each bracket to 1e-9 t on the same fast kernel, whose chord
     root settles the 12 digits wherever its certified window (`_certify`)
-    rounds to one value; the other zeros, mostly below t ~ 600 where the
-    Riemann-Siegel bound is coarse, are polished by two Euler-Maclaurin
-    secant steps.  The table is audited against the smooth counting
-    formula."""
+    rounds to one value; the other zeros, those whose window straddles a
+    rounding edge (131 of the first 3,000), take one secant step between
+    Euler-Maclaurin values at the window's ends (`_polish`).  The table is
+    audited against the smooth counting formula."""
     if count < 1:
         raise DomainError("count must be >= 1")
     if count > _MAX_ZEROS:
@@ -632,9 +640,9 @@ def find_zeros(count: int) -> ZeroTable:
     gram, zg, good, last = _gram_blocks(search, count)
     lo, hi, zlo, zhi, escalated = _bracket(search, gram, zg, good, last, count)
     a, b = _illinois(search, lo, hi, zlo, zhi)
-    quantized, settled = _certify(search, a, b)
+    quantized, settled, w_lo, w_hi = _certify(search, a, b)
     rest = np.flatnonzero(~settled)
-    quantized[rest] = _quantize_many(_polish(search, a[rest], b[rest]))
+    quantized[rest] = _quantize_many(_polish(search, w_lo[rest], w_hi[rest]))
     g_max = float(quantized[-1])
     half_ulp = 0.5 * 10.0 ** (math.floor(math.log10(g_max)) - 11)
     abs_error = max(1e-11, half_ulp)

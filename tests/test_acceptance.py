@@ -12,6 +12,7 @@ import pytest
 
 from rgas import arith
 from rgas import numkernel as nk
+from rgas import quadrature as q
 from rgas import superzeta as sz
 from rgas import thermo as th
 from rgas import zerofinder as zf
@@ -104,14 +105,22 @@ def test_07_central_energy_contract(zeros3000):
 
 
 def test_08_complex_free_energy():
+    # Im f against the kernel's phase Im ln zeta(s) integrated against
+    # kappa e^(-kappa s): -(1/beta) times the integral on [0, 1] and [1, 64]
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(10):
         beta = rng.uniform(0.3, 4.0)
         lam = rng.uniform(0.3, 4.0)
-        spec = th.EnsembleSpec.continuum(lam)
-        f = th.free_energy_continuum(spec, beta, 1e-10)
-        worst = max(worst, abs(f.imag - th.free_energy_im_closed_form(spec, beta)))
+        kappa = lam / beta
+
+        def integrand(s):
+            phase = [nk.log_zeta_principal(complex(x)).imag for x in s]
+            return kappa * np.exp(-kappa * s) * np.array(phase)
+
+        im = -sum(q.integrate(integrand, a, b, 1e-14).value for a, b in ((0.0, 1.0), (1.0, 64.0))) / beta
+        f = th.free_energy_continuum(th.EnsembleSpec.continuum(lam), beta, 1e-10)
+        worst = max(worst, abs(f.imag - im))
     _report(8, "complex-free-energy", worst <= 1e-8, f"worst |Im err|={worst:.2e}")
 
 

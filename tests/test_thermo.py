@@ -775,8 +775,9 @@ def _reference_point(spec, beta, tol):
     """An independent continuum point, (f, f budget, eps, eps budget): each
     s-integral as plain integrate calls to tol/4 on [0, mid], [mid, 2] and
     [2, s_max] (mid = min(1/2, 40/kappa)), with the closed-form pole
-    windows, and Im f as the quadrature of the phase on [0, mid] and
-    [mid, 1]; eps adds the bound on ln zeta past s_max."""
+    windows, and Im f as the quadrature of the kernel's phase Im ln zeta
+    (numkernel.log_zeta_principal) on [0, mid], [mid, 1] and [1, s_max]; eps
+    adds the bound on ln zeta past s_max."""
     lam, vol = spec.rate, spec.volume
     kappa = lam / beta
     mid = min(0.5, 40.0 / kappa)
@@ -800,12 +801,12 @@ def _reference_point(spec, beta, tol):
 
     pref = lam / (beta * beta * vol)
     re, re_err = log_zeta_integral(lambda sv: np.exp(-kappa * sv), th._pole_log_window)
-    im = [
-        q.integrate(lambda sv: np.exp(-kappa * sv) * math.pi, a, b, tol / 4.0)
-        for a, b in ((0.0, mid), (mid, 1.0))
-    ]
-    f = complex(-pref * re, -pref * (im[0].value + im[1].value))
-    f_err = pref * (re_err + im[0].abs_error + im[1].abs_error)
+    def phase(sv):
+        return np.exp(-kappa * sv) * np.array([nk.log_zeta_principal(complex(x)).imag for x in sv])
+
+    im = [q.integrate(phase, a, b, tol / 4.0) for a, b in ((0.0, mid), (mid, 1.0), (1.0, s_max))]
+    f = complex(-pref * re, -pref * sum(r.value for r in im))
+    f_err = pref * (re_err + sum(r.abs_error for r in im))
     total, err = log_zeta_integral(
         lambda sv: (1.0 - kappa * sv) * np.exp(-kappa * sv), th._energy_pole_window
     )
