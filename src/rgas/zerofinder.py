@@ -8,25 +8,23 @@ theta has one kernel, `_theta_many`: its real asymptotic series from
 t = 14 on and complex log Gamma below.  The Gram points, both Z kernels and
 superzeta's T* take it.
 
-`find_zeros` brackets the zeros on a grid of 8 cells per Gram interval.
-From t = 200 on it evaluates Z by the Riemann-Siegel formula with Gabcke's
-C0..C6 corrections in one Horner pass, which costs O(sqrt(t)) terms, and
-falls back to Euler-Maclaurin wherever |Z| is within the Riemann-Siegel
-error bound, so every sign on the grid is the Euler-Maclaurin sign.
-Euler-Maclaurin Z, at O(t) terms, runs on sorted chunks sized so that no
-point pays for a cutoff far above its own.  Completeness is judged by Gram
-blocks: by Rosser's rule a block between consecutive good Gram points holds
-as many zeros as it spans Gram intervals, and only the blocks that show
-fewer sign changes are rescanned at 64, 512 and 4096 cells per interval.
-The brackets are narrowed by vectorized Illinois regula falsi on the same
-fast kernel.  A chord step on that kernel gives each root r, and its error
-bound gives a window r -/+ delta that must hold the Euler-Maclaurin zero;
-the signs at the window ends confirm it (they are Euler-Maclaurin signs,
-like those of the grid).  Where both ends round to the same 12 digits (one
-vector pass, `_quantize_many`) the zero is settled; the others, whose
-window straddles a rounding edge, take one secant step between the
-Euler-Maclaurin values at the window's ends.  The table is audited against
-the smooth counting formula.
+`find_zeros` brackets the zeros by Gram blocks: by Rosser's rule a block
+between consecutive good Gram points holds as many zeros as it spans Gram
+intervals.  A one-interval block is its own bracket; longer blocks are
+scanned on 8 cells per interval, and those that show fewer sign changes are
+rescanned at 64, 512 and 4096.  From t = 200 on Z is the Riemann-Siegel
+formula with Gabcke's C0..C6 corrections in one Horner pass, at O(sqrt(t))
+terms, falling back to Euler-Maclaurin wherever |Z| is within its error
+bound, so every sign is the Euler-Maclaurin sign.  Euler-Maclaurin Z, at
+O(t) terms, runs on sorted chunks sized so that no point pays for a cutoff
+far above its own.  Vectorized Anderson-Bjorck regula falsi narrows the
+brackets on the same fast kernel.  A chord step on that kernel gives each
+root r, and its error bound gives a window r -/+ delta that must hold the
+Euler-Maclaurin zero; the signs at the window ends confirm it.  Where both
+ends round to the same 12 digits (one vector pass, `_quantize_many`) the
+zero is settled; the others take one secant step between the Euler-
+Maclaurin values at the window's ends, and the stated error adds that
+step's bound.  The table is audited against the smooth counting formula.
 
 Zero tables are persisted as plain text:
 
@@ -415,8 +413,8 @@ def _gram_points(n_lo: int, n_hi: int) -> np.ndarray:
 
 _GRAM_BUFFER = 6  # Gram points searched beyond g_count for a good one
 _LEVELS = (8, 64, 512, 4096)  # cells per Gram interval, base grid then rescans
-_ILLINOIS_RTOL = 1e-9  # fast-kernel brackets are narrowed to width <= this * t
-_ILLINOIS_MAX_ITER = 100
+_NARROW_RTOL = 1e-9  # fast-kernel brackets are narrowed to width <= this * t
+_NARROW_MAX_ITER = 100
 
 
 class _Search:
@@ -490,69 +488,73 @@ def _gram_blocks(search: _Search, count: int):
 
 def _bracket(search: _Search, gram, zg, good, last: int, count: int):
     """Brackets (a, b, Z(a), Z(b)) of the first `count` zeros, and the number
-    of Gram intervals rescanned.  Every Gram block below the good Gram point
-    `gram[last]` must show as many sign changes as it spans Gram intervals
-    (Rosser's rule); only the blocks that fall short are rescanned on the
-    finer levels."""
-    t_base, z_base = search.scan(gram, zg, np.arange(last), _LEVELS[0])
-    t_rows, z_rows = list(t_base), list(z_base)
-    changes = np.count_nonzero(_sign_changes(z_base), axis=1)
+    of Gram intervals rescanned.  By Rosser's rule a Gram block below the
+    good Gram point `gram[last]` holds as many zeros as it spans Gram
+    intervals.  A one-interval block is its own bracket, as its good ends
+    have opposite signs; the intervals of longer blocks are scanned on 8
+    cells, and the blocks that show too few sign changes are rescanned on
+    the finer levels."""
     ends = good[(good > 0) & (good <= last)]
     starts = np.concatenate(([0], ends[:-1]))
+    one = starts[ends - starts == 1]
+    rows = [(one, gram[one], gram[one + 1], zg[one], zg[one + 1])]  # interval, a, b, Z(a), Z(b)
+    changes = np.ones(last, dtype=np.int64)
+    idx = np.setdiff1d(np.arange(last), one)
     escalated = 0
-    for level in _LEVELS[1:] + (None,):
+    for level in _LEVELS:
+        t, z = search.scan(gram, zg, idx, level)
+        flips = _sign_changes(z)
+        changes[idx] = np.count_nonzero(flips, axis=1)
+        r, c = np.nonzero(flips)
+        rows.append((idx[r], t[r, c], t[r, c + 1], z[r, c], z[r, c + 1]))
         short = np.flatnonzero(np.add.reduceat(changes, starts) < ends - starts)
         if short.size == 0:
             break
-        if level is None:
-            b = int(short[0])
-            raise MissedZeroError(
-                f"Gram block g_{starts[b] - 1}..g_{ends[b] - 1} holds fewer than "
-                f"{ends[b] - starts[b]} sign changes at {_LEVELS[-1]} cells per interval"
-            )
         idx = np.concatenate([np.arange(starts[b], ends[b]) for b in short])
-        t, z = search.scan(gram, zg, idx, level)
-        changes[idx] = np.count_nonzero(_sign_changes(z), axis=1)
-        for i, row_t, row_z in zip(idx, t, z):
-            t_rows[i], z_rows[i] = row_t, row_z
+        rows = [tuple(col[~np.isin(row[0], idx)] for col in row) for row in rows]
         escalated += idx.size
+    else:
+        b = int(short[0])
+        raise MissedZeroError(
+            f"Gram block g_{starts[b] - 1}..g_{ends[b] - 1} holds fewer than "
+            f"{ends[b] - starts[b]} sign changes at {_LEVELS[-1]} cells per interval"
+        )
+    interval, a, b, za, zb = (np.concatenate(col) for col in zip(*rows))
+    first = np.argsort(interval, kind="stable")[:count]
+    return a[first], b[first], za[first], zb[first], escalated
 
-    t_lo = np.concatenate([t[:-1] for t in t_rows])
-    t_hi = np.concatenate([t[1:] for t in t_rows])
-    z_lo = np.concatenate([z[:-1] for z in z_rows])
-    z_hi = np.concatenate([z[1:] for z in z_rows])
-    hit = np.flatnonzero(z_lo * z_hi < 0.0)[:count]
-    return t_lo[hit], t_hi[hit], z_lo[hit], z_hi[hit], escalated
 
-
-def _illinois(search: _Search, a, b, fa, fb):
-    """Vectorized Illinois regula falsi (Dowell & Jarratt 1971) on the fast
-    kernel, over the brackets still wider than _ILLINOIS_RTOL * t.  Returns
-    the final bracket ends."""
+def _narrow(search: _Search, a, b, fa, fb):
+    """Vectorized Anderson-Bjorck regula falsi (BIT 12 (1973)) on the fast
+    kernel, over the brackets still wider than _NARROW_RTOL * t.  Where the
+    new point c keeps the sign of the last one b, the retained end's value
+    is scaled by m = 1 - f(c)/f(b), or by 1/2 where m <= 0.  Returns the
+    final bracket ends."""
     a, b, fb = a.copy(), b.copy(), fb.copy()
-    wa = fa.copy()  # Z(a), halved each time a is retained
-    active = np.flatnonzero(np.abs(b - a) > _ILLINOIS_RTOL * b)
-    for _ in range(_ILLINOIS_MAX_ITER):
+    wa = fa.copy()  # Z(a), scaled each time a is retained
+    active = np.flatnonzero(np.abs(b - a) > _NARROW_RTOL * b)
+    for _ in range(_NARROW_MAX_ITER):
         if active.size == 0:
             return a, b
         aa, bb, wwa, ffb = a[active], b[active], wa[active], fb[active]
         c = bb - ffb * (bb - aa) / (ffb - wwa)
         fc = search.fast(c)
         flip = fc * ffb < 0.0
+        m = 1.0 - fc / ffb
         a[active] = np.where(flip, bb, aa)
-        wa[active] = np.where(flip, ffb, 0.5 * wwa)
+        wa[active] = np.where(flip, ffb, np.where(m > 0.0, m, 0.5) * wwa)
         b[active], fb[active] = c, fc
-        keep = (np.abs(c - a[active]) > _ILLINOIS_RTOL * c) & (fc != 0.0)
+        keep = (np.abs(c - a[active]) > _NARROW_RTOL * c) & (fc != 0.0)
         active = active[keep]
-    raise AccuracyError(f"Illinois iteration left {active.size} brackets unconverged")
+    raise AccuracyError(f"regula falsi left {active.size} brackets unconverged")
 
 
 def _central_slope(search: _Search, mid: np.ndarray):
     """Signed slope of the fast kernel at `mid`, and the value there of the
-    chord it spans: a central difference over _ILLINOIS_RTOL * mid, because
-    the final Illinois bracket can be so narrow that rounding dominates its
+    chord it spans: a central difference over _NARROW_RTOL * mid, because
+    the final narrowed bracket can be so narrow that rounding dominates its
     end values."""
-    h = _ILLINOIS_RTOL * mid
+    h = _NARROW_RTOL * mid
     f = search.fast(np.concatenate([mid - h, mid + h]))
     f_lo, f_hi = f[: mid.size], f[mid.size :]
     return (f_hi - f_lo) / (2.0 * h), 0.5 * (f_lo + f_hi)
@@ -601,12 +603,16 @@ def _certify(search: _Search, a, b):
     return values, settled, lo, hi
 
 
-def _polish(search: _Search, lo, hi) -> np.ndarray:
+def _polish(search: _Search, lo, hi):
     """Euler-Maclaurin roots in the windows [lo, hi] of `_certify`, which
     hold an Euler-Maclaurin sign change: one secant step between the Euler-
-    Maclaurin values at the window ends.  A window is a few fast-kernel
-    error bounds over |Z'| wide, so the chord's error, of order |Z''/Z'|
-    times the square of that width, is far below the 12 digits."""
+    Maclaurin values at the window ends.  Returns the roots and a bound on
+    their error before rounding: the chord's error |Z''| w^2 / 8 on a window
+    of width w plus the values' error, over the least |Z'| there, plus an
+    ulp of t; |Z''| <= 8 sqrt(tau) (1 + ln tau)^2, tau = sqrt(t/2pi), twice
+    the Riemann-Siegel main sum's bound, and the values err by `_z_chunk`'s
+    gate 1e-11 plus phase rounding 1e-14 t, about 6 times the largest error
+    seen against mpmath.siegelz on 380 points of t in [14, 1e4]."""
     flat = np.flatnonzero(np.isnan(lo))
     if flat.size:
         raise AccuracyError(f"no usable slope of Z, so no certified window, for {flat.size} zeros")
@@ -617,20 +623,26 @@ def _polish(search: _Search, lo, hi) -> np.ndarray:
         raise AccuracyError(
             f"no Euler-Maclaurin sign change on [{lo[bad]:.12g}, {hi[bad]:.12g}]"
         )
-    return hi - fhi * (hi - lo) / (fhi - flo)
+    width, tau = hi - lo, np.sqrt(hi / _TWO_PI)
+    curve = 8.0 * np.sqrt(tau) * (1.0 + np.log(tau)) ** 2
+    steep = np.abs(fhi - flo) / width - curve * width
+    if np.any(steep <= 0.0):
+        raise AccuracyError(f"Z' may vanish on the window at t={hi[np.argmin(steep)]:.12g}")
+    error = (curve * width**2 / 8.0 + 1e-11 + 1e-14 * hi) / steep + np.spacing(hi)
+    return hi - fhi * width / (fhi - flo), float(np.max(error, initial=0.0))
 
 
 def find_zeros(count: int) -> ZeroTable:
-    """First `count` zero ordinates.  Sign changes of Z on 8 cells per Gram
-    interval (Riemann-Siegel from t = 200, Euler-Maclaurin below and where
-    Riemann-Siegel cannot settle the sign) bracket them; Gram blocks short of
-    Rosser's count are rescanned at 64, 512 and 4096 cells.  Illinois regula
-    falsi narrows each bracket to 1e-9 t on the same fast kernel, whose chord
-    root settles the 12 digits wherever its certified window (`_certify`)
-    rounds to one value; the other zeros, those whose window straddles a
-    rounding edge (131 of the first 3,000), take one secant step between
-    Euler-Maclaurin values at the window's ends (`_polish`).  The table is
-    audited against the smooth counting formula."""
+    """First `count` zero ordinates.  Gram blocks bracket them: a one-
+    interval block is its own bracket, and longer ones are scanned on 8
+    cells per interval (Riemann-Siegel from t = 200, Euler-Maclaurin below
+    and where Riemann-Siegel cannot settle the sign), rescanned at 64, 512
+    and 4096 where short of Rosser's count.  Anderson-Bjorck regula falsi
+    narrows each bracket to 1e-9 t on the same fast kernel, whose chord root
+    settles the 12 digits wherever its certified window (`_certify`) rounds
+    to one value; the other zeros (131 of the first 3,000) take one secant
+    step between Euler-Maclaurin values at the window's ends (`_polish`).
+    The table is audited against the smooth counting formula."""
     if count < 1:
         raise DomainError("count must be >= 1")
     if count > _MAX_ZEROS:
@@ -639,13 +651,16 @@ def find_zeros(count: int) -> ZeroTable:
     search = _Search()
     gram, zg, good, last = _gram_blocks(search, count)
     lo, hi, zlo, zhi, escalated = _bracket(search, gram, zg, good, last, count)
-    a, b = _illinois(search, lo, hi, zlo, zhi)
+    a, b = _narrow(search, lo, hi, zlo, zhi)
     quantized, settled, w_lo, w_hi = _certify(search, a, b)
     rest = np.flatnonzero(~settled)
-    quantized[rest] = _quantize_many(_polish(search, w_lo[rest], w_hi[rest]))
-    g_max = float(quantized[-1])
-    half_ulp = 0.5 * 10.0 ** (math.floor(math.log10(g_max)) - 11)
-    abs_error = max(1e-11, half_ulp)
+    roots, root_error = _polish(search, w_lo[rest], w_hi[rest])
+    quantized[rest] = _quantize_many(roots)
+    # half a unit of the 12th digit plus the polished roots' own error (a
+    # settled zero's window rounds to its value), up to the header's 6 digits
+    bound = 0.5 * 10.0 ** (math.floor(math.log10(float(quantized[-1]))) - 11) + root_error
+    scale = 10.0 ** (5 - math.floor(math.log10(bound)))
+    abs_error = math.ceil(bound * scale) / scale
     table = ZeroTable(
         quantized, abs_error, count, "computed",
         em_evaluations=search.em_evaluations,
@@ -702,7 +717,7 @@ def _table_text(table: ZeroTable) -> str:
     """The text format: header line, then one ordinate per line with 12
     significant digits."""
     lines = [f"# rgas-zeros v1 count={table.count} abs_error={table.abs_error:.6g}"]
-    lines.extend(format(g, ".12g") for g in table.gammas)
+    lines.extend(map("{:.12g}".format, table.gammas.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ DEMOS = os.path.join(os.path.dirname(SRC), "demos")
 DEMO_DIGESTS = {
     "01_special_function_kernels.py": "79f679c6e2df428a6e31030d869deae07eef48e9eac1d011fb072b52901c94b7",
     "02_prime_gas_partition_functions.py": "3a5cd6e0de5a539468be0b468b8e05d615b10de04fc36dcd8745ac4d7421f4d6",
-    "03_hunting_riemann_zeros.py": "789332c4fd32e7408a4f5287bb36e6cd9b6fb97cf65658891d1326b7a9f4f621",
+    "03_hunting_riemann_zeros.py": "caa862cf4c13179b865b722ca7e6fb6ce9229ef5e4dcf12f5a318a3138f97a3f",
     "04_superzeta_cross_checks.py": "299c8ea03f61edad5f72349da0f5ae6ef02da2ec807c7571bcce8c29237fc6e9",
     "05_quenched_thermodynamics.py": "be018350d31e91ef63c909fd27cd3fdb508d3bab51f968a8ec50ac80cc53b3ba",
 }

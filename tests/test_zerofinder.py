@@ -304,12 +304,12 @@ class TestFindZeros:
         p = tmp_path / "zeros-3000.txt"
         zf.save_table(zeros3000, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "adb60bf06c1b1ee545dfb83144fe7412425c77f491f9a811e2b08a86e2627c7c"
+            "fd31417ab8af2c8364c724c740cceea315a0c42c4192f82c621c320e5c6ca85f"
         )
 
     @pytest.mark.parametrize("count, digest", [
-        (4770, "88edca1ff4c8f833435cc0fddbbe03ff7ea38cf322d40ecb68b4e6d75014fd9a"),
-        (10_000, "266db66b83374bfdc110ae1016def30e3e1a2a7b1519dca84c50755b943a8ea5"),
+        (4770, "074172e92e26fab6e484f8cfb37294b00dc6c031e6bd25b4990021aa02dea6e9"),
+        (10_000, "7c690cc09519ccb7604c4ddfffd57a7109d676e7b63a6828b655aa1bbcc8dfe6"),
     ])
     def test_large_table_bytes_are_stable(self, count, digest, request):
         table = request.getfixturevalue(f"zeros{count}")
@@ -318,11 +318,14 @@ class TestFindZeros:
     def test_work_counters(self, zeros3000, zeros10000, tmp_path):
         # Polishing every zero on Euler-Maclaurin costs 2 evaluations per
         # zero (6,000 for 3000 zeros); under the C6 bound the certificate
-        # sends 131 of 3000 zeros and 354 of 10^4 to the polish
-        assert zeros3000.em_evaluations <= 1_900
-        assert zeros10000.em_evaluations <= 2_400
+        # sends 131 of 3000 zeros and 353 of 10^4 to the polish.  One-
+        # interval Gram blocks take no grid: 38,617 and 131,391 Riemann-
+        # Siegel evaluations (53,464 and 180,468 with a grid everywhere).
+        assert zeros3000.em_evaluations <= 1_300
+        assert zeros10000.em_evaluations <= 1_750
         assert zeros3000.escalated_intervals <= 200
-        assert 0 < zeros3000.rs_evaluations <= 54_194
+        assert 0 < zeros3000.rs_evaluations <= 39_000
+        assert 0 < zeros10000.rs_evaluations <= 132_000
         assert 0 < zeros3000.em_polished <= 200
         assert 0 < zeros10000.em_polished <= 400
         head = zeros3000.head(10)
@@ -338,6 +341,112 @@ class TestFindZeros:
             zf.find_zeros(0)
         with pytest.raises(DomainError):
             zf.find_zeros(10_001)
+
+
+class TestRosserBrackets:
+    """A Gram block between consecutive good Gram points holds as many zeros
+    as it spans intervals (Rosser's rule), so a one-interval block brackets
+    its zero by its ends and only longer blocks are scanned on a grid."""
+
+    @pytest.mark.parametrize("count", [1000, 4770])
+    def test_only_longer_blocks_are_gridded(self, monkeypatch, count):
+        scanned = []
+        scan = zf._Search.scan
+
+        def record(search, gram, zg, idx, level):
+            scanned.append((level, idx.copy()))
+            return scan(search, gram, zg, idx, level)
+
+        monkeypatch.setattr(zf._Search, "scan", record)
+        zf.find_zeros(count)
+        _, _, good, last = zf._gram_blocks(zf._Search(), count)
+        ends = good[(good > 0) & (good <= last)]
+        starts = np.concatenate(([0], ends[:-1]))
+        longer = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends) if b - a > 1])
+        assert scanned[0][0] == zf._LEVELS[0]
+        assert np.array_equal(scanned[0][1], longer)
+        one_interval = starts[ends - starts == 1]
+        assert one_interval.size > 0.8 * count
+        assert not np.isin(one_interval, np.concatenate([idx for _, idx in scanned])).any()
+
+    @pytest.mark.parametrize("count", [1000, 3000])
+    def test_grid_everywhere_gives_the_same_table(self, monkeypatch, zeros3000, count):
+        # keeping only the last good Gram point makes one block of every
+        # interval, which the 8-cell grid scans in full
+        default = zeros3000 if count == 3000 else zf.find_zeros(count)
+        gram_blocks = zf._gram_blocks
+
+        def one_block(search, n):
+            gram, zg, good, last = gram_blocks(search, n)
+            return gram, zg, good[good == last], last
+
+        monkeypatch.setattr(zf, "_gram_blocks", one_block)
+        gridded = zf.find_zeros(count)
+        assert gridded.escalated_intervals == 0
+        assert gridded.rs_evaluations > default.rs_evaluations
+        assert zf._table_text(gridded) == zf._table_text(default)
+
+
+class _Scripted:
+    """A stand-in for `_Search` whose fast kernel returns given values, one
+    per call, and records where it was called."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.calls = []
+
+    def fast(self, t):
+        self.calls.append(float(t[0]))
+        return np.array([self.values.pop(0)])
+
+
+class TestNarrowing:
+    def _narrow(self, values):
+        search = _Scripted(values)
+        a, b = zf._narrow(search, np.array([0.0]), np.array([1.0]), np.array([-1.0]), np.array([1.0]))
+        return search.calls, float(a[0]), float(b[0])
+
+    def test_retained_end_is_scaled_by_m(self):
+        # c = 0.5 keeps the sign of f(1) = 1: m = 1 - 0.25 = 0.75 scales
+        # f(0) to -0.75, and the next secant point is 0.5 - 0.25 * 0.5 / 1
+        calls, a, b = self._narrow([0.25, 0.0])
+        assert calls == [0.5, 0.375]
+        assert (a, b) == (0.0, 0.375)
+
+    def test_m_not_positive_falls_back_to_half(self):
+        # f(c) = 2 gives m = -1; f(0) is halved to -0.5 instead
+        calls, _, _ = self._narrow([2.0, 0.0])
+        assert calls == [0.5, 0.5 - 2.0 * 0.5 / 2.5]
+
+    def test_sign_change_moves_the_retained_end(self):
+        # f(0.5) = -0.5 changes sign against f(1) = 1, so 1 becomes the
+        # retained end with its value unscaled
+        calls, a, b = self._narrow([-0.5, 0.0])
+        assert calls == [0.5, pytest.approx(0.5 + 0.25 / 1.5, rel=1e-15)]
+        assert (a, b) == (1.0, calls[1])
+
+    def test_stops_on_an_exact_zero(self):
+        calls, a, b = self._narrow([0.0, 1.0])
+        assert calls == [0.5]
+        assert (a, b) == (0.0, 0.5)
+
+    def test_converges_with_the_sign_change_kept(self):
+        class Cubic:
+            calls = 0
+
+            def fast(self, t):
+                self.calls += 1
+                return t**3 - 0.2
+
+        search = Cubic()
+        a0 = np.array([0.1, 0.5, 0.58])
+        b0 = np.array([1.0, 0.6, 0.6])
+        a, b = zf._narrow(search, a0, b0, search.fast(a0), search.fast(b0))
+        root = 0.2 ** (1.0 / 3.0)
+        assert np.all(np.abs(b - a) <= zf._NARROW_RTOL * b)
+        assert np.all(search.fast(a) * search.fast(b) <= 0.0)
+        assert np.all(np.abs(b - root) <= 1e-9)
+        assert search.calls < 30
 
 
 class TestCertificate:
@@ -367,7 +476,31 @@ class TestCertificate:
         forced = zf.find_zeros(1000)
         assert forced.em_polished == 1000
         assert 0 < default.em_polished < 1000
-        assert zf._table_text(forced) == zf._table_text(default)
+        # the ordinates agree; the stated error adds the polish's bound, so
+        # it grows with the set of polished zeros
+        lines = [zf._table_text(t).splitlines()[1:] for t in (forced, default)]
+        assert lines[0] == lines[1]
+        assert forced.abs_error >= default.abs_error > 5e-9
+
+    def test_abs_error_covers_near_ties(self, zeros10000):
+        # mpmath.zetazero at 30 digits: each of these lies within 2e-12 of a
+        # 12-digit rounding tie, so its rounded ordinate is about half a unit
+        # of the 12th digit (5e-9) from the zero, plus the polish's own error
+        refs = {6246: "6588.1335345150000234", 8956: "8980.7899750949984069",
+                9408: "9370.7633662350017334"}
+        for k, ref in refs.items():
+            err = abs(Fraction(float(zeros10000.gammas[k - 1])) - Fraction(ref))
+            assert Fraction(4.99e-9) < err <= Fraction(zeros10000.abs_error)
+
+    def test_polish_without_a_slope_bound_is_accuracy_error(self):
+        # Values 2e-12 apart across a 1e-3 window: |Z''| could make Z' vanish
+        # there, so the polish has no error bound
+        class Flat:
+            def em(self, t):
+                return np.array([-1e-12, 1e-12])
+
+        with pytest.raises(AccuracyError, match="vanish"):
+            zf._polish(Flat(), np.array([1000.0]), np.array([1000.001]))
 
     def test_flat_slope_is_escalated(self, monkeypatch, zeros200):
         slope_of = zf._central_slope
@@ -466,6 +599,8 @@ class TestPersistence:
         loaded = zf.load_table(p)
         assert np.array_equal(loaded.gammas, zeros200.gammas)
         assert loaded.count == zeros200.count
+        # the stated error is rounded up to the header's 6 digits
+        assert loaded.abs_error == zeros200.abs_error
         assert loaded.source == "loaded"
         # text round trip is byte-exact
         p2 = tmp_path / "z2.csv"
