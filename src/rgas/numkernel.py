@@ -523,12 +523,12 @@ _E1_SERIES_COEF = tuple(1.0 / (k * math.factorial(k)) for k in range(1, 161))
 # K with r^(K+1)/(K+1)! <= 1e-17 to r = 6.2 (K = 40); beyond, where e^r
 # dominates the terms, the fewest K with r^(K+1)/(K+1)! <= 1e-17 e^r/r^2
 # (129 terms at r = 50).  Fraction: its truncation error falls about like
-# exp(-sqrt(8 n s)) with the depth n, so ceil(250/s) + 8 leaves it near
-# e^-45 ~ 3e-20.  Asymptotic: the fewest K >= 2 whose first omitted term,
-# (K+1)!/r^(K+1), is at most 1e-15/r^2, a hundredth of the scale of Re h
-# next to the imaginary axis.  The reaches are the r up to which K = 1..40
-# series terms (K = 1..160 past r = 6.2), and from which K = 29..2
-# asymptotic terms, suffice.
+# exp(-sqrt(8 n s)) with the depth n, so ceil(170/s) + 8 leaves it below
+# e^-38 (g within 6e-16 of mpmath next to s = 2).  Asymptotic: the fewest
+# K >= 2 whose first omitted term, (K+1)!/r^(K+1), is at most 1e-15/r^2, a
+# hundredth of the scale of Re h next to the imaginary axis.  The reaches are
+# the r up to which K = 1..40 series terms (K = 1..160 past r = 6.2), and from
+# which K = 29..2 asymptotic terms, suffice.
 _E1_SERIES_REACH = np.array(
     [math.exp((math.lgamma(k + 2.0) - 17.0 * math.log(10.0)) / (k + 1)) for k in range(1, 41)]
 )
@@ -552,7 +552,7 @@ _E1_ASYMPTOTIC_REACH = np.array(
 _E1_STEPS = (
     lambda r, s: 1 + np.where(r <= _E1_SERIES_REACH[-1], _E1_SERIES_REACH.searchsorted(r),
                               _E1_SERIES_FAR_REACH.searchsorted(r)),
-    lambda r, s: np.ceil(250.0 / s) + 8,
+    lambda r, s: np.ceil(170.0 / s) + 8,
     lambda r, s: 30 - _E1_ASYMPTOTIC_REACH.searchsorted(r, side="right"),
 )
 

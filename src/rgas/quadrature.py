@@ -53,7 +53,6 @@ __all__ = [
     "QuadResult",
     "RowSet",
     "dyadic_edges",
-    "exp_weight_rows",
     "fuse_rows",
     "integrate",
     "integrate_exp_weight",
@@ -159,15 +158,17 @@ def _integrate(rows: RowSet):
     return rows.finish(integrate_rows(None, rows.weight, rows.edges, rows.tols, rows.with_kernel))
 
 
-def exp_weight_rows(g, rate: float, tol: float = 1e-10) -> RowSet:
-    """The row of integrate_exp_weight, whose finish gives its QuadResult."""
+def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
+    """integral_0^inf g(w) * rate * exp(-rate w) dw for a real g.
+
+    The density is integrated exactly over [0, 40/rate], from panels graded
+    toward 0 in rate w; the remainder is bounded by exp(-40) times a sampled
+    bound on |g| and folded into the error estimate.  g must grow
+    sub-exponentially."""
     if not rate > 0.0:
         raise DomainError("rate must be positive")
-    cutoff = 40.0 / rate
-    probes = np.abs(np.asarray(g(np.array([1.0, 1.25, 1.5]) * cutoff), dtype=complex))
-    g40 = float(probes[0])
-    g60 = float(probes[2])
-    if g60 > 1e6 * (1.0 + g40):
+    probes = np.abs(np.asarray(g(np.array([1.0, 1.25, 1.5]) * (40.0 / rate)), dtype=complex))
+    if probes[2] > 1e6 * (1.0 + probes[0]):
         raise DomainError("integrand grows too fast for the exponential weight")
     edges = np.append(dyadic_edges(-3, 5), 40.0) / rate
     tail = 4.0 * (float(np.max(probes)) + 1e-300) * math.exp(-40.0)
@@ -176,17 +177,7 @@ def exp_weight_rows(g, rate: float, tol: float = 1e-10) -> RowSet:
         (res,) = results
         return QuadResult(res.value, res.abs_error + tail, res.evaluations + 3, res.converged)
 
-    return _real_row(lambda w: np.asarray(g(w)) * (rate * np.exp(-rate * w)), edges, tol, finish)
-
-
-def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
-    """integral_0^inf g(w) * rate * exp(-rate w) dw for a real g.
-
-    The density is integrated exactly over [0, 40/rate], from panels graded
-    toward 0 in rate w; the remainder is bounded by exp(-40) times a sampled
-    bound on |g| and folded into the error estimate.  g must grow
-    sub-exponentially."""
-    return _integrate(exp_weight_rows(g, rate, tol))
+    return _integrate(_real_row(lambda w: np.asarray(g(w)) * (rate * np.exp(-rate * w)), edges, tol, finish))
 
 
 def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> QuadResult:

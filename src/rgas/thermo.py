@@ -28,8 +28,9 @@ the pole/zero decomposition of zeta'/zeta into six pieces eps1..eps6 (pole,
 nontrivial zeros in pairs, trivial zeros in their convergent combination,
 and constants), whose sum is checked against the oracle.  eps3 (the
 nontrivial zeros) is the complex-E1 kernel on the table plus a quadrature
-of the same kernel against the zero density past it.  The breakdown is one
-E1 call and one integrate_rows call (see ``energy_breakdown``).
+of the same kernel against the zero density past it; eps5 (the trivial
+zeros) is a sum of the E1 kernel at 2k lam/beta with an Euler-Maclaurin
+tail.  The breakdown is one E1 call and one integrate_rows call.
 
 Closed forms printed in terms of Ei and the factorially divergent series
 sum g(k) (beta/lam)^k are also provided verbatim ("printed" forms) with
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, HagedornError, RgasError
 from .numkernel import (
     EULER_GAMMA,
-    _digamma_many,
+    _B_OVER_FACT,
     _exp_neg_ei,
     _log_regular_zeta_real_many,
     _em_cutoff,
@@ -66,9 +67,7 @@ from .numkernel import (
     _zeta_em_many,
     zeta,
 )
-from .quadrature import (
-    RowSet, dyadic_edges, exp_weight_rows, fuse_rows, integrate_exp_weight, integrate_rows
-)
+from .quadrature import RowSet, dyadic_edges, fuse_rows, integrate_rows
 from .superzeta import EXPANSION_CONSTANT, _S_FLUCTUATION, _tail_start, sum_inverse_rho
 from .zerofinder import _EM_CHUNK_TERMS, ZeroTable, _fields_equal
 
@@ -726,6 +725,59 @@ def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, 
     return _integrate(_eps3_tail_rows(count, beta, lam, tol))
 
 
+# eps5's sum: k < _EPS5_HEAD from the E1 batch, then Euler-Maclaurin to order
+# _EPS5_ORDER, from z = _EPS5_SERIES_Z on with the series (13 terms, 1 omitted)
+_EPS5_HEAD, _EPS5_ORDER, _EPS5_SERIES_Z = 32, 6, 128.0
+_EPS5_B, _EPS5_N = np.array(_B_OVER_FACT[: _EPS5_ORDER + 1]), np.arange(1.0, 2 * _EPS5_ORDER + 2)
+_EPS5_C = [math.factorial(n - 1) / _EPS5_HEAD**n for n in range(1, _EPS5_N.size + 1)]
+_EPS5_K, _EPS5_M = np.arange(1.0, _EPS5_HEAD + 1.0), np.arange(2.0, 16.0)[:, None]
+_EPS5_SERIES = (-1.0) ** (_EPS5_M + _EPS5_N) * _EPS5_M / float(_EPS5_HEAD) ** _EPS5_N * np.array(
+    [[math.factorial(m + n - 1) for n in range(1, 14)] for m in range(2, 16)], dtype=float)
+
+
+def _eps5(beta: float, lam: float, volume: float, e1=None) -> tuple[float, float]:
+    """(eps5, budget): the trivial zeros' piece, (1/(2V)) int lam e^(-lam w)
+    w psi(1 + beta w/2) dw.  psi(1 + y) = -gamma + sum_k y/(k (k + y)) makes
+    each k an E1 transform: with x = beta/lam and z_k = 2k/x,
+
+        eps5 = -gamma/(2 lam V) + (1/(beta V)) sum_{k>=1} phi(z_k),  phi = 1/z + h,
+
+    h = g - 1 the E1 kernel, from e1, (h, g) at 2 _EPS5_K/x, if given.  From
+    K = _EPS5_HEAD on the sum is Euler-Maclaurin: (x/2)(1 - (z - 1) u) +
+    phi/2 - sum_{j<=p} b_j w^n phi^(n) at z = z_K, u = g/z = e^z E1(z), n =
+    2j - 1, b_j = B_2j/(2j)!, w = 2/x.  u' = u - 1/z gives A_n = w^n u^(n) =
+    w A_(n-1) + (-1)^n (n-1)!/K^n from A_0 = u, and w^n phi^(n) = (-1)^n
+    n!/(z K^n) + z A_n + n w A_(n-1); from z = _EPS5_SERIES_Z on, where that
+    cancels, it is sum_m (-1)^(m+n) m (m+n-1)!/(K^n z^m), termwise from
+    phi ~ sum_{m>=2} (-1)^m m!/z^m.
+
+    The budget is a bound.  phi(z) = int_0^inf e^(-t) t^2/(z (z + t)) dt is
+    completely monotone, so the Euler-Maclaurin remainder lies between 0 and
+    the first omitted term (Knuth, TAOCP 1, 1.2.11.2).  Expanding 1/(z + t)
+    in t/z, the series envelops phi and each phi^(n) (and, summed over k,
+    the printed series envelops eps5), so its first omitted term bounds its
+    remainder.  Rounding adds 8 eps times the magnitudes of the terms (h
+    and g are within 1e-15 relative)."""
+    x, z = beta / lam, _EPS5_K * (2.0 / (beta / lam))
+    h, g = (v.real for v in (_e1_parts(z)[0] if e1 is None else e1))
+    zk, uk, w = z[-1], g[-1] / z[-1], 2.0 / x
+    if zk < _EPS5_SERIES_Z:  # A_n, and the same sum of magnitudes
+        a, a_size, d, size, cut = uk, uk, [], [], 0.0
+        for n, c in enumerate(_EPS5_C, 1):
+            sc = (-1) ** n * c
+            d.append(n * sc / zk + zk * (w * a + sc) + n * w * a)
+            size.append(n * c / zk + zk * (w * a_size + c) + n * w * a_size)
+            a, a_size = w * a + sc, w * a_size + c
+    else:
+        t = _EPS5_SERIES * zk**-_EPS5_M
+        d, size, cut = t[:-1].sum(axis=0), np.abs(t[:-1]).sum(axis=0), np.abs(t[-1])
+    em, phi, eps = _EPS5_B * np.asarray(d)[::2], 1.0 / z + h, 8.0 * sys.float_info.epsilon
+    total = np.sum(phi[:-1]) + (0.5 * x * (1.0 - (zk - 1.0) * uk) + 0.5 * phi[-1] - np.sum(em[:-1]))
+    sizes = 0.5 * EULER_GAMMA * x + np.sum(1.0 / z + np.abs(h)) + 0.5 * x * (1.0 + abs(zk - 1.0) * uk)
+    bound = abs(em[-1]) + np.abs(_EPS5_B) @ (cut + eps * np.asarray(size))[::2] + eps * sizes
+    return float(-EULER_GAMMA / (2.0 * lam * volume) + total / (beta * volume)), float(bound / (beta * volume))
+
+
 def energy_breakdown(
     spec: EnsembleSpec,
     beta: float,
@@ -736,25 +788,24 @@ def energy_breakdown(
     vacuum/thermal regrouping, the quadrature oracle, and the printed forms
     with deviations.  ``abs_error`` sums the error budgets of eps3 (its
     tail: the closed-form pair integrals carry rounding only), eps4 and
-    eps5.
+    eps5 (a bound at rounding level, see ``_eps5``); the printed series
+    envelops eps5, so ``printed_truncation_error`` bounds |eps5 - eps5_printed|.
 
-    One E1 call makes every E1 value known up front, and one integrate_rows
-    call the rows of the oracle, the eps3 tail and eps5, so the values are
-    those of their own entries; on failure it raises what those, one at a
-    time in the order of the sum, raise first."""
+    One E1 call makes every E1 value known up front, eps5's head among
+    them, and one integrate_rows call the rows of the oracle and the eps3
+    tail, so the values are those of their own entries; on failure it
+    raises what those, one at a time in the order of the sum, raise first."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     lam, vol = spec.rate, spec.volume
     lv, x = lam * vol, lam / beta
     tail_tol, quad_tol = tol * 0.1 * vol / lam, tol * 0.1
 
-    def psi(om):  # the integrand of eps5 against the density
-        return om * _digamma_many(0.5 * beta * om)
-
     try:
         t_star_z = _pair_z([_tail_start(zeros.count)], beta, lam)
-        (pair_h, _), (edge_h, _), (_, ei_g), window = _e1_parts(
-            _pair_z(zeros.gammas, beta, lam), t_star_z, [-x, -0.25 * x], _window_z(np.array([x]))
+        (pair_h, _), (edge_h, _), (_, ei_g), window, eps5_e1 = _e1_parts(
+            _pair_z(zeros.gammas, beta, lam), t_star_z, [-x, -0.25 * x], _window_z(np.array([x])),
+            _EPS5_K * (2.0 / (beta / lam)),
         )
         whole, quarter = _ei_terms(beta, lam, vol, ei_g)
         pairs = float(np.sum(_pair_integrals(zeros.gammas, beta, lam, pair_h)))
@@ -762,15 +813,14 @@ def energy_breakdown(
         rows = [
             _continuum_rows(spec, [beta], quad_tol, (_EPS,), window),
             _eps3_tail_rows(zeros.count, beta, lam, tail_tol, edge_h),
-            exp_weight_rows(psi, lam, quad_tol),
         ]
-        (point,), (tail, tail_bound), ipsi = _integrate(fuse_rows(rows))
+        (point,), (tail, tail_bound) = _integrate(fuse_rows(rows))
     except RgasError:
         _ei_terms(beta, lam, vol)
         _pair_integrals(zeros.gammas, beta, lam)
         _eps3_tail(zeros.count, beta, lam, tail_tol)
         sum_inverse_rho(zeros)
-        integrate_exp_weight(psi, lam, quad_tol)
+        _eps5(beta, lam, vol)
         energy_oracle(spec, beta, quad_tol)
         raise
     oracle = point[1]
@@ -784,8 +834,7 @@ def energy_breakdown(
     eps4 = -rho.value / lv
     eps4_err = rho.tail.bound / lv
 
-    eps5 = 1.0 / (beta * vol) + lam / (2.0 * vol) * (ipsi.value / lam)
-    eps5_err = ipsi.abs_error / (2.0 * vol)
+    eps5, eps5_err = _eps5(beta, lam, vol, eps5_e1)
 
     eps6 = EULER_GAMMA / (2.0 * lv)  # -psi(1) / (2 lam V)
 

@@ -173,6 +173,32 @@ class TestExponentialIntegral:
             ref = complex(w * mp.exp(w) * mp.e1(w) - 1)
         assert scaled(h, ref) <= BOUND
 
+    def test_fraction_depth(self, monkeypatch):
+        """The continued fraction at depth ceil(170/s) + 8, s = |z| + Re z,
+        on 20,000 seeded points of its region (s > 2, |z| <= 50), half with
+        s in (2, 2.1] where it runs deepest: g = z e^z E1(z) within 1e-15
+        relative of mpmath, and within twice the error at ceil(250/s) + 8."""
+        rng = np.random.default_rng(170)
+        n = 20200
+        s = np.where(np.arange(n) % 2 == 0, 2.0 + 0.1 * (1.0 - rng.random(n)),
+                     np.exp(rng.uniform(math.log(2.1), math.log(100.0), n)))
+        r = np.exp(rng.uniform(np.log(s / 2.0), math.log(50.0)))
+        z = (s - r) + 1j * rng.choice([-1.0, 1.0], n) * np.sqrt(np.maximum(r * r - (s - r) ** 2, 0.0))
+        z = z[(np.abs(z) + z.real > 2.0) & (np.abs(z) <= 50.0)][:20000]
+        assert z.size == 20000
+        with mp.workdps(30):
+            ref = np.array([complex(w * mp.exp(w) * mp.e1(w)) for w in map(mp.mpc, z.tolist())])
+
+        def worst():
+            return float(np.max(np.abs(nk._z_exp_e1(z)[1] - ref) / np.abs(ref)))
+
+        new = worst()
+        steps = list(nk._E1_STEPS)
+        steps[1] = lambda r, s: np.ceil(250.0 / s) + 8
+        monkeypatch.setattr(nk, "_E1_STEPS", tuple(steps))
+        assert new < 1e-15
+        assert new <= 2.0 * worst()
+
     @settings(max_examples=200, deadline=None)
     @given(magnitudes(1e-3, 716.0), signs)
     def test_scaled_ei(self, x, sign):

@@ -422,9 +422,8 @@ class TestEnergyBreakdown:
             th.energy_breakdown(SINGLE, 2.0, zeros1000)
 
     def test_tightest_tolerance_grid(self, zeros1000):
-        # at tol 1e-12 the eps5 integral asks for less than its rounding
-        # floor; it ends unconverged with that floor as its budget, where it
-        # once filled its panel budget and raised on 39 of these 63 points
+        # at the smallest tolerance the CLI accepts every breakdown must
+        # still finish within its abs_error
         for lam in np.logspace(-2.0, 2.0, 9):
             for beta in np.geomspace(0.1, 100.0, 7):
                 bd = th.energy_breakdown(th.EnsembleSpec.continuum(float(lam)), float(beta), zeros1000, 1e-12)
@@ -494,6 +493,67 @@ class TestPrintedForms:
         assert th._series_term(450, 0.01) == pytest.approx(
             math.exp(math.lgamma(451) + 450 * math.log(0.005)), rel=1e-12
         )
+
+
+def _mp_eps5(beta, lam, volume):
+    """eps5 = (2/(x beta V)) int_0^inf y e^(-2y/x) psi(1 + y) dy, x = beta/lam,
+    by mpmath quadrature at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        x = mp.mpf(beta) / lam
+        edges = sorted({mp.mpf(0), mp.mpf(1)} | {x * 2**j for j in range(-3, 5)}) + [mp.inf]
+        integral = mp.quad(lambda y: y * mp.exp(-2 * y / x) * mp.digamma(1 + y), edges)
+        return float(2 * integral / (x * beta * volume))
+
+
+class TestEps5ClosedForm:
+    """eps5 is the convergent sum over the trivial zeros: E1 values for
+    k < _EPS5_HEAD, Euler-Maclaurin past them, with a proven budget."""
+
+    # (lam, beta, volume): beta/lam from 1e-3 to 1e3, and 0.55 next to the
+    # zero of eps5, where its terms cancel
+    POINTS = [
+        (100.0, 0.1, 1.0), (10.0, 0.1, 1.0), (1.0, 0.1, 0.5), (2.0, 0.6, 1.0), (2.0, 1.1, 1.0),
+        (1.0, 1.0, 1.0), (0.3, 1.0, 2.0), (0.1, 1.0, 1.0), (0.05, 5.0, 1.0), (0.01, 10.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("lam,beta,volume", POINTS)
+    def test_against_the_psi_quadrature_and_mpmath(self, lam, beta, volume):
+        value, budget = th._eps5(beta, lam, volume)
+        quad = q.integrate_exp_weight(lambda om: om * nk._digamma_many(0.5 * beta * om), lam, 1e-10)
+        assert abs(value - (1.0 / (beta * volume) + quad.value / (2.0 * volume))) <= (
+            budget + quad.abs_error / (2.0 * volume)
+        )
+        assert abs(value - _mp_eps5(beta, lam, volume)) <= budget
+        # at rounding level: of the two parts that cancel, -gamma/(2 lam V)
+        # and the sum, everywhere, and of eps5 away from its zero
+        vacuum = nk.EULER_GAMMA / (2.0 * lam * volume)
+        assert budget <= 1e-13 * (vacuum + abs(value + vacuum))
+        if not 0.3 < beta / lam < 0.8:
+            assert budget <= 1e-13 * abs(value)
+
+    def test_within_the_printed_series_truncation(self, zeros3000):
+        # the printed series envelops the sum: a jittered 4 x 4 x 4 grid over
+        # log lam in [log 0.01, log 100], log beta in [log 0.1, log 10] and
+        # the zero count in [100, 3000]
+        rng, eps = np.random.default_rng(5), np.finfo(float).eps
+        for cell in np.ndindex(4, 4, 4):
+            ul, ub, um = (np.array(cell) + rng.random(3)) / 4.0
+            lam, beta = 0.01 * 1e4**ul, 0.1 * 100.0**ub
+            bd = th.energy_breakdown(th.EnsembleSpec.continuum(lam), beta, zeros3000.head(100 + round(2900 * um)))
+            slack = 4.0 * eps * (abs(bd.eps5) + abs(bd.eps5_printed))
+            assert abs(bd.eps5 - bd.eps5_printed) <= bd.printed_truncation_error + slack
+
+    def test_batch_values_equal_the_entry(self):
+        z = th._EPS5_K * (2.0 / 0.3)
+        assert th._eps5(0.3, 1.0, 1.0, th._e1_parts(z)[0]) == th._eps5(0.3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-12, 1e12, 1e300])
+    def test_finite_far_out(self, x):
+        # the closed branch works in powers of 1/K and the series in z^-m, so
+        # nothing overflows or underflows with a warning
+        value, budget = th._eps5(x, 1.0, 1.0)
+        assert math.isfinite(value) and 0.0 < budget <= 1e-13 * abs(value)
 
 
 class TestBreakdownPastTheExpRange:
@@ -638,13 +698,12 @@ def _breakdown_from_pieces(spec, beta, zeros, tol):
     pairs = float(np.sum(th._pair_integrals(zeros.gammas, beta, lam)))
     tail, tail_bound = th._eps3_tail(zeros.count, beta, lam, tol * 0.1 * vol / lam)
     rho = sum_inverse_rho(zeros)
-    ipsi = q.integrate_exp_weight(lambda om: om * nk._digamma_many(0.5 * beta * om), lam, tol * 0.1)
+    eps5, eps5_err = th._eps5(beta, lam, vol)
     oracle = th.energy_oracle(spec, beta, tol * 0.1)
     eps1 = -th.EXPANSION_CONSTANT / lv
     eps2 = 1.0 / (beta * vol) - whole
     eps3 = -(lam / vol) * (pairs + tail)
     eps4 = -rho.value / lv
-    eps5 = 1.0 / (beta * vol) + lam / (2.0 * vol) * (ipsi.value / lam)
     eps6 = nk.EULER_GAMMA / (2.0 * lv)
     total = eps1 + eps2 + eps3 + eps4 + eps5 + eps6
     eps_a = eps1 + eps4 + eps6
@@ -654,7 +713,7 @@ def _breakdown_from_pieces(spec, beta, zeros, tol):
     thermal_printed = eps2 + quarter
     return th.EnergyBreakdown(
         beta, lam, vol, eps1, eps2, eps3, eps4, eps5, eps6, eps_a, total - eps_a, total, oracle,
-        (lam / vol) * tail_bound + rho.tail.bound / lv + ipsi.abs_error / (2.0 * vol),
+        (lam / vol) * tail_bound + rho.tail.bound / lv + eps5_err,
         eps1_printed, eps3_printed, -nk.EULER_GAMMA / (2.0 * lv) + series_sum / (beta * vol),
         thermal_printed, k_opt, omitted / (beta * vol), eps1_printed - eps1, eps3_printed - eps3,
         thermal_printed - (oracle - eps_a),
@@ -685,21 +744,16 @@ class TestBreakdownInOnePass:
         assert all(a == b for a, b in zip(fused, pieces, strict=True))
 
     def test_failure_is_that_of_the_first_failing_piece(self, monkeypatch, zeros100):
-        # with 8 panels per row the psi row and the oracle's row both run out:
-        # the one pass meets the oracle's row first, and the pieces in turn
-        # meet the psi integral's failure first
+        # with 8 panels per row the eps3 tail row and the oracle's row both
+        # run out: the one pass meets the oracle's row first, and the pieces
+        # in turn meet the eps3 tail's failure first
         monkeypatch.setattr(q, "_MAX_PANELS", 8)
-        spec, beta, tol = th.EnsembleSpec.continuum(0.05), 2.0, 1e-8
-        th._eps3_tail(zeros100.count, beta, spec.rate, tol * 0.1 / spec.rate)
-
-        def integrand(om):
-            return om * nk._digamma_many(0.5 * beta * om)
-
-        with pytest.raises(ConvergenceError) as psi:
-            q.integrate_exp_weight(integrand, spec.rate, tol * 0.1)
+        spec, beta, tol = th.EnsembleSpec.continuum(0.01), 5.0, 1e-8
+        with pytest.raises(ConvergenceError) as tail:
+            th._eps3_tail(zeros100.count, beta, spec.rate, tol * 0.1 / spec.rate)
         with pytest.raises(ConvergenceError) as oracle:
             th.energy_oracle(spec, beta, tol * 0.1)
-        assert str(psi.value) != str(oracle.value)
+        assert str(tail.value) != str(oracle.value)
         raised, rows = [], th.integrate_rows
 
         def recorded(*args):
@@ -713,7 +767,7 @@ class TestBreakdownInOnePass:
         with pytest.raises(ConvergenceError) as breakdown:
             th.energy_breakdown(spec, beta, zeros100, tol)
         assert raised[0] == str(oracle.value)
-        assert str(breakdown.value) == str(psi.value)
+        assert str(breakdown.value) == str(tail.value)
 
     def test_small_table_refused_by_tail_start(self, zeros100):
         with pytest.raises(DomainError, match="at least 10 zeros"):
@@ -744,8 +798,9 @@ class TestBreakdownInOnePass:
     )
     def test_one_engine_pass_and_one_e1_batch(self, monkeypatch, zeros3000, lam, beta, count):
         # the breakdown makes one integrate_rows call and one E1 call ahead
-        # of it; the others are the tail row's, one per round, as many as
-        # _eps3_tail makes with its one call for the pair at T*
+        # of it, which holds eps5's _EPS5_HEAD arguments; the others are the
+        # tail row's, one per round, as many as _eps3_tail makes with its one
+        # call for the pair at T*
         spec, table = th.EnsembleSpec.continuum(lam), zeros3000.head(count)
         counts = self.count_calls(monkeypatch)
         th._eps3_tail(count, beta, lam, 1e-8 * 0.1 / lam)
@@ -756,7 +811,7 @@ class TestBreakdownInOnePass:
         assert counts["rows"] == 1
         # the pole window's pair -kappa, kappa only where a row reads it
         window = 2 if 1.0 < lam / beta < th._WATSON_KAPPA else 0
-        assert counts["e1"][0] == count + 1 + 2 + window
+        assert counts["e1"][0] == count + 1 + 2 + window + th._EPS5_HEAD
         assert len(counts["e1"]) == tail_calls
         assert 0 not in counts["e1"]
 
