@@ -35,6 +35,9 @@ __all__ = ["main", "console_main"]
 _TOL_RANGE = (1e-12, 1e-3)
 _ZEROS_DEFAULT = 100
 
+# breakdown's JSON keys that differ from EnergyBreakdown's field names
+_BREAKDOWN_KEYS = {"rate": "lambda", "eps_a": "eps_A", "eps_b": "eps_B"}
+
 
 def _fmt(x: float) -> str:
     """12 significant digits; normalizes -0.0 and renders nan/inf as text."""
@@ -68,7 +71,17 @@ def _json_render(obj, indent: int = 0) -> str:
     return f'{pad}"{obj}"'
 
 
-def _emit(text: str, path: str | None) -> None:
+def _write(rows, fmt: str, path: str | None) -> None:
+    """Rows (dicts with the same keys) as CSV, a header of their keys and
+    one line per row, or as JSON, a list; a single dict is one row in CSV
+    and an object in JSON.  To the file at path, or else to stdout."""
+    if fmt == "json":
+        text = _json_render(rows) + "\n"
+    else:
+        rows = [rows] if isinstance(rows, dict) else rows
+        lines = [",".join(rows[0])]
+        lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in r.values()) for r in rows]
+        text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -160,23 +173,9 @@ _REAL_ONLY_FNS = {"digamma", "ei", "theta", "hardy-z"}
 def _cmd_eval(args) -> int:
     if args.fn in _REAL_ONLY_FNS and args.im != 0.0:
         raise DomainError(f"{args.fn} takes a real argument; drop --im")
-    s = complex(args.re, args.im)
-    value = _EVAL_FUNCS[args.fn](s, args)
-    if args.format == "json":
-        text = _json_render(
-            {
-                "fn": args.fn,
-                "re": args.re,
-                "im": args.im,
-                "value_re": value.real,
-                "value_im": value.imag,
-            }
-        ) + "\n"
-    else:
-        text = "fn,re,im,value_re,value_im\n" + ",".join(
-            [args.fn, _fmt(args.re), _fmt(args.im), _fmt(value.real), _fmt(value.imag)]
-        ) + "\n"
-    _emit(text, args.out)
+    value = _EVAL_FUNCS[args.fn](complex(args.re, args.im), args)
+    row = {"fn": args.fn, "re": args.re, "im": args.im, "value_re": value.real, "value_im": value.imag}
+    _write(row, args.format, args.out)
     return 0
 
 
@@ -204,13 +203,7 @@ def _cmd_thermo(args) -> int:
         }
         for p in points
     ]
-    if args.format == "json":
-        text = _json_render(rows) + "\n"
-    else:
-        lines = [",".join(rows[0])]
-        lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in r.values()) for r in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _write(rows, args.format, args.out)
     return 0
 
 
@@ -230,52 +223,24 @@ def _cmd_breakdown(args) -> int:
     else:
         table = zerofinder.find_zeros(args.zeros_count or _ZEROS_DEFAULT)
     bd = thermo.energy_breakdown(spec, args.beta, table, args.tolerance)
-    payload = {
-        "beta": bd.beta,
-        "lambda": bd.rate,
-        "volume": bd.volume,
-        "zeros_used": table.count,
-        "eps1": bd.eps1,
-        "eps2": bd.eps2,
-        "eps3": bd.eps3,
-        "eps4": bd.eps4,
-        "eps5": bd.eps5,
-        "eps6": bd.eps6,
-        "eps_A": bd.eps_a,
-        "eps_B": bd.eps_b,
-        "total": bd.total,
-        "oracle": bd.oracle,
-        "abs_error": bd.abs_error,
-        "eps1_printed": bd.eps1_printed,
-        "eps3_printed": bd.eps3_printed,
-        "eps5_printed": bd.eps5_printed,
-        "thermal_printed": bd.thermal_printed,
-        "printed_truncation_index": bd.printed_truncation_index,
-        "printed_truncation_error": bd.printed_truncation_error,
-        "deviation_eps1": bd.deviation_eps1,
-        "deviation_eps3": bd.deviation_eps3,
-        "deviation_thermal": bd.deviation_thermal,
-    }
-    _emit(_json_render(payload) + "\n", args.out)
+    items = [(_BREAKDOWN_KEYS.get(k, k), v) for k, v in vars(bd).items()]  # the fields, in order
+    items.insert(3, ("zeros_used", table.count))  # after beta, lambda and volume
+    _write(dict(items), "json", args.out)
     return 0
 
 
 def _cmd_hagedorn(args) -> int:
     spec = _load_discrete_spec(args.spec_file, args.volume)
-    points = thermo.hagedorn_scan(spec, _beta_grid(args))
-    if args.format == "json":
-        payload = [
-            {"beta": p.beta, "f": p.f.real, "divergent": "hagedorn_divergent" in p.flags}
-            for p in points
-        ]
-        text = _json_render(payload) + "\n"
-    else:
-        lines = ["beta,f,flags"]
-        lines += [
-            ",".join([_fmt(p.beta), _fmt(p.f.real), ";".join(sorted(p.flags))]) for p in points
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    rows = []
+    for p in thermo.hagedorn_scan(spec, _beta_grid(args)):
+        # JSON marks a divergent point with a boolean, CSV with its flags
+        row = {"beta": p.beta, "f": p.f.real}
+        if args.format == "json":
+            row["divergent"] = "hagedorn_divergent" in p.flags
+        else:
+            row["flags"] = ";".join(sorted(p.flags))
+        rows.append(row)
+    _write(rows, args.format, args.out)
     return 0
 
 
@@ -298,26 +263,22 @@ def _validate_checks(tol: float, zeros_count: int):
             checks.append((name, False, math.nan, eff, f"{type(exc).__name__}: {exc}"))
 
     def functional_equation(eff: float) -> float:
+        def completed(s: complex):
+            """pi^(-s/2) Gamma(s/2) zeta(s)."""
+            return (
+                math.pi ** (-s.real / 2)
+                * np.exp(-1j * (s.imag / 2) * math.log(math.pi))
+                * np.exp(numkernel.log_gamma(s / 2))
+                * numkernel.zeta(s)
+            )
+
         rng = np.random.default_rng(20260811)
         worst = 0.0
         for _ in range(50):
             sigma = rng.uniform(0.05, 0.95)
             t = rng.uniform(-30.0, 30.0)
             s = complex(sigma, t)
-            left = (
-                math.pi ** (-s.real / 2)
-                * np.exp(-1j * (s.imag / 2) * math.log(math.pi))
-                * np.exp(numkernel.log_gamma(s / 2))
-                * numkernel.zeta(s)
-            )
-            s1 = 1.0 - s
-            right = (
-                math.pi ** (-s1.real / 2)
-                * np.exp(-1j * (s1.imag / 2) * math.log(math.pi))
-                * np.exp(numkernel.log_gamma(s1 / 2))
-                * numkernel.zeta(s1)
-            )
-            worst = max(worst, abs(complex(left - right)))
+            worst = max(worst, abs(complex(completed(s) - completed(1.0 - s))))
         return worst
 
     def mixture(eff: float) -> float:
@@ -380,10 +341,9 @@ def _validate_checks(tol: float, zeros_count: int):
         spec = thermo.EnsembleSpec.continuum(1.0)
         b, h = 1.7, 1e-3
         point = thermo.thermo_point(spec, b, 1e-10)
-        fp = thermo.free_energy_continuum(spec, b + h, 1e-11).real
-        fm = thermo.free_energy_continuum(spec, b - h, 1e-11).real
-        fp2 = thermo.free_energy_continuum(spec, b + 2 * h, 1e-11).real
-        fm2 = thermo.free_energy_continuum(spec, b - 2 * h, 1e-11).real
+        fp, fm, fp2, fm2 = (
+            thermo.free_energy_continuum(spec, b + k * h, 1e-11).real for k in (1, -1, 2, -2)
+        )
         s_fd = b * b * (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
         return abs(point.entropy - s_fd)
 

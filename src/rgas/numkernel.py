@@ -18,7 +18,8 @@ The zeta family has one fixed accuracy target: the Euler-Maclaurin
 truncation estimate must be at most 1e-12, from a Dirichlet-sum cutoff of
 ceil(|Im s|/2) + 10 terms (at least 21) capped at 200,000; past either it
 raises AccuracyError.  From Re s = 1100 on, zeta is exactly 1 and zeta'
-exactly 0.
+exactly 0.  ``_zeta_em_many`` sorts an array by |Im s| and cuts it into
+kernel calls of bounded size and waste (``_zeta_em_batched``).
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _hurwitz_em(s: np.ndarray, a: float, n_terms: int, want_derivative: bool):
     factor, plus ``floor``, the rounding floor of the summed pieces.
 
     The estimate only gates accuracy (``_check_est``, the zero finder's
-    chunk check), so its rising product of |s+j| is one vectorized reduction
+    gate), so its rising product of |s+j| is one vectorized reduction
     whose last bits may differ from a step-by-step product; ``value`` and
     ``derivative`` keep a fixed order of operations.
     """
@@ -209,11 +210,56 @@ def _check_est(est, floor, what: str) -> None:
         )
 
 
+# Batching of the zeta sums: a call runs at the cutoff of its largest |Im s|,
+# costed as 0.5 |Im s| + 11, ceil(|Im s|/2) + 10 rounded up (a real array's is
+# the constant _em_cutoff(0.0, 1.0) = 21: calls of 6,241 points).  A call ends
+# before the terms its points waste under that cutoff pass _EM_CHUNK_WASTE,
+# about the fixed cost of one `_hurwitz_em` call (~190 us, ~3,500 terms at
+# ~55 ns), or its points x cutoff pass _EM_CHUNK_TERMS (term matrices ~2 MB).
+_EM_CHUNK_WASTE = 1 << 12
+_EM_CHUNK_TERMS = 1 << 17
+
+
+def _zeta_em_batched(s: np.ndarray, want_derivative: bool):
+    """``_hurwitz_em``'s (value, derivative, estimate, floor) at a = 1 on a
+    1-d array of s, ungated, from calls cut by the rule above from s sorted
+    by |Im s|; a real point's bits are those of the point alone."""
+    if np.iscomplexobj(s):
+        size = np.abs(s.imag)
+        order = np.argsort(size, kind="stable")
+        cost = 0.5 * size[order] + 11.0
+        calls, lo = [], 0
+        while lo < s.size:
+            # work and waste of the calls [lo, lo + k), k = 1, 2, ...; both grow
+            # with k, and as no cost is below 11 no call passes the window
+            window = cost[lo : lo + _EM_CHUNK_TERMS // 11]
+            work = np.arange(1, window.size + 1) * window
+            waste = work - np.cumsum(window)
+            fits = (waste <= _EM_CHUNK_WASTE) & (work <= _EM_CHUNK_TERMS)
+            part = order[lo : lo + max(1, int(np.count_nonzero(fits)))]
+            calls.append((part, _em_cutoff(float(size[part[-1]]), 1.0)))
+            lo += part.size
+    else:  # one cost, so no waste: calls of _EM_CHUNK_TERMS // n points in order
+        n = _em_cutoff(0.0, 1.0)
+        step = _EM_CHUNK_TERMS // n
+        calls = [(slice(lo, lo + step), n) for lo in range(0, s.size, step)]
+    if len(calls) == 1:  # each point's bits are its own, so no reordering
+        return _hurwitz_em(s, 1.0, calls[0][1], want_derivative)
+    value, est, floor = np.empty_like(s), np.empty(s.size), np.empty(s.size)
+    deriv = np.empty_like(s) if want_derivative else None
+    for part, n in calls:
+        value[part], d, est[part], floor[part] = _hurwitz_em(s[part], 1.0, n, want_derivative)
+        if want_derivative:
+            deriv[part] = d
+    return value, deriv, est, floor
+
+
 def _zeta_em_many(s: np.ndarray, want_derivative: bool = False):
     """zeta (and optionally zeta') on an array of s with Re s >= 0, in the
-    arithmetic of its dtype as in ``_hurwitz_em``: float64 in, float64 out;
-    exactly 1 (and 0) from Re s = _UNIT_RE_S on, where the sum reads so and
-    its terms would leave the float range on the way."""
+    arithmetic of its dtype as in ``_hurwitz_em``, from the calls of
+    ``_zeta_em_batched`` under the gate ``_check_est``: float64 in, float64
+    out; exactly 1 (and 0) from Re s = _UNIT_RE_S on, where the sum reads so
+    and its terms would leave the float range on the way."""
     s = np.asarray(s, dtype=np.complex128 if np.iscomplexobj(s) else np.float64)
     if np.any(s == 1.0):
         raise PoleError("zeta has a pole at s = 1")
@@ -224,8 +270,7 @@ def _zeta_em_many(s: np.ndarray, want_derivative: bool = False):
             near = _zeta_em_many(s[~far], want_derivative)
             value[~far], deriv[~far] = near if want_derivative else (near, 0.0)
         return (value, deriv) if want_derivative else value
-    im_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    value, deriv, est, floor = _hurwitz_em(s, 1.0, _em_cutoff(im_max, 1.0), want_derivative)
+    value, deriv, est, floor = _zeta_em_batched(s, want_derivative)
     _check_est(est, floor, "zeta")
     return (value, deriv) if want_derivative else value
 

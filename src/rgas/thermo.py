@@ -52,7 +52,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,14 +62,13 @@ from .numkernel import (
     _B_OVER_FACT,
     _exp_neg_ei,
     _log_regular_zeta_real_many,
-    _em_cutoff,
     _z_exp_e1,
     _zeta_em_many,
     zeta,
 )
 from .quadrature import RowSet, dyadic_edges, fuse_rows, integrate_rows
 from .superzeta import EXPANSION_CONSTANT, _S_FLUCTUATION, _tail_start, sum_inverse_rho
-from .zerofinder import _EM_CHUNK_TERMS, ZeroTable, _fields_equal
+from .zerofinder import ZeroTable, _fields_equal
 
 __all__ = [
     "EnsembleSpec",
@@ -211,13 +210,14 @@ _DIVERGENT = frozenset({"hagedorn_divergent"})
 
 def _discrete_points(spec: EnsembleSpec, betas, with_energy: bool) -> list[ThermoPoint]:
     """The thermo points of a discrete ensemble along betas, from one
-    Euler-Maclaurin pass on all omega_k beta of the finite betas, cut into
-    calls of at most _EM_CHUNK_TERMS points x terms.  A beta at or past the
-    Hagedorn point beta omega_1 <= 1 becomes a flagged point with nan
-    values.  Without the energy, eps and entropy are nan and the value-only
-    call keeps the accuracy gate of zeta; with it the gate is that of
-    zeta'.  On failure it raises what a loop over the betas, one pass each,
-    raises first."""
+    ``_zeta_em_many`` call on all omega_k beta of the finite betas (an
+    omega_k beta past the float range reads zeta = 1).  A beta at or past
+    the Hagedorn point beta omega_1 <= 1 becomes a flagged point with nan
+    values; a finite point whose f, eps or entropy leaves the float range
+    raises AccuracyError.  Without the energy, eps and entropy are nan and
+    the value-only call keeps the accuracy gate of zeta; with it the gate is
+    that of zeta'.  On failure it raises what a loop over the betas, one
+    pass each, raises first."""
     if spec.kind != "discrete":
         raise DomainError("discrete ensemble required")
     betas = [float(b) for b in betas]
@@ -236,16 +236,9 @@ def _discrete_block(spec: EnsembleSpec, betas: list, with_energy: bool) -> list[
             raise DomainError("beta must be positive")
     omega_1 = float(spec.omegas[0])
     finite = [beta for beta in betas if beta * omega_1 > 1.0]
-    s = np.multiply.outer(finite, spec.omegas).ravel()
-    z = np.empty_like(s)
-    d = np.empty_like(s) if with_energy else None
-    step = max(1, _EM_CHUNK_TERMS // _em_cutoff(0.0, 1.0))  # real s: no Im part
-    for lo in range(0, s.size, step):
-        part = slice(lo, lo + step)
-        if with_energy:
-            z[part], d[part] = _zeta_em_many(s[part], want_derivative=True)
-        else:
-            z[part] = _zeta_em_many(s[part])
+    with np.errstate(over="ignore"):  # a beta omega_k past the float range reads zeta = 1
+        s = np.multiply.outer(finite, spec.omegas).ravel()
+    z, d = _zeta_em_many(s, want_derivative=True) if with_energy else (_zeta_em_many(s), None)
     k = spec.omegas.size
     nan = math.nan
     points, row = [], 0
@@ -254,12 +247,16 @@ def _discrete_block(spec: EnsembleSpec, betas: list, with_energy: bool) -> list[
             points.append(ThermoPoint(beta, complex(nan, nan), nan, nan, _DIVERGENT))
             continue
         zb = z[row * k : (row + 1) * k]
-        f = float(-(spec.masses @ np.log(zb)) / (beta * spec.volume))
-        eps = nan
-        if d is not None:
-            db = d[row * k : (row + 1) * k]
-            eps = float(-(spec.masses @ (spec.omegas * (db / zb))) / spec.volume)
-        points.append(ThermoPoint(beta, complex(f, 0.0), eps, beta * (eps - f)))
+        with np.errstate(all="ignore"):  # a value past the float range is refused below
+            f = float(-(spec.masses @ np.log(zb)) / (beta * spec.volume))
+            eps = nan
+            if d is not None:
+                db = d[row * k : (row + 1) * k]
+                eps = float(-(spec.masses @ (spec.omegas * (db / zb))) / spec.volume)
+        entropy = beta * (eps - f)
+        if not all(math.isfinite(v) for v in ((f, eps, entropy) if d is not None else (f,))):
+            raise AccuracyError(f"thermo at beta = {beta!r} exceeds the float range")
+        points.append(ThermoPoint(beta, complex(f, 0.0), eps, entropy))
         row += 1
     return points
 
@@ -465,6 +462,18 @@ def _log_zeta_kernel(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kappa(rate: float, beta: float) -> float:
+    """kappa = lam/beta; DomainError unless beta > 0 and lam/beta^2 is finite."""
+    if not beta > 0.0:
+        raise DomainError("beta must be positive")
+    kappa = rate / beta
+    if not kappa / beta < math.inf:
+        raise DomainError(
+            f"kappa = lam/beta = {kappa:.6g} at beta = {beta:.6g}: lam/beta^2 is not finite"
+        )
+    return kappa
+
+
 def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, window_e1=None) -> RowSet:
     """The rows of the continuum points at betas, whose finish gives
     (f, eps, entropy, (f budget, eps budget), converged) at each beta, with
@@ -486,17 +495,11 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
         raise DomainError("continuum ensemble required")
     kappas, ends, edges, rows = [], [], [], []
     for beta in betas:
-        if not beta > 0.0:
-            raise DomainError("beta must be positive")
-        kappa = spec.rate / beta
-        if not kappa / beta < math.inf:
-            raise DomainError(
-                f"kappa = lam/beta = {kappa:.6g} at beta = {beta:.6g}: lam/beta^2 is not finite"
-            )
+        kappa = _kappa(spec.rate, beta)
         kappas.append(kappa)
         if kappa >= _WATSON_KAPPA:
             continue
-        fine = max(1, math.ceil(math.log2(kappa / 4.0))) if kappa > 0.0 else 1
+        fine = max(1, math.ceil(math.log2(kappa / 4.0))) if kappa > 4.0 else 1
         last = math.ceil(math.log2(max(4.0, math.log(1e18) / (kappa + math.log(2.0)))))
         ends.append(2.0**last)
         edges += [dyadic_edges(-fine, last)] * len(kinds)
@@ -643,14 +646,19 @@ def series_coefficient(k: int) -> float:
 def _series_term(k: int, x: float) -> float:
     """g(k) x^k.  Where the plain product leaves the normal floats (x^k
     underflows for small x, and k! overflows a float past k = 170) the
-    magnitude is exp(lgamma(k+1) + k ln(x/2)) zeta(k) instead."""
-    x_k = x**k if k <= 170 else 0.0
-    if x_k >= sys.float_info.min:
-        term = series_coefficient(k) * x_k
-        if abs(term) >= sys.float_info.min:
-            return term
-    magnitude = math.exp(math.lgamma(k + 1) + k * math.log(0.5 * x)) * _zeta_integer(k)
-    return -magnitude if k % 2 else magnitude
+    magnitude is exp(lgamma(k+1) + k ln(x/2)) zeta(k) instead.
+    AccuracyError where the term exceeds the float range."""
+    try:
+        x_k = x**k if k <= 170 else 0.0
+        term = series_coefficient(k) * x_k if x_k >= sys.float_info.min else 0.0
+        if abs(term) < sys.float_info.min:
+            magnitude = math.exp(math.lgamma(k + 1) + k * math.log(0.5 * x)) * _zeta_integer(k)
+            term = -magnitude if k % 2 else magnitude
+    except OverflowError:
+        term = math.inf
+    if math.isinf(term):
+        raise AccuracyError(f"printed series term {k} at beta/lam = {x:.6g} exceeds the float range")
+    return term
 
 
 def _series_optimally_truncated(beta: float, lam: float) -> tuple[float, int, float]:
@@ -684,8 +692,12 @@ def _ei_terms(beta: float, lam: float, volume: float, g=None) -> list:
 # ----------------------------------------------------------------------
 
 def _pair_z(gammas, beta: float, lam: float) -> np.ndarray:
-    """The E1 arguments z = -lam rho/beta of the pair integrals."""
-    return (-lam / beta) * (0.5 + 1j * np.asarray(gammas, dtype=np.float64))
+    """The E1 arguments z = -lam rho/beta of the pair integrals; DomainError
+    naming lam/beta where one leaves the float range."""
+    gammas = np.asarray(gammas, dtype=np.float64)
+    if not lam / beta * float(np.max(gammas, initial=0.0)) < math.inf:
+        raise DomainError(f"lam/beta = {lam / beta:.6g} puts the pair integrals' E1 arguments past the float range")
+    return (-lam / beta) * (0.5 + 1j * gammas)
 
 
 def _pair_integrals(gammas, beta: float, lam: float, h=None) -> np.ndarray:
@@ -711,7 +723,11 @@ def _eps3_tail_rows(count: int, beta: float, lam: float, tol: float, edge_h=None
     def weight(rows, v):
         gam = t_star / (v * v)
         pair = _pair_integrals(gam.reshape(-1), beta, lam).reshape(v.shape)
-        return pair * np.log(gam / (2.0 * math.pi)) * gam / (math.pi * v)
+        with np.errstate(over="ignore"):
+            w = pair * np.log(gam / (2.0 * math.pi)) * gam / (math.pi * v)
+        if not np.isfinite(w).all():
+            raise DomainError(f"lam/beta = {lam / beta:.6g} puts the eps3 tail's integrand past the float range")
+        return w
 
     def finish(results):
         edge = abs(float(_pair_integrals([t_star], beta, lam, edge_h)[0]))
@@ -775,7 +791,8 @@ def _eps5(beta: float, lam: float, volume: float, e1=None) -> tuple[float, float
     total = np.sum(phi[:-1]) + (0.5 * x * (1.0 - (zk - 1.0) * uk) + 0.5 * phi[-1] - np.sum(em[:-1]))
     sizes = 0.5 * EULER_GAMMA * x + np.sum(1.0 / z + np.abs(h)) + 0.5 * x * (1.0 + abs(zk - 1.0) * uk)
     bound = abs(em[-1]) + np.abs(_EPS5_B) @ (cut + eps * np.asarray(size))[::2] + eps * sizes
-    return float(-EULER_GAMMA / (2.0 * lam * volume) + total / (beta * volume)), float(bound / (beta * volume))
+    total, bound = float(total), float(bound)  # a quotient past the float range is inf, unwarned
+    return -EULER_GAMMA / (2.0 * lam * volume) + total / (beta * volume), bound / (beta * volume)
 
 
 def energy_breakdown(
@@ -794,11 +811,20 @@ def energy_breakdown(
     One E1 call makes every E1 value known up front, eps5's head among
     them, and one integrate_rows call the rows of the oracle and the eps3
     tail, so the values are those of their own entries; on failure it
-    raises what those, one at a time in the order of the sum, raise first."""
+    raises what those, one at a time in the order of the sum, raise first.
+    A beta that _kappa refuses, or a lam/beta that puts an E1 argument or
+    the eps3 tail past the float range, is a DomainError; a piece or a
+    printed form past the float range is an AccuracyError."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     lam, vol = spec.rate, spec.volume
-    lv, x = lam * vol, lam / beta
+    lv, x = lam * vol, _kappa(lam, beta)
+    if not 0.25 * x >= sys.float_info.min:
+        raise DomainError(f"lam/beta = {x:.6g} puts Ei's argument lam/(4 beta) below the normal floats")
+    past = f"energy breakdown at lam = {lam!r}, beta = {beta!r} exceeds the float range"
+    # the pieces divide by these: one that underflows to 0 takes them past the float range
+    if not min(lv, beta * vol, beta * beta * vol, beta * lam) > 0.0:
+        raise AccuracyError(past)
     tail_tol, quad_tol = tol * 0.1 * vol / lam, tol * 0.1
 
     try:
@@ -853,7 +879,7 @@ def energy_breakdown(
     # + (lam/(4 beta^2 V)) e^(-x/4) Ei(x/4) at x = lam/beta
     thermal_printed = eps2 + quarter
 
-    return EnergyBreakdown(
+    bd = EnergyBreakdown(
         beta=beta,
         rate=lam,
         volume=vol,
@@ -878,6 +904,9 @@ def energy_breakdown(
         deviation_eps3=eps3_printed - eps3,
         deviation_thermal=thermal_printed - (oracle - eps_a),
     )
+    if not all(math.isfinite(getattr(bd, f.name)) for f in fields(bd)):
+        raise AccuracyError(past)
+    return bd
 
 
 # ----------------------------------------------------------------------

@@ -16,15 +16,16 @@ rescanned at 64, 512 and 4096.  From t = 200 on Z is the Riemann-Siegel
 formula with Gabcke's C0..C6 corrections in one Horner pass, at O(sqrt(t))
 terms, falling back to Euler-Maclaurin wherever |Z| is within its error
 bound, so every sign is the Euler-Maclaurin sign.  Euler-Maclaurin Z, at
-O(t) terms, runs on sorted chunks sized so that no point pays for a cutoff
-far above its own.  Vectorized Anderson-Bjorck regula falsi narrows the
-brackets on the same fast kernel.  A chord step on that kernel gives each
-root r, and its error bound gives a window r -/+ delta that must hold the
-Euler-Maclaurin zero; the signs at the window ends confirm it.  Where both
-ends round to the same 12 digits (one vector pass, `_quantize_many`) the
-zero is settled; the others take one secant step between the Euler-
-Maclaurin values at the window's ends, and the stated error adds that
-step's bound.  The table is audited against the smooth counting formula.
+O(t) terms, runs on numkernel's batched zeta calls, sorted and cut so that
+no point pays for a cutoff far above its own.  Vectorized Anderson-Bjorck
+regula falsi narrows the brackets on the same fast kernel.  A chord step on
+that kernel gives each root r, and its error bound gives a window r -/+
+delta that must hold the Euler-Maclaurin zero; the signs at the window ends
+confirm it.  Where both ends round to the same 12 digits (one vector pass,
+`_quantize_many`) the zero is settled; the others take one secant step
+between the Euler-Maclaurin values at the window's ends, and the stated
+error adds that step's bound.  The table is audited against the smooth
+counting formula.
 
 Zero tables are persisted as plain text:
 
@@ -52,9 +53,8 @@ from .errors import AccuracyError, DomainError, MissedZeroError, TableFormatErro
 from .numkernel import (
     _LOG_PI,
     _TARGET_ABS_ERROR,
-    _em_cutoff,
-    _hurwitz_em,
     _log_gamma_many,
+    _zeta_em_batched,
 )
 
 __all__ = [
@@ -174,62 +174,24 @@ def _theta_many(t: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _z_chunk(t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Z(t) for an ascending chunk sharing one Euler-Maclaurin cutoff, given
-    theta(t)."""
-    s = 0.5 + 1j * t
-    n = _em_cutoff(float(t[-1]), 1.0)
-    zeta_vals, _, est, _ = _hurwitz_em(s, 1.0, n, want_derivative=False)
-    worst = float(np.max(est))
+def _z_many(t: np.ndarray) -> np.ndarray:
+    """Vectorized Hardy Z over arbitrary finite t > 0: exp(i theta(t)) times
+    zeta(1/2 + it) from ``_zeta_em_batched``, whose estimates must be within
+    1e-11 and whose rotated values must be real within _REALNESS_TOL."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((t > 0.0) & (t < math.inf)):
+        raise DomainError("hardy_z requires finite t > 0")
+    zeta_vals, _, est, _ = _zeta_em_batched(0.5 + 1j * t, False)
+    worst = float(np.max(est, initial=0.0))
     if worst > max(_TARGET_ABS_ERROR, 1e-11):
         raise AccuracyError(f"zeta accuracy {worst:.2e} insufficient on the critical line")
-    rotated = np.exp(1j * theta) * zeta_vals
-    drift = float(np.max(np.abs(rotated.imag)))
+    rotated = np.exp(1j * _theta_many(t)) * zeta_vals
+    drift = float(np.max(np.abs(rotated.imag), initial=0.0))
     if drift > _REALNESS_TOL:
         raise AccuracyError(
             f"rotated zeta has imaginary part {drift:.2e}; kernel inaccurate"
         )
     return rotated.real
-
-
-# Chunking of `_z_many`: a chunk shares the cutoff of its largest t, so each
-# of its points pays for the terms between its own cutoff and that one.  A
-# chunk ends before those wasted terms pass _EM_CHUNK_WASTE, about the fixed
-# cost of one `_hurwitz_em` call (~190 us, ~3,500 terms at ~55 ns), or its
-# points x cutoff pass _EM_CHUNK_TERMS, which bounds the term matrices to
-# ~2 MB each.
-_EM_CHUNK_WASTE = 1 << 12
-_EM_CHUNK_TERMS = 1 << 17
-
-
-def _z_many(t: np.ndarray) -> np.ndarray:
-    """Vectorized Hardy Z over arbitrary finite t > 0: the points are sorted
-    and cut into chunks sized by their Euler-Maclaurin cutoffs
-    N = ceil(t/2) + 10, so no point pays for a cutoff far above its own.
-    theta is taken once for all points (`_theta_many` is elementwise, so
-    this gives the same bits as per chunk)."""
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all((t > 0.0) & (t < math.inf)):
-        raise DomainError("hardy_z requires finite t > 0")
-    order = np.argsort(t, kind="stable")
-    sorted_t = t[order]
-    theta = _theta_many(sorted_t)
-    cutoff = 0.5 * sorted_t + 11.0  # the cutoff at t, rounded up
-    out = np.empty_like(sorted_t)
-    lo = 0
-    while lo < sorted_t.size:
-        # work and waste of the chunks [lo, lo + k), k = 1, 2, ...; both grow
-        # with k, and as every cutoff exceeds 11 no chunk passes the window
-        window = cutoff[lo : lo + _EM_CHUNK_TERMS // 11]
-        work = np.arange(1, window.size + 1) * window
-        waste = work - np.cumsum(window)
-        fits = (waste <= _EM_CHUNK_WASTE) & (work <= _EM_CHUNK_TERMS)
-        hi = lo + max(1, int(np.count_nonzero(fits)))
-        out[lo:hi] = _z_chunk(sorted_t[lo:hi], theta[lo:hi])
-        lo = hi
-    result = np.empty_like(out)
-    result[order] = out
-    return result
 
 
 def hardy_z(t: float) -> float:
@@ -610,7 +572,7 @@ def _polish(search: _Search, lo, hi):
     their error before rounding: the chord's error |Z''| w^2 / 8 on a window
     of width w plus the values' error, over the least |Z'| there, plus an
     ulp of t; |Z''| <= 8 sqrt(tau) (1 + ln tau)^2, tau = sqrt(t/2pi), twice
-    the Riemann-Siegel main sum's bound, and the values err by `_z_chunk`'s
+    the Riemann-Siegel main sum's bound, and the values err by `_z_many`'s
     gate 1e-11 plus phase rounding 1e-14 t, about 6 times the largest error
     seen against mpmath.siegelz on 380 points of t in [14, 1e4]."""
     flat = np.flatnonzero(np.isnan(lo))

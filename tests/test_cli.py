@@ -371,6 +371,36 @@ class TestPinnedOutput:
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+# sha256 of eval's stdout in both formats, taken before the subcommands
+# shared one row writer; the writer must leave these bytes as they were
+EVAL_DIGESTS = [
+    (("--fn", "zeta", "--re", "0.5", "--im", "14.134725"), "csv",
+     "6e53971c7d55f384d34dbd1eda71866360bd8cd49405ed9f04078e82a6e30312"),
+    (("--fn", "zeta", "--re", "0.5", "--im", "14.134725"), "json",
+     "238766f1a5e20f6b6ab1264dc2d7dab5defc92cf84ccf38e0d0d12415d85533f"),
+    (("--fn", "ei", "--re", "-30"), "csv",
+     "f25c195d36cbb6f7dab4fd8cdfef725db585b52c647c883fbb8cf6fac3e380ae"),
+    (("--fn", "ei", "--re", "-30"), "json",
+     "79d8ed96d28e1f7661f4ae84a0b6afe7e9b1fe5094dce44c3b6d6bf83de9f140"),
+    (("--fn", "hardy-z", "--re", "100"), "csv",
+     "a0cc02d56b8021cf393dc4df93e7cdb7855fe07f4773745eb2f7723e31e50a1d"),
+    (("--fn", "hardy-z", "--re", "100"), "json",
+     "f872a46ad57cafc6b97b61fff73d3d45f0d32400f5213eeb37be741c7e1d58d7"),
+    (("--fn", "hurwitz", "--re", "2", "--im", "-3", "--q", "0.25"), "csv",
+     "5aef3c19f1031970a58bf02830f3ca91df8a7227685f3d553a4eda49e1c54485"),
+    (("--fn", "hurwitz", "--re", "2", "--im", "-3", "--q", "0.25"), "json",
+     "50cf369a11bb2ef9c75b22f8f298dd1335b7f66b089f892524db636dd289b4a6"),
+]
+
+
+class TestPinnedEvalOutput:
+    @pytest.mark.parametrize("argv,fmt,digest", EVAL_DIGESTS)
+    def test_stdout_bytes(self, capsys, argv, fmt, digest):
+        code, out, err = run_cli(capsys, "eval", *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "argv",
@@ -413,6 +443,72 @@ class TestNonFiniteInputs:
         assert f"{spec}:{line}: expected 'omega,probability'" in err
 
 
+FUZZ_VALUES = ("0", "-1", "5e-324", "1e-300", "1e-3", "1", "1e300", "1.7976931348623157e308")
+
+# each numeric flag of a base argv takes every FUZZ_VALUES entry in turn; the
+# discrete bases hold finite rows (beta omega_1 > 1), so --volume reaches them
+FUZZ_BASES = {
+    "thermo-continuum": (
+        ("thermo", "--lam", "1", "--beta-min", "1", "--beta-max", "2", "--steps", "3", "--volume", "1"),
+        ("--lam", "--beta-min", "--beta-max", "--volume"),
+    ),
+    "thermo-discrete": (
+        ("thermo", "--spec-file", "SPEC", "--beta-min", "0.5", "--beta-max", "2", "--steps", "3",
+         "--volume", "1"),
+        ("--beta-min", "--beta-max", "--volume"),
+    ),
+    "hagedorn": (
+        ("hagedorn", "--spec-file", "SPEC", "--beta-min", "0.5", "--beta-max", "2", "--steps", "3",
+         "--volume", "1"),
+        ("--beta-min", "--beta-max", "--volume"),
+    ),
+    "breakdown": (
+        ("breakdown", "--lam", "1", "--beta", "1", "--zeros-count", "12", "--volume", "1"),
+        ("--lam", "--beta", "--volume"),
+    ),
+}
+
+
+def _printed_numbers_are_finite(out: str) -> bool:
+    """Every number printed by a successful run is finite, apart from the
+    nan cells of hagedorn_divergent rows; CSV rows end in their flags."""
+    if out.startswith("{"):
+        return all(isinstance(v, (int, float)) and np.isfinite(v) for v in json.loads(out).values())
+    for row in out.splitlines()[1:]:
+        *cells, flags = row.split(",")
+        divergent = "hagedorn_divergent" in flags
+        if not all(np.isfinite(float(c)) or (divergent and i > 0) for i, c in enumerate(cells)):
+            return False
+    return True
+
+
+class TestFuzzedNumericFlags:
+    """Each numeric flag at zero, negative, subnormal, tiny, unit and huge
+    values: the run exits 0, 2 or 3 and raises nothing (a RuntimeWarning is
+    an error under pytest); an exit of 2 or 3 writes one rgas: line, and an
+    exit of 0 prints finite numbers only."""
+
+    @pytest.mark.parametrize(
+        "base,flag", [(base, flag) for base, (_, flags) in FUZZ_BASES.items() for flag in flags]
+    )
+    def test_exit_codes_and_output(self, capsys, tmp_path, base, flag):
+        spec = tmp_path / "ensemble.csv"
+        spec.write_text(SPEC_ROWS)
+        argv = [str(spec) if a == "SPEC" else a for a in FUZZ_BASES[base][0]]
+        at = argv.index(flag) + 1
+        failures = []
+        for value in FUZZ_VALUES:
+            argv[at] = value
+            code, out, err = run_cli(capsys, *argv)
+            if code in (2, 3):
+                ok = out == "" and err.startswith("rgas: ") and err.count("\n") == 1
+            else:
+                ok = code == 0 and err == "" and _printed_numbers_are_finite(out)
+            if not ok:
+                failures.append((value, code, err))
+        assert failures == []
+
+
 class TestBreakdownCommand:
     def test_fields_and_contract(self, capsys):
         code, out, _ = run_cli(
@@ -448,6 +544,22 @@ class TestBreakdownCommand:
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["total"] - payload["oracle"]) <= payload["abs_error"]
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            # beta^2 V underflows to 0, so its quotients leave the float range
+            (("--lam", "1", "--beta", "0.01", "--volume", "1e-320"), 3, "exceeds the float range"),
+            # the tail's integrand peaks near gamma = beta/lam at ~ (beta/lam)^(5/2)/beta^2
+            (("--lam", "1e-200", "--beta", "1e-100"), 2, "lam/beta = 1e-100 puts the eps3 tail"),
+            # Ei's argument lam/(4 beta) is subnormal
+            (("--lam", "5e-324", "--beta", "1"), 2, "lam/beta = 4.94066e-324 puts Ei's argument"),
+        ],
+    )
+    def test_float_range_names_its_cause(self, capsys, argv, code, message):
+        got, out, err = run_cli(capsys, "breakdown", *argv, "--zeros-count", "12")
+        assert (got, out, err.count("\n")) == (code, "", 1)
+        assert message in err
 
     def test_fewer_than_ten_zeros_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "breakdown", "--lam", "1", "--beta", "1", "--zeros-count", "9")

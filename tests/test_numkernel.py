@@ -190,6 +190,57 @@ class TestRealAxisKernel:
             assert np.all(np.abs(d.real - ref) <= est)
 
 
+class TestBatchedCalls:
+    """_zeta_em_many cuts an array into kernel calls of bounded size: a real
+    array at the constant cutoff 21, so into calls of 6,241 points."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        calls = []
+        original = nk._hurwitz_em
+
+        def recorder(s, a, n_terms, want_derivative):
+            calls.append((np.size(s), n_terms, float(np.max(np.abs(s.imag)))))
+            return original(s, a, n_terms, want_derivative)
+
+        monkeypatch.setattr(nk, "_hurwitz_em", recorder)
+        return calls
+
+    def test_real_batch_equals_its_points_alone(self, monkeypatch):
+        rng = np.random.default_rng(2028)
+        s = rng.uniform(0.0, 60.0, 20_000)
+        s[s == 1.0] = 2.0
+        calls = self.recorded(monkeypatch)
+        z, d = nk._zeta_em_many(s, want_derivative=True)
+        value = nk._zeta_em_many(s)
+        calls = list(calls)
+        n = nk._em_cutoff(0.0, 1.0)
+        assert n == 21 and max(size * terms for size, terms, _ in calls) <= nk._EM_CHUNK_TERMS
+        assert [size for size, _, _ in calls[:4]] == [6_241, 6_241, 6_241, 1_277]
+        assert len(calls) == 8 and all(terms == n for _, terms, _ in calls)
+        # every point against one unbatched kernel call, and the ends of every
+        # call plus a sample against the point alone
+        whole_z, whole_d, _, _ = nk._hurwitz_em(s, 1.0, n, True)
+        assert np.array_equal(z, whole_z) and np.array_equal(d, whole_d)
+        assert np.array_equal(value, nk._hurwitz_em(s, 1.0, n, False)[0])
+        starts = np.arange(0, s.size, 6_241)
+        for k in np.concatenate([starts, starts[1:] - 1, [s.size - 1], rng.integers(0, s.size, 200)]):
+            alone_z, alone_d = nk._zeta_em_many(s[k : k + 1], want_derivative=True)
+            assert (alone_z[0], alone_d[0]) == (z[k], d[k])
+            assert nk._zeta_em_many(s[k : k + 1])[0] == value[k]
+
+    def test_complex_calls_follow_the_imaginary_part(self, monkeypatch):
+        # sorted by |Im s|, each call at the cutoff of its largest point
+        rng = np.random.default_rng(2029)
+        t = rng.uniform(-3000.0, 3000.0, 2_000)
+        calls = self.recorded(monkeypatch)
+        nk._zeta_em_many(2.0 + 1j * t)
+        assert sum(size for size, _, _ in calls) == t.size
+        assert all(size * (0.5 * top + 11.0) <= nk._EM_CHUNK_TERMS for size, _, top in calls)
+        assert all(terms == nk._em_cutoff(top, 1.0) for _, terms, top in calls)
+        assert [top for _, _, top in calls] == sorted(top for _, _, top in calls)
+
+
 class TestNegativeHalfPlaneAgainstMpmath:
     """Re s < 0 with |Im s| > 2, where the reflection formula evaluates
     log Gamma through the large-|Im| branch of log sin(pi z)."""

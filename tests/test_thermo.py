@@ -197,7 +197,7 @@ class TestDiscreteBatching:
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = self.counted_kernel(monkeypatch)
             points = th._discrete_points(spec, grid, with_energy)
-        assert calls and max(calls) <= th._EM_CHUNK_TERMS
+        assert calls and max(calls) <= nk._EM_CHUNK_TERMS
         for beta, point in zip(grid, points):
             if beta * float(spec.omegas[0]) <= 1.0:
                 assert point.flags == {"hagedorn_divergent"}
