@@ -12,9 +12,11 @@ weight and tolerance, and sums its value and error over them in s order.
 Each round splits every leaf whose error exceeds its share of the row's
 tolerance, except a leaf at its rounding floor, which a split cannot lower,
 and a leaf at the depth limit; a leaf that ends at 0 has no depth limit, so
-an integrable singularity belongs at s = 0.  A row that cannot meet its
-tolerance ends with ``converged`` False and its true error estimate; one
-that needs more than ``_MAX_PANELS`` leaves raises ConvergenceError.
+an integrable singularity belongs at s = 0.  A row's tolerance is floored
+at 4 times the sum of its leaves' rounding floors, what doubles can resolve
+of it.  A row that cannot meet its tolerance ends with ``converged`` False
+and its true error estimate; one that needs more than ``_MAX_PANELS``
+leaves raises ConvergenceError.
 
 Panels are dyadic intervals [k 2^e, (k+1) 2^e], so rows that need the same
 panel share its nodes bit for bit; one call keeps the kernel values per
@@ -317,8 +319,10 @@ def integrate_rows(kernel, weight, edges, tols, with_kernel) -> list[QuadResult]
     every leaf whose error exceeds its share tols[r]/(2 n) of the n leaves,
     until the summed estimates are within tols[r]/2 or no such leaf can be
     split, being at its rounding floor or at the depth limit (then
-    ``converged`` is whether they are within tols[r]).  A row needing more
-    than ``_MAX_PANELS`` leaves raises ConvergenceError."""
+    ``converged`` is whether they are within tols[r]); tols[r] is floored at
+    4 times the sum of the leaves' floors, so a row asked for less stops
+    there, unconverged.  A row needing more than ``_MAX_PANELS`` leaves
+    raises ConvergenceError."""
     tols = np.asarray(tols, dtype=np.float64)
     with_kernel = np.asarray(with_kernel, dtype=bool)
     table = _kernel_table(kernel)
@@ -356,12 +360,15 @@ def _refine(table, weight, edges, tols, with_kernel, first_row):
 
         count = np.bincount(r, minlength=n)
         total = np.bincount(r, weights=e, minlength=n)
-        done = total <= 0.5 * tols
+        # a row is asked for no less than 4 times its rounding floor, the
+        # sum of its leaves' floors: a tighter tolerance ends unconverged
+        goal = np.maximum(tols, np.bincount(r, weights=np.abs(v), minlength=n) * (4.0 * _PANEL_ROUNDING))
+        done = total <= 0.5 * goal
         wide = b - a > np.ldexp(np.maximum(-a, b), -_MAX_DEPTH)
         # a leaf at its rounding floor, |K15 - G7| <= _PANEL_ROUNDING |K15|,
         # is not split: its halves would carry the same floor
         above_floor = e > 2.0 * _PANEL_ROUNDING * np.abs(v)
-        split = ~done[r] & (e * 2.0 * count[r] > tols[r]) & wide & above_floor
+        split = ~done[r] & (e * 2.0 * count[r] > goal[r]) & wide & above_floor
         n_split = np.bincount(r[split], minlength=n)
         over = (count > 0) & (n_split > 0) & (count + n_split > _MAX_PANELS)
         if over.any():

@@ -721,7 +721,8 @@ def _eps3_tail_rows(count: int, beta: float, lam: float, tol: float, edge_h=None
     t_star = _tail_start(count)
 
     def weight(rows, v):
-        gam = t_star / (v * v)
+        with np.errstate(over="ignore"):
+            gam = t_star / (v * v)
         pair = _pair_integrals(gam.reshape(-1), beta, lam).reshape(v.shape)
         with np.errstate(over="ignore"):
             w = pair * np.log(gam / (2.0 * math.pi)) * gam / (math.pi * v)
@@ -733,7 +734,12 @@ def _eps3_tail_rows(count: int, beta: float, lam: float, tol: float, edge_h=None
         edge = abs(float(_pair_integrals([t_star], beta, lam, edge_h)[0]))
         return results[0].value, results[0].abs_error + 2.0 * _S_FLUCTUATION * edge
 
-    return RowSet(weight, [dyadic_edges(-20, 0)], [tol], [False], finish)
+    # graded down past v = sqrt(T* lam/beta), where gamma = beta/lam and the
+    # integrand peaks; past 2^-450 T*/v^2 nears the float range, and there
+    # beta/lam is far past where the printed series leaves it
+    peak = 0.5 * (math.log2(t_star) + math.log2(lam) - math.log2(beta))
+    first = min(-20, math.floor(peak) - 2) if peak > -450.0 else -20
+    return RowSet(weight, [dyadic_edges(first, 0)], [tol], [False], finish)
 
 
 def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, float]:

@@ -18,14 +18,16 @@ terms, falling back to Euler-Maclaurin wherever |Z| is within its error
 bound, so every sign is the Euler-Maclaurin sign.  Euler-Maclaurin Z, at
 O(t) terms, runs on numkernel's batched zeta calls, sorted and cut so that
 no point pays for a cutoff far above its own.  Vectorized Anderson-Bjorck
-regula falsi narrows the brackets on the same fast kernel.  A chord step on
-that kernel gives each root r, and its error bound gives a window r -/+
-delta that must hold the Euler-Maclaurin zero; the signs at the window ends
-confirm it.  Where both ends round to the same 12 digits (one vector pass,
-`_quantize_many`) the zero is settled; the others take one secant step
-between the Euler-Maclaurin values at the window's ends, and the stated
-error adds that step's bound.  The table is audited against the smooth
-counting formula.
+regula falsi narrows the brackets on the same fast kernel, and the chord of
+each final bracket estimates its zero.  The table needs only the 12-digit
+cell that holds each zero, so the estimate's cell is the certificate: where
+the signs of Z at the cell's two ends differ, each beyond the Euler-
+Maclaurin values' error, the zero is settled at the cell's value (the
+rounding is one vector pass, `_quantize_many`).  The others, near-ties
+and estimates that fell in the next cell, take one secant step between
+Euler-Maclaurin values at the ends of two cells of the decimal grid, and
+the stated error adds that step's bound.  The table is audited against
+the smooth counting formula.
 
 Zero tables are persisted as plain text:
 
@@ -401,11 +403,6 @@ class _Search:
             out[~rs] = self.em(t[~rs])
         return out
 
-    def error(self, t: np.ndarray) -> np.ndarray:
-        """Bound on |fast(t) - em(t)|; below t = 200 it covers the rounding
-        noise between Euler-Maclaurin evaluations with different cutoffs."""
-        return np.where(t >= _RS_MIN_T, _rs_error_bound(t), 5e-14 * t)
-
     def signs(self, t: np.ndarray) -> np.ndarray:
         """Z with the Euler-Maclaurin sign: the fast kernel, re-evaluated by
         Euler-Maclaurin wherever it is within its error bound of 0."""
@@ -491,19 +488,20 @@ def _narrow(search: _Search, a, b, fa, fb):
     kernel, over the brackets still wider than _NARROW_RTOL * t.  Where the
     new point c keeps the sign of the last one b, the retained end's value
     is scaled by m = 1 - f(c)/f(b), or by 1/2 where m <= 0.  Returns the
-    final bracket ends."""
-    a, b, fb = a.copy(), b.copy(), fb.copy()
+    final bracket ends and their unscaled values."""
+    a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
     wa = fa.copy()  # Z(a), scaled each time a is retained
     active = np.flatnonzero(np.abs(b - a) > _NARROW_RTOL * b)
     for _ in range(_NARROW_MAX_ITER):
         if active.size == 0:
-            return a, b
+            return a, b, fa, fb
         aa, bb, wwa, ffb = a[active], b[active], wa[active], fb[active]
         c = bb - ffb * (bb - aa) / (ffb - wwa)
         fc = search.fast(c)
         flip = fc * ffb < 0.0
         m = 1.0 - fc / ffb
         a[active] = np.where(flip, bb, aa)
+        fa[active] = np.where(flip, ffb, fa[active])
         wa[active] = np.where(flip, ffb, np.where(m > 0.0, m, 0.5) * wwa)
         b[active], fb[active] = c, fc
         keep = (np.abs(c - a[active]) > _NARROW_RTOL * c) & (fc != 0.0)
@@ -511,86 +509,69 @@ def _narrow(search: _Search, a, b, fa, fb):
     raise AccuracyError(f"regula falsi left {active.size} brackets unconverged")
 
 
-def _central_slope(search: _Search, mid: np.ndarray):
-    """Signed slope of the fast kernel at `mid`, and the value there of the
-    chord it spans: a central difference over _NARROW_RTOL * mid, because
-    the final narrowed bracket can be so narrow that rounding dominates its
-    end values."""
-    h = _NARROW_RTOL * mid
-    f = search.fast(np.concatenate([mid - h, mid + h]))
-    f_lo, f_hi = f[: mid.size], f[mid.size :]
-    return (f_hi - f_lo) / (2.0 * h), 0.5 * (f_lo + f_hi)
+def _chord(a, b, fa, fb):
+    """Root of the chord through (a, fa) and (b, fb), or the midpoint where
+    the end values are equal or the chord's root leaves [a, b]."""
+    den = fb - fa
+    flat = den == 0.0
+    c = b - fb * (b - a) / np.where(flat, 1.0, den)
+    return np.where(flat | ((c - a) * (c - b) > 0.0), 0.5 * (a + b), c)
 
 
-def _refine(search: _Search, a, b):
-    """Fast-kernel roots of the brackets (a, b) with a certificate window:
-    the root r of the central chord, moved by one step along that chord, and
-    delta = 2 (error(r) + target) / |Z'| + 4 ulps of r, twice the distance
-    to the Euler-Maclaurin root that the fast kernel's error bound allows.
-    Brackets whose slope is 0 or not finite get no root; returns the indices
-    of the others with their r and delta."""
-    mid = 0.5 * (a + b)
-    slope, f_mid = _central_slope(search, mid)
-    idx = np.flatnonzero(np.isfinite(slope) & (slope != 0.0))
-    slope = slope[idx]
-    r = mid[idx] - f_mid[idx] / slope
-    r -= search.fast(r) / slope
-    delta = 2.0 * (search.error(r) + _TARGET_ABS_ERROR) / np.abs(slope)
-    return idx, r, delta + 4.0 * np.spacing(r)
+def _em_allowance(t):
+    """What an Euler-Maclaurin Z value may err by: `_z_many`'s gate 1e-11
+    plus phase rounding 1e-14 t, about 6 times the largest error seen
+    against mpmath.siegelz on 380 points of t in [14, 1e4]."""
+    return 1e-11 + 1e-14 * t
 
 
-def _certify(search: _Search, a, b):
-    """12-digit zeros settled without Euler-Maclaurin polish.  Each root of
-    `_refine` is confirmed by a sign change of Z at r -/+ delta (Euler-
-    Maclaurin signs, by `_Search.signs`), so the zero lies in that window;
-    it is settled where both window ends round to the same 12 digits.
-    Returns the rounded zeros, the mask of settled ones and the window ends,
-    NaN where the bracket has no usable slope."""
-    idx, r, delta = _refine(search, a, b)
-    ends = np.concatenate([r - delta, r + delta])
-    z = search.signs(ends)
-    same = np.flatnonzero(z[: r.size] * z[r.size :] >= 0.0)
-    if same.size:
-        bad = int(same[0])
-        raise AccuracyError(
-            f"no Euler-Maclaurin sign change on [{ends[bad]:.12g}, {ends[r.size + bad]:.12g}]"
-        )
-    rounded = _quantize_many(ends)
-    values = np.zeros(a.size)
-    settled = np.zeros(a.size, dtype=bool)
-    lo, hi = np.full(a.size, np.nan), np.full(a.size, np.nan)
-    values[idx] = rounded[: r.size]
-    settled[idx] = rounded[: r.size] == rounded[r.size :]
-    lo[idx], hi[idx] = ends[: r.size], ends[r.size :]
-    return values, settled, lo, hi
+def _certify(search: _Search, c, lo, hi, z_lo):
+    """12-digit zeros settled by the signs of Z at the ends of their cell.
+    The estimate c rounds to q = m / 10^d, whose cell is the reals within
+    1/2 of m / 10^d; its ends, moved 2 ulps inward and clipped to the
+    zero's bracket [lo, hi], take one `_Search.signs` call, and a value
+    within `_em_allowance` of 0 counts as no sign (the Riemann-Siegel values
+    that call keeps exceed their own bound, which exceeds the allowance).
+    Where the two signs differ the zero lies in the cell, and it is settled
+    at q.  Below a power of ten the cell is a tenth as wide, so a zero there
+    is not settled.  Every zero also gets a polish window on the decimal
+    grid, the two cells around the cell end that it is at or beyond: the
+    lower end unless Z there has the sign of Z(lo), as the bracket holds one
+    zero.  Returns q, the mask of settled zeros and the windows."""
+    q = _quantize_many(c)
+    scale = _POW10[11 - np.floor(np.log10(q)).astype(np.int64)]
+    m = np.rint(q * scale)  # exact: q is the double nearest m / 10^d
+    inward = np.array([[math.inf], [-math.inf]])
+    ends = np.nextafter(np.nextafter(np.stack([m - 0.5, m + 0.5]) / scale, inward), inward)
+    ends = np.stack([np.maximum(ends[0], lo), np.minimum(ends[1], hi)])
+    z = search.signs(ends.ravel()).reshape(ends.shape)
+    z[np.abs(z) <= _em_allowance(ends)] = 0.0
+    settled = (z[0] * z[1] < 0.0) & (ends[0] < ends[1]) & (m > 1e11)
+    edge = np.where(np.sign(z[0]) == np.sign(z_lo), m + 0.5, m - 0.5)
+    return q, settled, np.maximum((edge - 1.0) / scale, lo), np.minimum((edge + 1.0) / scale, hi)
 
 
 def _polish(search: _Search, lo, hi):
-    """Euler-Maclaurin roots in the windows [lo, hi] of `_certify`, which
-    hold an Euler-Maclaurin sign change: one secant step between the Euler-
-    Maclaurin values at the window ends.  Returns the roots and a bound on
-    their error before rounding: the chord's error |Z''| w^2 / 8 on a window
-    of width w plus the values' error, over the least |Z'| there, plus an
-    ulp of t; |Z''| <= 8 sqrt(tau) (1 + ln tau)^2, tau = sqrt(t/2pi), twice
-    the Riemann-Siegel main sum's bound, and the values err by `_z_many`'s
-    gate 1e-11 plus phase rounding 1e-14 t, about 6 times the largest error
-    seen against mpmath.siegelz on 380 points of t in [14, 1e4]."""
-    flat = np.flatnonzero(np.isnan(lo))
-    if flat.size:
-        raise AccuracyError(f"no usable slope of Z, so no certified window, for {flat.size} zeros")
+    """Euler-Maclaurin roots in the windows [lo, hi] of `_certify`, two
+    12-digit cells each: one secant step between the Euler-Maclaurin values
+    at the window ends, which must differ in sign.  Returns the roots and a
+    bound on their error before rounding: the chord's error |Z''| w^2 / 8 on
+    a window of width w plus the values' error `_em_allowance`, over the
+    least |Z'| there, plus an ulp of t; |Z''| <= 8 sqrt(tau) (1 + ln tau)^2,
+    tau = sqrt(t/2pi), twice the Riemann-Siegel main sum's bound."""
     f = search.em(np.concatenate([lo, hi]))
     flo, fhi = f[: lo.size], f[lo.size :]
-    if np.any(flo * fhi >= 0.0):
-        bad = int(np.flatnonzero(flo * fhi >= 0.0)[0])
+    bad = np.flatnonzero(~((flo * fhi < 0.0) & np.isfinite(flo * fhi)))
+    if bad.size:
         raise AccuracyError(
-            f"no Euler-Maclaurin sign change on [{lo[bad]:.12g}, {hi[bad]:.12g}]"
+            f"no finite Euler-Maclaurin sign change on [{lo[bad[0]]:.12g}, {hi[bad[0]]:.12g}]"
         )
     width, tau = hi - lo, np.sqrt(hi / _TWO_PI)
     curve = 8.0 * np.sqrt(tau) * (1.0 + np.log(tau)) ** 2
     steep = np.abs(fhi - flo) / width - curve * width
-    if np.any(steep <= 0.0):
+    if not np.all(steep > 0.0):
         raise AccuracyError(f"Z' may vanish on the window at t={hi[np.argmin(steep)]:.12g}")
-    error = (curve * width**2 / 8.0 + 1e-11 + 1e-14 * hi) / steep + np.spacing(hi)
+    error = (curve * width**2 / 8.0 + _em_allowance(hi)) / steep + np.spacing(hi)
     return hi - fhi * width / (fhi - flo), float(np.max(error, initial=0.0))
 
 
@@ -600,10 +581,11 @@ def find_zeros(count: int) -> ZeroTable:
     cells per interval (Riemann-Siegel from t = 200, Euler-Maclaurin below
     and where Riemann-Siegel cannot settle the sign), rescanned at 64, 512
     and 4096 where short of Rosser's count.  Anderson-Bjorck regula falsi
-    narrows each bracket to 1e-9 t on the same fast kernel, whose chord root
-    settles the 12 digits wherever its certified window (`_certify`) rounds
-    to one value; the other zeros (131 of the first 3,000) take one secant
-    step between Euler-Maclaurin values at the window's ends (`_polish`).
+    narrows each bracket to 1e-9 t on the same fast kernel.  Each zero is
+    settled by the signs of Z at the two ends of its estimate's 12-digit
+    cell (`_certify`); the others (19 of the first 3,000, 50 of the first
+    10^4, all near-ties) take one secant step between Euler-Maclaurin values
+    on two cells of the decimal grid (`_polish`).
     The table is audited against the smooth counting formula."""
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -613,13 +595,13 @@ def find_zeros(count: int) -> ZeroTable:
     search = _Search()
     gram, zg, good, last = _gram_blocks(search, count)
     lo, hi, zlo, zhi, escalated = _bracket(search, gram, zg, good, last, count)
-    a, b = _narrow(search, lo, hi, zlo, zhi)
-    quantized, settled, w_lo, w_hi = _certify(search, a, b)
+    a, b, za, zb = _narrow(search, lo, hi, zlo, zhi)
+    quantized, settled, w_lo, w_hi = _certify(search, _chord(a, b, za, zb), lo, hi, zlo)
     rest = np.flatnonzero(~settled)
     roots, root_error = _polish(search, w_lo[rest], w_hi[rest])
     quantized[rest] = _quantize_many(roots)
     # half a unit of the 12th digit plus the polished roots' own error (a
-    # settled zero's window rounds to its value), up to the header's 6 digits
+    # settled zero's cell rounds to its value), up to the header's 6 digits
     bound = 0.5 * 10.0 ** (math.floor(math.log10(float(quantized[-1]))) - 11) + root_error
     scale = 10.0 ** (5 - math.floor(math.log10(bound)))
     abs_error = math.ceil(bound * scale) / scale

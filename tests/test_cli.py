@@ -25,11 +25,11 @@ class TestZerosCommand:
         assert table.count == 10
         assert table.gammas[0] == pytest.approx(14.134725, abs=1e-6)
 
-    def test_flat_slope_is_numerical_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            zerofinder, "_central_slope",
-            lambda search, mid: (np.zeros_like(mid), np.zeros_like(mid)),
-        )
+    def test_unusable_polish_window_is_numerical_failure(self, capsys, monkeypatch):
+        # estimates hundreds of cells from their zeros: no cell settles, and
+        # no polish window holds a sign change
+        chord = zerofinder._chord
+        monkeypatch.setattr(zerofinder, "_chord", lambda a, b, fa, fb: chord(a, b, fa, fb) + 1e-7)
         code, stdout, err = run_cli(capsys, "zeros", "--count", "50")
         assert (code, stdout) == (3, "")
         assert "numerical failure" in err
@@ -560,6 +560,33 @@ class TestBreakdownCommand:
         got, out, err = run_cli(capsys, "breakdown", *argv, "--zeros-count", "12")
         assert (got, out, err.count("\n")) == (code, "", 1)
         assert message in err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("--lam", "1", "--beta", "1", "--volume", "1e-300"), 0),
+        # eps divides by V, and the printed series overflows at beta/lam = 1e200
+        (("--lam", "1", "--beta", "1", "--volume", "5e-324"), 3),
+        (("--lam", "1", "--beta", "1e200", "--volume", "1e-300"), 3),
+    ])
+    def test_tiny_volume_answers(self, capsys, argv, expected):
+        # 0.1 tol V/lam, the eps3 tail's tolerance, falls below its rounding
+        # floor; the row stops at the floor instead of filling its leaves
+        code, out, err = run_cli(capsys, "breakdown", *argv, "--zeros-count", "12")
+        assert code == expected
+        if code == 0:
+            payload = json.loads(out)
+            assert err == "" and abs(payload["total"] - payload["oracle"]) <= payload["abs_error"]
+        else:
+            assert out == "" and err.startswith("rgas: numerical failure") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("beta", ["1e20", "1e60", "1e100"])
+    def test_tail_peak_far_below_the_first_panel(self, capsys, beta):
+        # the eps3 tail's integrand peaks at v = (T* lam/beta)^(1/2), here
+        # 2^-30 to 2^-163, below the tail's first panel [0, 2^-20], which
+        # GK15 sees as ~0 where the peak is far below it
+        code, out, _ = run_cli(capsys, "breakdown", "--lam", "1", "--beta", beta, "--zeros-count", "12")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["total"] - payload["oracle"]) <= payload["abs_error"]
 
     def test_fewer_than_ten_zeros_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "breakdown", "--lam", "1", "--beta", "1", "--zeros-count", "9")

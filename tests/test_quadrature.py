@@ -111,6 +111,15 @@ class TestIntegrate:
                 i15, i7 = q._gk15(lo, hi, f(x))
                 assert list(zip(i15.tolist(), i7.tolist())) == [reference(f, a, b) for a, b in zip(lo, hi)]
 
+    def test_row_tolerance_is_floored_at_its_rounding(self):
+        # -x ln x on [0, 1] vanishes at 0, where a leaf has no depth limit and
+        # stays above its own floor: asked for 1e-300, the row stops once its
+        # error is within 4 times the sum of its leaves' floors, unconverged
+        (res,) = q.integrate_rows(None, lambda r, x: -x * np.log(x), [q.dyadic_edges(-20, 0)], [1e-300], [False])
+        assert not res.converged
+        assert res.evaluations <= 500
+        assert abs(res.value - 0.25) <= res.abs_error <= 2.0 * q._PANEL_ROUNDING * 0.25
+
     def test_nonfinite_integrand_rejected(self):
         def bad(x):
             with np.errstate(invalid="ignore"):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -304,12 +305,12 @@ class TestFindZeros:
         p = tmp_path / "zeros-3000.txt"
         zf.save_table(zeros3000, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "fd31417ab8af2c8364c724c740cceea315a0c42c4192f82c621c320e5c6ca85f"
+            "8c1dd05f3d33bdc3fda2efbedf180f722a2a69448ccc30b8793bc657e0a795e2"
         )
 
     @pytest.mark.parametrize("count, digest", [
-        (4770, "074172e92e26fab6e484f8cfb37294b00dc6c031e6bd25b4990021aa02dea6e9"),
-        (10_000, "7c690cc09519ccb7604c4ddfffd57a7109d676e7b63a6828b655aa1bbcc8dfe6"),
+        (4770, "bd45cdbe00c394fc558f5b0fcc05644e91aa01906743485e7ae465f19ab30567"),
+        (10_000, "cb2886e29a84f597ecc76cd89eaed1c45fbc418098e233fd028f021bdbf6f45a"),
     ])
     def test_large_table_bytes_are_stable(self, count, digest, request):
         table = request.getfixturevalue(f"zeros{count}")
@@ -317,17 +318,17 @@ class TestFindZeros:
 
     def test_work_counters(self, zeros3000, zeros10000, tmp_path):
         # Polishing every zero on Euler-Maclaurin costs 2 evaluations per
-        # zero (6,000 for 3000 zeros); under the C6 bound the certificate
-        # sends 131 of 3000 zeros and 353 of 10^4 to the polish.  One-
-        # interval Gram blocks take no grid: 38,617 and 131,391 Riemann-
-        # Siegel evaluations (53,464 and 180,468 with a grid everywhere).
-        assert zeros3000.em_evaluations <= 1_300
-        assert zeros10000.em_evaluations <= 1_750
+        # zero (6,000 for 3000 zeros); the cell certificate sends the near-
+        # ties to the polish, 19 of 3000 zeros and 50 of 10^4.  One-interval
+        # Gram blocks take no grid, and each zero costs 2 signs after the
+        # narrowing: 29,854 and 101,628 Riemann-Siegel evaluations.
+        assert zeros3000.em_evaluations <= 950
+        assert zeros10000.em_evaluations <= 1_100
         assert zeros3000.escalated_intervals <= 200
-        assert 0 < zeros3000.rs_evaluations <= 39_000
-        assert 0 < zeros10000.rs_evaluations <= 132_000
-        assert 0 < zeros3000.em_polished <= 200
-        assert 0 < zeros10000.em_polished <= 400
+        assert 0 < zeros3000.rs_evaluations <= 31_000
+        assert 0 < zeros10000.rs_evaluations <= 105_000
+        assert 0 < zeros3000.em_polished <= 25
+        assert 0 < zeros10000.em_polished <= 60
         head = zeros3000.head(10)
         p = tmp_path / "z.txt"
         zf.save_table(head, p)
@@ -403,32 +404,34 @@ class _Scripted:
 class TestNarrowing:
     def _narrow(self, values):
         search = _Scripted(values)
-        a, b = zf._narrow(search, np.array([0.0]), np.array([1.0]), np.array([-1.0]), np.array([1.0]))
-        return search.calls, float(a[0]), float(b[0])
+        a, b, fa, fb = zf._narrow(search, np.array([0.0]), np.array([1.0]), np.array([-1.0]), np.array([1.0]))
+        return search.calls, float(a[0]), float(b[0]), float(fa[0]), float(fb[0])
 
     def test_retained_end_is_scaled_by_m(self):
         # c = 0.5 keeps the sign of f(1) = 1: m = 1 - 0.25 = 0.75 scales
-        # f(0) to -0.75, and the next secant point is 0.5 - 0.25 * 0.5 / 1
-        calls, a, b = self._narrow([0.25, 0.0])
+        # f(0) to -0.75, and the next secant point is 0.5 - 0.25 * 0.5 / 1;
+        # the returned f(0) is the unscaled value
+        calls, a, b, fa, fb = self._narrow([0.25, 0.0])
         assert calls == [0.5, 0.375]
-        assert (a, b) == (0.0, 0.375)
+        assert (a, b, fa, fb) == (0.0, 0.375, -1.0, 0.0)
 
     def test_m_not_positive_falls_back_to_half(self):
         # f(c) = 2 gives m = -1; f(0) is halved to -0.5 instead
-        calls, _, _ = self._narrow([2.0, 0.0])
+        calls, _, _, fa, _ = self._narrow([2.0, 0.0])
         assert calls == [0.5, 0.5 - 2.0 * 0.5 / 2.5]
+        assert fa == -1.0
 
     def test_sign_change_moves_the_retained_end(self):
         # f(0.5) = -0.5 changes sign against f(1) = 1, so 1 becomes the
         # retained end with its value unscaled
-        calls, a, b = self._narrow([-0.5, 0.0])
+        calls, a, b, fa, fb = self._narrow([-0.5, 0.0])
         assert calls == [0.5, pytest.approx(0.5 + 0.25 / 1.5, rel=1e-15)]
-        assert (a, b) == (1.0, calls[1])
+        assert (a, b, fa, fb) == (1.0, calls[1], 1.0, 0.0)
 
     def test_stops_on_an_exact_zero(self):
-        calls, a, b = self._narrow([0.0, 1.0])
+        calls, a, b, fa, fb = self._narrow([0.0, 1.0])
         assert calls == [0.5]
-        assert (a, b) == (0.0, 0.5)
+        assert (a, b, fa, fb) == (0.0, 0.5, -1.0, 0.0)
 
     def test_converges_with_the_sign_change_kept(self):
         class Cubic:
@@ -441,35 +444,98 @@ class TestNarrowing:
         search = Cubic()
         a0 = np.array([0.1, 0.5, 0.58])
         b0 = np.array([1.0, 0.6, 0.6])
-        a, b = zf._narrow(search, a0, b0, search.fast(a0), search.fast(b0))
+        a, b, fa, fb = zf._narrow(search, a0, b0, search.fast(a0), search.fast(b0))
         root = 0.2 ** (1.0 / 3.0)
         assert np.all(np.abs(b - a) <= zf._NARROW_RTOL * b)
-        assert np.all(search.fast(a) * search.fast(b) <= 0.0)
+        assert np.array_equal(fa, a**3 - 0.2) and np.array_equal(fb, b**3 - 0.2)
+        assert np.all(fa * fb <= 0.0)
         assert np.all(np.abs(b - root) <= 1e-9)
         assert search.calls < 30
+
+    def test_chord_root_or_midpoint(self):
+        a, b = np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0])
+        c = zf._chord(a, b, np.array([-1.0, 0.0, 2.0]), np.array([3.0, 0.0, 1.0]))
+        # the chord's root; equal end values; a root outside the bracket
+        assert c.tolist() == [0.25, 0.5, 0.5]
+
+
+class _Signs:
+    """A stand-in for `_Search` whose signs are given values."""
+
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def signs(self, t):
+        return self.values.copy()
 
 
 class TestCertificate:
     def test_rs_bound_holds_on_the_windows(self, zeros10000):
-        # The certificate trusts Riemann-Siegel signs at r -/+ delta wherever
-        # |Z_RS| exceeds its error bound; check the bound and the signs there.
+        # The certificate trusts Riemann-Siegel signs at the cell ends
+        # wherever |Z_RS| exceeds its error bound; check the bound and the
+        # signs there, and that the settled cells hold an Euler-Maclaurin
+        # sign change.
         g = zeros10000.gammas[::20]
         g = g[g >= 200.0]
-        search = zf._Search()
-        idx, r, delta = zf._refine(search, g, g)
-        assert idx.size == g.size
-        t = np.concatenate([r - delta, r + delta])
+        seen = []
+
+        class Recording(zf._Search):
+            def signs(self, t):
+                seen.append(t.copy())
+                return super().signs(t)
+
+        _, settled, _, _ = zf._certify(Recording(), g, g - 0.01, g + 0.01, zf._z_many(g - 0.01))
+        (t,) = seen
         em = zf._z_many(t)
         assert np.all(np.abs(zf._z_rs(t) - em) <= zf._rs_error_bound(t))
-        assert np.array_equal(np.sign(search.signs(t)), np.sign(em))
-        assert np.all(np.sign(em[: g.size]) != np.sign(em[g.size :]))
+        assert np.array_equal(np.sign(zf._Search().signs(t)), np.sign(em))
+        lower, upper = em.reshape(2, g.size)
+        assert np.count_nonzero(settled) >= g.size - 5
+        assert np.all(lower[settled] * upper[settled] < 0.0)
+
+    def test_near_tie_is_escalated(self):
+        # Z within the Euler-Maclaurin allowance of 0 at a cell end is no
+        # sign: that zero is not settled, and its polish window is the two
+        # cells around that end.  Z is negative below the bracket.
+        c = np.array([1234.56789012])
+        lo, hi, z_lo = c - 0.1, c + 0.1, np.array([-1.0])
+        assert 2e-11 < zf._em_allowance(c[0]) < 3e-11
+        cases = [
+            ([-1.0, 3e-11], True, 123456789012.5),
+            ([-1.0, 2e-11], False, 123456789012.5),
+            ([-2e-11, 1.0], False, 123456789011.5),
+            ([1.0, 1.0], False, 123456789011.5),  # the zero is below the cell
+            ([-1.0, -1.0], False, 123456789012.5),  # and here above it
+        ]
+        for values, settled_expected, edge in cases:
+            q, settled, w_lo, w_hi = zf._certify(_Signs(values), c, lo, hi, z_lo)
+            assert q.tolist() == [1234.56789012]
+            assert settled.tolist() == [settled_expected], values
+            assert (w_lo.tolist(), w_hi.tolist()) == ([(edge - 1.0) / 1e8], [(edge + 1.0) / 1e8]), values
+
+    def test_cell_ends_are_inside_the_cell_and_the_bracket(self):
+        seen = []
+
+        class Recording(_Signs):
+            def signs(self, t):
+                seen.append(t.copy())
+                return super().signs(t)
+
+        c = np.array([1234.56789012, 99.1234567891])
+        zf._certify(Recording([-1.0, -1.0, 1.0, 1.0]), c, c - 1.0, np.array([1300.0, 99.12345678912]),
+                    np.array([-1.0, -1.0]))
+        (t,) = seen
+        first = (123456789012 - 0.5) / 1e8
+        assert t[0] == math.nextafter(math.nextafter(first, math.inf), math.inf)
+        assert t[2] == math.nextafter(math.nextafter((123456789012 + 0.5) / 1e8, 0.0), 0.0)
+        assert t[3] == 99.12345678912  # the bracket ends below the cell's end
 
     def test_polish_fallback_gives_the_same_table(self, monkeypatch):
         default = zf.find_zeros(1000)
         certify = zf._certify
 
-        def reject_all(search, a, b):
-            values, settled, lo, hi = certify(search, a, b)
+        def reject_all(*args):
+            values, settled, lo, hi = certify(*args)
             return values, np.zeros_like(settled), lo, hi
 
         monkeypatch.setattr(zf, "_certify", reject_all)
@@ -502,32 +568,54 @@ class TestCertificate:
         with pytest.raises(AccuracyError, match="vanish"):
             zf._polish(Flat(), np.array([1000.0]), np.array([1000.001]))
 
-    def test_flat_slope_is_escalated(self, monkeypatch, zeros200):
-        slope_of = zf._central_slope
-
-        def half_flat(search, mid):
-            slope, f_mid = slope_of(search, mid)
-            slope[::2] = 0.0
-            slope[1::4] = np.nan
-            return slope, f_mid
-
-        monkeypatch.setattr(zf, "_central_slope", half_flat)
-        g = zeros200.gammas
-        values, settled, _, _ = zf._certify(zf._Search(), g, g)
-        assert not settled[::2].any() and not settled[1::4].any()
-        assert settled[3::4].any()
-        assert np.array_equal(values[settled], g[settled])
-
     @pytest.mark.parametrize("slope", [0.0, np.nan, np.inf])
-    def test_flat_slope_is_accuracy_error(self, monkeypatch, slope):
-        # A zero without a usable slope has no certified window, and its
-        # polish is a numerical failure, not a usage error or a guess.
-        monkeypatch.setattr(
-            zf, "_central_slope",
-            lambda search, mid: (np.full_like(mid, slope), np.zeros_like(mid)),
-        )
-        with pytest.raises(AccuracyError, match="slope"):
+    def test_flat_slope_is_accuracy_error(self, slope):
+        # A polish window whose Euler-Maclaurin values have no finite,
+        # nonzero slope gives no root: a numerical failure, not a guess.
+        class Values:
+            def em(self, t):
+                return slope * np.array([-1e-9, 1e-9])
+
+        with pytest.raises(AccuracyError, match="sign change"):
+            zf._polish(Values(), np.array([1000.0]), np.array([1000.00000002]))
+
+    def test_estimates_off_their_cell_are_accuracy_error(self, monkeypatch):
+        # estimates hundreds of cells from their zeros: no cell's ends differ
+        # in sign, and the polish windows beside them hold no zero
+        chord = zf._chord
+        monkeypatch.setattr(zf, "_chord", lambda a, b, fa, fb: chord(a, b, fa, fb) + 1e-7)
+        with pytest.raises(AccuracyError, match="sign change"):
             zf.find_zeros(50)
+
+
+@pytest.mark.slow
+def test_every_settled_cell_holds_an_euler_maclaurin_sign_change(monkeypatch):
+    # An independent check of the certificate on the 10^4 table: the ends of
+    # each settled zero's cell from its printed digits in exact decimal
+    # arithmetic, moved 2 ulps inward, and Euler-Maclaurin Z there, with no
+    # Riemann-Siegel value: the two signs are opposite and each |Z| exceeds
+    # the Euler-Maclaurin allowance
+    certify, record = zf._certify, []
+
+    def spy(*args):
+        out = certify(*args)
+        record.append(out[1])
+        return out
+
+    monkeypatch.setattr(zf, "_certify", spy)
+    table = zf.find_zeros(10_000)
+    (settled,) = record
+    assert np.count_nonzero(~settled) == table.em_polished
+    lower, upper = [], []
+    for g in table.gammas[settled].tolist():
+        digits = Decimal(format(g, ".12g"))
+        half = Decimal(1).scaleb(digits.adjusted() - 11) / 2
+        lower.append(math.nextafter(math.nextafter(float(digits - half), math.inf), math.inf))
+        upper.append(math.nextafter(math.nextafter(float(digits + half), 0.0), 0.0))
+    t = np.array(lower + upper)
+    z = zf._z_many(t)
+    assert np.all(np.abs(z) > zf._em_allowance(t))
+    assert np.all(z[: len(lower)] * z[len(lower) :] < 0.0)
 
 
 def _steps(x: float, ulps: int) -> float:
