@@ -19,18 +19,19 @@ and its true error estimate; one that needs more than ``_MAX_PANELS``
 leaves raises ConvergenceError.
 
 Panels are dyadic intervals [k 2^e, (k+1) 2^e], so rows that need the same
-panel share its nodes bit for bit; one call keeps the kernel values per
-panel, and each round makes one kernel call for the panels no row has
-asked for before.  So a row returns the same QuadResult whatever rows run
-beside it.
+panel share its nodes bit for bit; one call keeps the values of each kernel
+per panel, and each round calls a kernel once per set that names it, for
+the panels no row has asked for before.  So a row returns the same
+QuadResult whatever rows run beside it.
 
-A ``RowSet`` is the rows of one integral and the step that makes its value
-of their QuadResults; ``fuse_rows`` joins several into one call.
+A ``RowSet`` is one integral: its rows, the kernel that multiplies their
+weights (or None), and the step that makes its value of their QuadResults.
+``integrate_rows`` runs any number of sets in one call.
 
-The other entry points are views of it, for real elementwise integrands
-that receive one 1-d array holding the nodes of all the panels of a round
-and return an array of the same length whose k-th value depends on the
-k-th node alone:
+The other entry points are one-set calls of it, for real elementwise
+integrands that receive one 1-d array holding the nodes of all the panels
+of a round and return an array of the same length whose k-th value depends
+on the k-th node alone:
   * ``integrate``            one row on [a, b], starting from that panel;
   * ``integrate_exp_weight`` integrals of g against a normalized exponential
                              density on [0, inf), one row on panels graded
@@ -55,7 +56,6 @@ __all__ = [
     "QuadResult",
     "RowSet",
     "dyadic_edges",
-    "fuse_rows",
     "integrate",
     "integrate_exp_weight",
     "integrate_rows",
@@ -111,10 +111,11 @@ class QuadResult:
     converged: bool
 
 
-# the arguments of integrate_rows for the rows of one integral, weight(rows,
-# x) numbering them from 0, and finish, which makes the integral's value of
-# their QuadResults
-RowSet = namedtuple("RowSet", "weight edges tols with_kernel finish")
+# one integral for integrate_rows: weight(rows, x) numbering its rows from 0,
+# their edges and tolerances, kernel, None or a real elementwise function
+# that multiplies every row's weight, and finish, which makes the
+# integral's value of their QuadResults
+RowSet = namedtuple("RowSet", "weight edges tols kernel finish")
 
 
 def _gk15(lo, hi, y):
@@ -139,7 +140,7 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
     share, so an integrable singularity belongs at a = 0 or b = 0."""
     if not a < b:
         raise DomainError("integrate requires a < b")
-    return _integrate(_real_row(f, [a, b], tol, lambda results: results[0]))
+    return integrate_rows(_real_row(f, [a, b], tol, lambda results: results[0]))[0]
 
 
 def _real_row(f, edges, tol: float, finish) -> RowSet:
@@ -152,12 +153,7 @@ def _real_row(f, edges, tol: float, finish) -> RowSet:
             raise DomainError("integrand must be real")
         return np.asarray(y, dtype=np.float64).reshape(x.shape)
 
-    return RowSet(weight, [np.asarray(edges, dtype=np.float64)], [tol], [False], finish)
-
-
-def _integrate(rows: RowSet):
-    """rows.finish of integrate_rows on rows, without kernel."""
-    return rows.finish(integrate_rows(None, rows.weight, rows.edges, rows.tols, rows.with_kernel))
+    return RowSet(weight, [np.asarray(edges, dtype=np.float64)], [tol], None, finish)
 
 
 def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
@@ -179,7 +175,7 @@ def integrate_exp_weight(g, rate: float, tol: float = 1e-10) -> QuadResult:
         (res,) = results
         return QuadResult(res.value, res.abs_error + tail, res.evaluations + 3, res.converged)
 
-    return _integrate(_real_row(lambda w: np.asarray(g(w)) * (rate * np.exp(-rate * w)), edges, tol, finish))
+    return integrate_rows(_real_row(lambda w: np.asarray(g(w)) * (rate * np.exp(-rate * w)), edges, tol, finish))[0]
 
 
 def principal_value(h, pole: float, a: float, b: float, tol: float = 1e-10) -> QuadResult:
@@ -255,27 +251,6 @@ _MAX_PANELS = 4096
 _ROW_BLOCK = 256
 
 
-def fuse_rows(sets: list) -> RowSet:
-    """The rows of all sets as one set, whose finish gives their finishes;
-    a round calls each set's weight once, on its panels, if it has any."""
-    starts = np.cumsum([0] + [len(s.edges) for s in sets])
-
-    def weight(rows, x):
-        # the rows come in ascending order, so each set's panels are a slice
-        out = np.empty_like(x)
-        cuts = rows.searchsorted(starts).tolist()
-        for s, first, a, b in zip(sets, starts.tolist(), cuts, cuts[1:]):
-            if a < b:
-                out[a:b] = s.weight(rows[a:b] - first, x[a:b])
-        return out
-
-    def finish(results):
-        return [s.finish(results[a:b]) for s, a, b in zip(sets, starts[:-1], starts[1:])]
-
-    joined = [[v for s in sets for v in getattr(s, f)] for f in ("edges", "tols", "with_kernel")]
-    return RowSet(weight, *joined, finish)
-
-
 @functools.cache
 def dyadic_edges(first: int, last: int) -> np.ndarray:
     """Edges 0, 2^first, 2^(first+1), ..., 2^last: panels of the dyadic
@@ -306,35 +281,50 @@ def _kernel_table(kernel):
     return lookup
 
 
-def integrate_rows(kernel, weight, edges, tols, with_kernel) -> list[QuadResult]:
-    """The integrals of weight(r, s) kernel(s), or of weight(r, s) alone
-    where with_kernel[r] is False, over [edges[r][0], edges[r][-1]], one
-    QuadResult per row r.
+def integrate_rows(*sets: RowSet) -> list:
+    """The finish of each set on its rows' QuadResults, in one call.  Row r
+    of a set is the integral of weight(r, s) kernel(s), or of weight(r, s)
+    alone where kernel is None, over [edges[r][0], edges[r][-1]].
 
-    kernel is a real elementwise kernel on a 1-d array of s; weight(rows, x)
-    gives the real weights of the given rows, in ascending order, at the
-    nodes x, one row of x per panel; kernel may be None when no row uses it.  Row r starts from
-    the panels between its edges, which should be dyadic intervals where
-    the row uses the kernel (see ``dyadic_edges``), and each round splits
-    every leaf whose error exceeds its share tols[r]/(2 n) of the n leaves,
-    until the summed estimates are within tols[r]/2 or no such leaf can be
-    split, being at its rounding floor or at the depth limit (then
-    ``converged`` is whether they are within tols[r]); tols[r] is floored at
-    4 times the sum of the leaves' floors, so a row asked for less stops
-    there, unconverged.  A row needing more than ``_MAX_PANELS`` leaves
-    raises ConvergenceError."""
-    tols = np.asarray(tols, dtype=np.float64)
-    with_kernel = np.asarray(with_kernel, dtype=bool)
-    table = _kernel_table(kernel)
+    weight(rows, x) gives the real weights of the given rows, in ascending
+    order, at the nodes x, one row of x per panel; a kernel is real and
+    elementwise on a 1-d array of s, and sets that name the same kernel
+    share its table.  Row r starts from the panels between its edges, which
+    should be dyadic intervals where it has a kernel (see ``dyadic_edges``),
+    and each round splits every leaf whose error exceeds its share
+    tols[r]/(2 n) of the n leaves, until the summed estimates are within
+    tols[r]/2 or no such leaf can be split, being at its rounding floor or
+    at the depth limit (then ``converged`` is whether they are within
+    tols[r]); tols[r] is floored at 4 times the sum of the leaves' floors,
+    so a row asked for less stops there, unconverged.  A row needing more
+    than ``_MAX_PANELS`` leaves raises ConvergenceError."""
+    starts = np.cumsum([0] + [len(s.edges) for s in sets]).tolist()
+    tables = {kernel: _kernel_table(kernel) for kernel in {s.kernel for s in sets} - {None}}
+
+    def integrand(rows, c, h):
+        # the rows come in ascending order, so each set's panels are a slice
+        y = np.empty((rows.size, _NODES.size))
+        cuts = rows.searchsorted(starts).tolist()
+        for s, first, a, b in zip(sets, starts, cuts, cuts[1:]):
+            if a < b:
+                y[a:b] = s.weight(rows[a:b] - first, c[a:b, None] + h[a:b, None] * _NODES)
+                if s.kernel is not None:
+                    y[a:b] *= tables[s.kernel](c[a:b], h[a:b])
+        return y
+
+    edges = [e for s in sets for e in s.edges]
+    tols = np.array([t for s in sets for t in s.tols], dtype=np.float64)
     results = []
     for start in range(0, len(edges), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
-        results += _refine(table, weight, edges[block], tols[block], with_kernel[block], start)
-    return results
+        results += _refine(integrand, edges[block], tols[block], start)
+    return [s.finish(results[a:b]) for s, a, b in zip(sets, starts, starts[1:])]
 
 
-def _refine(table, weight, edges, tols, with_kernel, first_row):
-    """integrate_rows on one block of rows, numbered from first_row."""
+def _refine(integrand, edges, tols, first_row):
+    """The QuadResults of one block of rows, numbered from first_row, whose
+    values at the 15 nodes of the panels with centers c and half-widths h
+    are integrand(rows, c, h)."""
     n = len(edges)
     results = [None] * n
     evals = np.zeros(n, dtype=np.int64)
@@ -346,10 +336,7 @@ def _refine(table, weight, edges, tols, with_kernel, first_row):
     leaves = np.empty((5, 0))
     while row.size:
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        y = weight(row + first_row, c[:, None] + h[:, None] * _NODES)
-        k = with_kernel[row]
-        if k.any():
-            y[k] *= table(c[k], h[k])
+        y = integrand(row + first_row, c, h)
         i15, i7 = _gk15(lo, hi, y)
         err = np.abs(i15 - i7) + _PANEL_ROUNDING * np.abs(i15)
         evals += 15 * np.bincount(row, minlength=n)

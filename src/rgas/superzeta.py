@@ -46,7 +46,7 @@ from .numkernel import (
     digamma,
     zeta_log_derivative,
 )
-from .quadrature import _PANEL_ROUNDING, dyadic_edges, integrate_rows
+from .quadrature import _PANEL_ROUNDING, RowSet, dyadic_edges, integrate_rows
 from .zerofinder import ZeroTable, _gram_points
 
 __all__ = [
@@ -295,7 +295,7 @@ def mellin_j(s: complex, t: float, tol: float = 1e-10) -> complex:
     # the panels [2^k, 2^(k+1)] from u0 on, and the last one ends at u_cut
     edges = np.append(dyadic_edges(first, math.ceil(math.log2(u_cut)) - 1)[1:], u_cut)
     n = 1 if s.imag == 0.0 else 3
-    rows = integrate_rows(kernel, weight, [edges] * n, [tol / min(n, 2)] * n, [True] * n)
+    (rows,) = integrate_rows(RowSet(weight, [edges] * n, [tol / min(n, 2)] * n, kernel, list))
     parts = rows[1:] if n == 3 else rows
     value = complex(parts[0].value, parts[1].value if n == 3 else 0.0) + head
     # each row's rounding floor is 2 _PANEL_ROUNDING times the sum of its

@@ -66,7 +66,7 @@ from .numkernel import (
     _zeta_em_many,
     zeta,
 )
-from .quadrature import RowSet, dyadic_edges, fuse_rows, integrate_rows
+from .quadrature import RowSet, dyadic_edges, integrate_rows
 from .superzeta import EXPANSION_CONSTANT, _S_FLUCTUATION, _tail_start, sum_inverse_rho
 from .zerofinder import ZeroTable, _fields_equal
 
@@ -561,13 +561,7 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
             points.append((f, eps, entropy, (f_err, eps_err), converged))
         return points
 
-    return RowSet(weight, edges, [tol / 2.0] * len(rows), [True] * len(rows), finish)
-
-
-def _integrate(rows: RowSet):
-    """rows.finish of integrate_rows on rows, with kernel _log_zeta_kernel."""
-    results = integrate_rows(_log_zeta_kernel, rows.weight, rows.edges, rows.tols, rows.with_kernel)
-    return rows.finish(results)
+    return RowSet(weight, edges, [tol / 2.0] * len(rows), _log_zeta_kernel, finish)
 
 
 def _continuum(spec: EnsembleSpec, beta_grid, tol: float, kinds: tuple) -> list:
@@ -576,11 +570,11 @@ def _continuum(spec: EnsembleSpec, beta_grid, tol: float, kinds: tuple) -> list:
     raises first."""
     betas = [float(b) for b in beta_grid]
     try:
-        return _integrate(_continuum_rows(spec, betas, tol, kinds))
+        return integrate_rows(_continuum_rows(spec, betas, tol, kinds))[0]
     except RgasError:
         if len(betas) > 1:
             for beta in betas:
-                _integrate(_continuum_rows(spec, [beta], tol, kinds))
+                integrate_rows(_continuum_rows(spec, [beta], tol, kinds))
         raise
 
 
@@ -739,12 +733,7 @@ def _eps3_tail_rows(count: int, beta: float, lam: float, tol: float, edge_h=None
     # beta/lam is far past where the printed series leaves it
     peak = 0.5 * (math.log2(t_star) + math.log2(lam) - math.log2(beta))
     first = min(-20, math.floor(peak) - 2) if peak > -450.0 else -20
-    return RowSet(weight, [dyadic_edges(first, 0)], [tol], [False], finish)
-
-
-def _eps3_tail(count: int, beta: float, lam: float, tol: float) -> tuple[float, float]:
-    """(value, bound) of the tail row alone."""
-    return _integrate(_eps3_tail_rows(count, beta, lam, tol))
+    return RowSet(weight, [dyadic_edges(first, 0)], [tol], None, finish)
 
 
 # eps5's sum: k < _EPS5_HEAD from the E1 batch, then Euler-Maclaurin to order
@@ -815,8 +804,8 @@ def energy_breakdown(
     envelops eps5, so ``printed_truncation_error`` bounds |eps5 - eps5_printed|.
 
     One E1 call makes every E1 value known up front, eps5's head among
-    them, and one integrate_rows call the rows of the oracle and the eps3
-    tail, so the values are those of their own entries; on failure it
+    them, and one integrate_rows call runs the oracle's and the eps3 tail's
+    RowSets, so the values are those of their own entries; on failure it
     raises what those, one at a time in the order of the sum, raise first.
     A beta that _kappa refuses, or a lam/beta that puts an E1 argument or
     the eps3 tail past the float range, is a DomainError; a piece or a
@@ -842,15 +831,14 @@ def energy_breakdown(
         whole, quarter = _ei_terms(beta, lam, vol, ei_g)
         pairs = float(np.sum(_pair_integrals(zeros.gammas, beta, lam, pair_h)))
         rho = sum_inverse_rho(zeros)
-        rows = [
+        (point,), (tail, tail_bound) = integrate_rows(
             _continuum_rows(spec, [beta], quad_tol, (_EPS,), window),
             _eps3_tail_rows(zeros.count, beta, lam, tail_tol, edge_h),
-        ]
-        (point,), (tail, tail_bound) = _integrate(fuse_rows(rows))
+        )
     except RgasError:
         _ei_terms(beta, lam, vol)
         _pair_integrals(zeros.gammas, beta, lam)
-        _eps3_tail(zeros.count, beta, lam, tail_tol)
+        integrate_rows(_eps3_tail_rows(zeros.count, beta, lam, tail_tol))
         sum_inverse_rho(zeros)
         _eps5(beta, lam, vol)
         energy_oracle(spec, beta, quad_tol)

@@ -558,7 +558,9 @@ def _polish(search: _Search, lo, hi):
     bound on their error before rounding: the chord's error |Z''| w^2 / 8 on
     a window of width w plus the values' error `_em_allowance`, over the
     least |Z'| there, plus an ulp of t; |Z''| <= 8 sqrt(tau) (1 + ln tau)^2,
-    tau = sqrt(t/2pi), twice the Riemann-Siegel main sum's bound."""
+    tau = sqrt(t/2pi), twice the Riemann-Siegel main sum's bound, and the
+    least |Z'| is the chord's slope less |Z''| w and the two values' error
+    over w."""
     f = search.em(np.concatenate([lo, hi]))
     flo, fhi = f[: lo.size], f[lo.size :]
     bad = np.flatnonzero(~((flo * fhi < 0.0) & np.isfinite(flo * fhi)))
@@ -568,7 +570,7 @@ def _polish(search: _Search, lo, hi):
         )
     width, tau = hi - lo, np.sqrt(hi / _TWO_PI)
     curve = 8.0 * np.sqrt(tau) * (1.0 + np.log(tau)) ** 2
-    steep = np.abs(fhi - flo) / width - curve * width
+    steep = (np.abs(fhi - flo) - 2.0 * _em_allowance(hi)) / width - curve * width
     if not np.all(steep > 0.0):
         raise AccuracyError(f"Z' may vanish on the window at t={hi[np.argmin(steep)]:.12g}")
     error = (curve * width**2 / 8.0 + _em_allowance(hi)) / steep + np.spacing(hi)

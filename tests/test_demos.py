@@ -16,7 +16,7 @@ DEMOS = os.path.join(os.path.dirname(SRC), "demos")
 DEMO_DIGESTS = {
     "01_special_function_kernels.py": "79f679c6e2df428a6e31030d869deae07eef48e9eac1d011fb072b52901c94b7",
     "02_prime_gas_partition_functions.py": "3a5cd6e0de5a539468be0b468b8e05d615b10de04fc36dcd8745ac4d7421f4d6",
-    "03_hunting_riemann_zeros.py": "34079310555d92378332a009abb3da72896e96f682a1307ebdccbe611c4d79c6",
+    "03_hunting_riemann_zeros.py": "9559d898673c79cd9a63f54d60b5386600b1dd5119d7b3ccf59baaf4d9f25604",
     "04_superzeta_cross_checks.py": "299c8ea03f61edad5f72349da0f5ae6ef02da2ec807c7571bcce8c29237fc6e9",
     "05_quenched_thermodynamics.py": "be018350d31e91ef63c909fd27cd3fdb508d3bab51f968a8ec50ac80cc53b3ba",
 }

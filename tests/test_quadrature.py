@@ -115,7 +115,8 @@ class TestIntegrate:
         # -x ln x on [0, 1] vanishes at 0, where a leaf has no depth limit and
         # stays above its own floor: asked for 1e-300, the row stops once its
         # error is within 4 times the sum of its leaves' floors, unconverged
-        (res,) = q.integrate_rows(None, lambda r, x: -x * np.log(x), [q.dyadic_edges(-20, 0)], [1e-300], [False])
+        rows = q.RowSet(lambda r, x: -x * np.log(x), [q.dyadic_edges(-20, 0)], [1e-300], None, list)
+        ((res,),) = q.integrate_rows(rows)
         assert not res.converged
         assert res.evaluations <= 500
         assert abs(res.value - 0.25) <= res.abs_error <= 2.0 * q._PANEL_ROUNDING * 0.25
@@ -264,9 +265,10 @@ class TestIntegrateRows:
     RATES = (0.05, 0.7, 3.0, 40.0, 900.0)
 
     @staticmethod
-    def rows(rates, kinds):
-        """Rows of exp(-rate s) (kind 0) or s exp(-rate s) (kind 1) against
-        the kernel cos(s), on [0, 2^4] graded toward 0."""
+    def rows(rates, kinds, tol, kernel=np.cos):
+        """The rows of exp(-rate s) (kind 0) or s exp(-rate s) (kind 1)
+        against kernel, on [0, 2^4] graded toward 0, each to tol, as one set
+        whose finish is the list of their QuadResults."""
         rate = np.array(rates, dtype=float)
         kind = np.array(kinds)
 
@@ -275,16 +277,16 @@ class TestIntegrateRows:
             return np.where(kind[r, None] == 1, x * w, w)
 
         edges = [q.dyadic_edges(-max(1, math.ceil(math.log2(a))), 4) for a in rates]
-        return weight, edges
+        return q.RowSet(weight, edges, [tol] * len(rates), kernel, list)
 
     def test_closed_forms(self):
-        # int_0^16 e^(-a s) cos s ds and int_0^16 s e^(-a s) ds
-        rates = self.RATES + self.RATES
-        kinds = [0] * 5 + [1] * 5
-        weight, edges = self.rows(rates, kinds)
-        with_kernel = np.array(kinds) == 0
-        results = q.integrate_rows(np.cos, weight, edges, [1e-11] * 10, with_kernel)
-        for a, kind, res in zip(rates, kinds, results):
+        # int_0^16 e^(-a s) cos s ds and int_0^16 s e^(-a s) ds: one set with
+        # the kernel and one without, in one call
+        with_cos, plain = q.integrate_rows(
+            self.rows(self.RATES, [0] * 5, 1e-11), self.rows(self.RATES, [1] * 5, 1e-11, None)
+        )
+        rates, kinds = self.RATES + self.RATES, [0] * 5 + [1] * 5
+        for a, kind, res in zip(rates, kinds, with_cos + plain, strict=True):
             z = complex(a, -1.0)
             if kind == 0:
                 exact = ((1.0 - np.exp(-16.0 * z)) / z).real
@@ -297,13 +299,13 @@ class TestIntegrateRows:
     def test_row_alone_equals_row_in_a_block(self):
         rates = [0.3, 7.0, 0.3, 55.0, 2.0]
         kinds = [0, 1, 1, 0, 0]
-        weight, edges = self.rows(rates, kinds)
-        together = q.integrate_rows(np.cos, weight, edges, [1e-10] * 5, [True] * 5)
+        (together,) = q.integrate_rows(self.rows(rates, kinds, 1e-10))
         for r in range(5):
-            w_alone = lambda rows, x, r=r: weight(np.full_like(rows, r), x)
-            alone = q.integrate_rows(np.cos, w_alone, edges[r : r + 1], [1e-10], [True])
+            rows = self.rows(rates[r : r + 1], kinds[r : r + 1], 1e-10)
+            (alone,) = q.integrate_rows(rows)
             assert alone == [together[r]]
-            value, err, _ = _rows_reference(lambda x: w_alone(np.zeros(x.shape[0], int), x), np.cos, edges[r], 1e-10)
+            weight = lambda x: rows.weight(np.zeros(x.shape[0], int), x)
+            value, err, _ = _rows_reference(weight, np.cos, rows.edges[0], 1e-10)
             assert (alone[0].value, alone[0].abs_error) == (value, err)
 
     def test_blocks_share_one_table(self, monkeypatch):
@@ -317,39 +319,76 @@ class TestIntegrateRows:
             return np.cos(s)
 
         rates = [0.2 * k + 0.1 for k in range(10)]
-        weight, edges = self.rows(rates, [0] * 10)
-        results = q.integrate_rows(kernel, weight, edges, [1e-12] * 10, [True] * 9 + [False])
+        results, (plain,) = q.integrate_rows(
+            self.rows(rates[:9], [0] * 9, 1e-12, kernel), self.rows(rates[9:], [0], 1e-12, None)
+        )
         nodes = np.concatenate(sent)
         assert np.unique(nodes).size == nodes.size
         a = rates[9]
-        assert results[9].value == pytest.approx((1.0 - math.exp(-16.0 * a)) / a, abs=1e-12)
-        alone = q.integrate_rows(np.cos, weight, edges[:9], [1e-12] * 9, [True] * 9)
-        assert results[:9] == alone
+        assert plain.value == pytest.approx((1.0 - math.exp(-16.0 * a)) / a, abs=1e-12)
+        (alone,) = q.integrate_rows(self.rows(rates[:9], [0] * 9, 1e-12))
+        assert results == alone
+
+    @pytest.mark.parametrize("block", [256, 4])
+    def test_sets_in_one_call_equal_each_set_alone(self, monkeypatch, block):
+        # each set's finish is what the set gives alone, bit for bit, also
+        # where the row blocks cut across the sets
+        monkeypatch.setattr(q, "_ROW_BLOCK", block)
+        a = self.rows([0.3, 7.0, 55.0], [0, 1, 0], 1e-11)
+        b = self.rows([0.7, 2.0], [1, 0], 1e-10, None)
+        b = b._replace(finish=lambda results: sum(r.value for r in results))
+        c = self.rows([0.3, 900.0, 3.0], [1, 0, 0], 1e-12, np.sin)
+        together = q.integrate_rows(a, b, c)
+        assert together == [q.integrate_rows(a)[0], q.integrate_rows(b)[0], q.integrate_rows(c)[0]]
+
+    def test_sets_that_name_one_kernel_share_its_table(self):
+        # two sets with the same kernel send each distinct node to it once,
+        # the nodes of both sets alone; a set without a kernel, here on
+        # [16, 32], sends it none
+        sent = []
+
+        def kernel(s):
+            sent.append(s.copy())
+            return np.cos(s)
+
+        a = self.rows([0.3, 7.0], [0, 1], 1e-11, kernel)
+        c = self.rows([0.3, 2.0, 55.0], [1, 0, 0], 1e-12, kernel)
+        b = q.RowSet(lambda r, x: np.exp(-x), [np.array([16.0, 32.0])], [1e-12], None, list)
+        q.integrate_rows(a, b, c)
+        nodes = np.concatenate(sent)
+        assert np.unique(nodes).size == nodes.size
+        assert nodes.max() < 16.0
+        alone = []
+        for rows in (a, c):
+            sent.clear()
+            q.integrate_rows(rows)
+            alone += sent
+        assert np.array_equal(np.unique(nodes), np.unique(np.concatenate(alone)))
 
     def test_budget_and_depth(self, monkeypatch):
-        weight, edges = self.rows([1.0], [0])
+        rows = self.rows([1.0], [0], 1e-13)
         monkeypatch.setattr(q, "_MAX_PANELS", 8)
         with pytest.raises(ConvergenceError, match="8-panel budget exhausted"):
-            q.integrate_rows(np.cos, weight, edges, [1e-13], [True])
+            q.integrate_rows(rows)
         monkeypatch.setattr(q, "_MAX_PANELS", 4096)
         monkeypatch.setattr(q, "_MAX_DEPTH", 0)
-        (res,) = q.integrate_rows(np.cos, weight, edges, [1e-13], [True])
+        ((res,),) = q.integrate_rows(rows)
         assert not res.converged
-        assert res.evaluations == 15 * (len(edges[0]) - 1)
+        assert res.evaluations == 15 * (len(rows.edges[0]) - 1)
 
     def test_tolerance_below_the_rounding_floor(self):
         # int_0^1 1e6 e^x: one panel is at its rounding floor, 50 eps |K15|,
         # far above 1e-12; it is not split, and the row ends unconverged with
         # that floor as its error
-        (res,) = q.integrate_rows(None, lambda r, x: 1e6 * np.exp(x), [np.array([0.0, 1.0])], [1e-12], [False])
+        rows = q.RowSet(lambda r, x: 1e6 * np.exp(x), [np.array([0.0, 1.0])], [1e-12], None, list)
+        ((res,),) = q.integrate_rows(rows)
         assert not res.converged
         assert res.evaluations == 15
         assert abs(res.value - 1e6 * (math.e - 1.0)) <= res.abs_error <= 100.0 * np.finfo(float).eps * res.value
 
     def test_nonfinite_integrand_rejected(self):
-        weight, edges = self.rows([1.0], [0])
         with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not finite"):
-            q.integrate_rows(lambda s: np.sqrt(1.0 - s), weight, edges, [1e-10], [True])
+            q.integrate_rows(self.rows([1.0], [0], 1e-10, lambda s: np.sqrt(1.0 - s)))
 
     def test_dyadic_edges(self):
         assert q.dyadic_edges(-2, 1).tolist() == [0.0, 0.25, 0.5, 1.0, 2.0]

@@ -696,7 +696,7 @@ def _breakdown_from_pieces(spec, beta, zeros, tol):
     lv = lam * vol
     whole, quarter = th._ei_terms(beta, lam, vol)
     pairs = float(np.sum(th._pair_integrals(zeros.gammas, beta, lam)))
-    tail, tail_bound = th._eps3_tail(zeros.count, beta, lam, tol * 0.1 * vol / lam)
+    tail, tail_bound = th.integrate_rows(th._eps3_tail_rows(zeros.count, beta, lam, tol * 0.1 * vol / lam))[0]
     rho = sum_inverse_rho(zeros)
     eps5, eps5_err = th._eps5(beta, lam, vol)
     oracle = th.energy_oracle(spec, beta, tol * 0.1)
@@ -750,7 +750,7 @@ class TestBreakdownInOnePass:
         monkeypatch.setattr(q, "_MAX_PANELS", 8)
         spec, beta, tol = th.EnsembleSpec.continuum(0.01), 5.0, 1e-8
         with pytest.raises(ConvergenceError) as tail:
-            th._eps3_tail(zeros100.count, beta, spec.rate, tol * 0.1 / spec.rate)
+            th.integrate_rows(th._eps3_tail_rows(zeros100.count, beta, spec.rate, tol * 0.1 / spec.rate))
         with pytest.raises(ConvergenceError) as oracle:
             th.energy_oracle(spec, beta, tol * 0.1)
         assert str(tail.value) != str(oracle.value)
@@ -799,11 +799,11 @@ class TestBreakdownInOnePass:
     def test_one_engine_pass_and_one_e1_batch(self, monkeypatch, zeros3000, lam, beta, count):
         # the breakdown makes one integrate_rows call and one E1 call ahead
         # of it, which holds eps5's _EPS5_HEAD arguments; the others are the
-        # tail row's, one per round, as many as _eps3_tail makes with its one
-        # call for the pair at T*
+        # tail row's, one per round, as many as the tail row alone makes with
+        # its one call for the pair at T*
         spec, table = th.EnsembleSpec.continuum(lam), zeros3000.head(count)
         counts = self.count_calls(monkeypatch)
-        th._eps3_tail(count, beta, lam, 1e-8 * 0.1 / lam)
+        th.integrate_rows(th._eps3_tail_rows(count, beta, lam, 1e-8 * 0.1 / lam))
         tail_calls = len(counts["e1"])
         counts["e1"].clear()
         counts["rows"] = 0
@@ -928,9 +928,9 @@ class TestThermoScan:
         # on a point is Watson's series, with no rows
         sent, original = [], th.integrate_rows
 
-        def counted(kernel, weight, edges, tols, with_kernel):
-            sent.append(len(edges))
-            return original(kernel, weight, edges, tols, with_kernel)
+        def counted(*sets):
+            sent.append(sum(len(rows.edges) for rows in sets))
+            return original(*sets)
 
         monkeypatch.setattr(th, "integrate_rows", counted)
         spec = th.EnsembleSpec.continuum(4.0)
@@ -943,15 +943,20 @@ class TestThermoScan:
 
     @staticmethod
     def mark_one_row_unconverged(monkeypatch, which):
-        """Patch integrate_rows so that row `which` of each call reports
-        converged=False; a point's rows are Re f and eps."""
+        """Patch integrate_rows so that row `which` of each set reports
+        converged=False to its finish; a point's rows are Re f and eps."""
         original = th.integrate_rows
 
-        def marked(*args, **kwargs):
-            results = original(*args, **kwargs)
-            if which < len(results):
-                results[which] = dataclasses.replace(results[which], converged=False)
-            return results
+        def marked_finish(finish):
+            def finish_marked(results):
+                if which < len(results):
+                    results[which] = dataclasses.replace(results[which], converged=False)
+                return finish(results)
+
+            return finish_marked
+
+        def marked(*sets):
+            return original(*(rows._replace(finish=marked_finish(rows.finish)) for rows in sets))
 
         monkeypatch.setattr(th, "integrate_rows", marked)
 

@@ -305,12 +305,12 @@ class TestFindZeros:
         p = tmp_path / "zeros-3000.txt"
         zf.save_table(zeros3000, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "8c1dd05f3d33bdc3fda2efbedf180f722a2a69448ccc30b8793bc657e0a795e2"
+            "adfeb4fc418c76633464501351d12f831b1b0657da2b8460aa5cc2931606c4f8"
         )
 
     @pytest.mark.parametrize("count, digest", [
-        (4770, "bd45cdbe00c394fc558f5b0fcc05644e91aa01906743485e7ae465f19ab30567"),
-        (10_000, "cb2886e29a84f597ecc76cd89eaed1c45fbc418098e233fd028f021bdbf6f45a"),
+        (4770, "039b0f1391672d541d486cd4477a9a5a7f001c6e2fd3475c6daa00a22445cd79"),
+        (10_000, "d6fdbb0a8f96bcc24fa828d2ed98336dc19813b11c6c89f6681f1105bedcab61"),
     ])
     def test_large_table_bytes_are_stable(self, count, digest, request):
         table = request.getfixturevalue(f"zeros{count}")
@@ -567,6 +567,22 @@ class TestCertificate:
 
         with pytest.raises(AccuracyError, match="vanish"):
             zf._polish(Flat(), np.array([1000.0]), np.array([1000.001]))
+
+    def test_polish_slope_allows_for_the_values_error(self):
+        # Each Euler-Maclaurin value may err by the allowance, so a chord
+        # whose rise lies between |Z''| w^2 and |Z''| w^2 + 2 allowance bounds
+        # no slope away from 0 on the window: no error bound, no root
+        lo, hi = np.array([1000.0]), np.array([1000.000000002])
+        width, tau = float(hi[0] - lo[0]), math.sqrt(hi[0] / (2.0 * math.pi))
+        curve = 8.0 * math.sqrt(tau) * (1.0 + math.log(tau)) ** 2
+        rise = curve * width**2 + zf._em_allowance(hi[0])
+
+        class Values:
+            def em(self, t):
+                return np.array([-0.5 * rise, 0.5 * rise])
+
+        with pytest.raises(AccuracyError, match="vanish"):
+            zf._polish(Values(), lo, hi)
 
     @pytest.mark.parametrize("slope", [0.0, np.nan, np.inf])
     def test_flat_slope_is_accuracy_error(self, slope):
