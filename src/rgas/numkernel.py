@@ -13,7 +13,7 @@ gamma-family functions wrap them, as one call on a one-element array.
 Real in, real arithmetic: the Euler-Maclaurin zeta kernel, like the
 digamma, runs a float64 array in float64 and anything else in complex128,
 and the scalar zeta, zeta' and zeta'/zeta hand it a real-valued s with
-Re s >= 0 as float64, so a real s has the bits of the real-axis kernels.
+Re s >= -1/2 as float64, so a real s has the bits of the real-axis kernels.
 The zeta family has one fixed accuracy target: the Euler-Maclaurin
 truncation estimate must be at most 1e-12, from a Dirichlet-sum cutoff of
 ceil(|Im s|/2) + 10 terms (at least 21) capped at 200,000; past either it
@@ -255,7 +255,7 @@ def _zeta_em_batched(s: np.ndarray, want_derivative: bool):
 
 
 def _zeta_em_many(s: np.ndarray, want_derivative: bool = False):
-    """zeta (and optionally zeta') on an array of s with Re s >= 0, in the
+    """zeta (and optionally zeta') on an array of s with Re s >= -1/2, in the
     arithmetic of its dtype as in ``_hurwitz_em``, from the calls of
     ``_zeta_em_batched`` under the gate ``_check_est``: float64 in, float64
     out; exactly 1 (and 0) from Re s = _UNIT_RE_S on, where the sum reads so
@@ -379,12 +379,17 @@ def digamma(x: float) -> float:
 # Riemann zeta and friends
 # ----------------------------------------------------------------------
 
+# the scalar zeta family reflects left of Re s = -1/2 only: next to s = 0 it
+# would take zeta(1 - s) at a rounded 1 - s, and Euler-Maclaurin keeps its target
+_REFLECT_BELOW = -0.5
+
+
 def _is_trivial_zero(s: complex) -> bool:
     return s.imag == 0.0 and s.real < 0.0 and s.real == 2.0 * round(s.real / 2.0)
 
 
 def _reflect(s: complex, factor: complex) -> complex:
-    """chi(s) * factor, for zeta(s) = chi(s) zeta(1-s) at Re s < 0, or
+    """chi(s) * factor, for zeta(s) = chi(s) zeta(1-s) at Re s < -1/2, or
     chi'(s) * factor at a trivial zero, where chi vanishes linearly.
     AccuracyError where the product leaves the float range."""
     try:
@@ -423,11 +428,11 @@ def _em_point(s: complex) -> np.ndarray:
 
 
 def zeta(s: complex) -> complex:
-    """Riemann zeta by Euler-Maclaurin summation; reflection for Re s < 0."""
+    """Riemann zeta by Euler-Maclaurin summation; reflection for Re s < -1/2."""
     s = _finite_arg(s, "zeta")
     if s == 1.0:
         raise PoleError("zeta has a pole at s = 1")
-    if s.real < 0.0:
+    if s.real < _REFLECT_BELOW:
         if _is_trivial_zero(s):
             return 0.0 + 0.0j
         return _reflect(s, zeta(1.0 - s))
@@ -436,13 +441,13 @@ def zeta(s: complex) -> complex:
 
 def zeta_derivative(s: complex) -> complex:
     """zeta'(s) by termwise differentiation of the same Euler-Maclaurin
-    formula; the Re s < 0 branch differentiates the reflection formula."""
+    formula; the Re s < -1/2 branch differentiates the reflection formula."""
     s = _finite_arg(s, "zeta'")
     if s == 1.0:
         raise PoleError("zeta' has a pole at s = 1")
     if _is_trivial_zero(s):
         return _reflect(s, zeta(1.0 - s))
-    if s.real < 0.0:
+    if s.real < _REFLECT_BELOW:
         z1, d1 = zeta(1.0 - s), zeta_derivative(1.0 - s)
         return _reflect(s, _chi_log_slope(s) * z1 - d1)
     _, d = _zeta_em_many(_em_point(s), want_derivative=True)
@@ -469,7 +474,7 @@ def zeta_log_derivative(s: complex) -> complex:
     s = _finite_arg(s, "zeta'/zeta")
     if s == 1.0:
         raise PoleError("zeta'/zeta has a pole at s = 1")
-    if s.real < 0.0:
+    if s.real < _REFLECT_BELOW:
         # log-derivative of the reflection: chi, possibly huge, cancels unformed
         return _chi_log_slope(s) - zeta_log_derivative(1.0 - s)
     z, d = _zeta_em_many(_em_point(s), want_derivative=True)

@@ -16,7 +16,7 @@ an integrable singularity belongs at s = 0.  A row's tolerance is floored
 at 4 times the sum of its leaves' rounding floors, what doubles can resolve
 of it.  A row that cannot meet its tolerance ends with ``converged`` False
 and its true error estimate; one that needs more than ``_MAX_PANELS``
-leaves raises ConvergenceError.
+leaves ends with a ConvergenceError, which its finish raises as it reads it.
 
 Panels are dyadic intervals [k 2^e, (k+1) 2^e], so rows that need the same
 panel share its nodes bit for bit; one call keeps the values of each kernel
@@ -297,7 +297,8 @@ def integrate_rows(*sets: RowSet) -> list:
     at the depth limit (then ``converged`` is whether they are within
     tols[r]); tols[r] is floored at 4 times the sum of the leaves' floors,
     so a row asked for less stops there, unconverged.  A row needing more
-    than ``_MAX_PANELS`` leaves raises ConvergenceError."""
+    than ``_MAX_PANELS`` leaves ends with a ConvergenceError, raised where
+    its set's finish reads it, or else after the finishes run in set order."""
     starts = np.cumsum([0] + [len(s.edges) for s in sets]).tolist()
     tables = {kernel: _kernel_table(kernel) for kernel in {s.kernel for s in sets} - {None}}
 
@@ -318,13 +319,28 @@ def integrate_rows(*sets: RowSet) -> list:
     for start in range(0, len(edges), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
         results += _refine(integrand, edges[block], tols[block], start)
-    return [s.finish(results[a:b]) for s, a, b in zip(sets, starts, starts[1:])]
+    finished = [s.finish(_Rows(results[a:b])) for s, a, b in zip(sets, starts, starts[1:])]
+    list(_Rows(results))  # the first failed row that no finish read raises here
+    return finished
+
+
+class _Rows(list):
+    """QuadResults as a finish reads them: a failed row raises its error."""
+
+    def __getitem__(self, k):
+        row = super().__getitem__(k)
+        if isinstance(row, ConvergenceError):
+            raise row
+        return _Rows(row) if isinstance(k, slice) else row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def _refine(integrand, edges, tols, first_row):
-    """The QuadResults of one block of rows, numbered from first_row, whose
-    values at the 15 nodes of the panels with centers c and half-widths h
-    are integrand(rows, c, h)."""
+    """The QuadResults, or ConvergenceErrors past the panel budget, of one
+    block of rows, numbered from first_row, whose values at the 15 nodes of
+    the panels with centers c and half-widths h are integrand(rows, c, h)."""
     n = len(edges)
     results = [None] * n
     evals = np.zeros(n, dtype=np.int64)
@@ -358,15 +374,15 @@ def _refine(integrand, edges, tols, first_row):
         split = ~done[r] & (e * 2.0 * count[r] > goal[r]) & wide & above_floor
         n_split = np.bincount(r[split], minlength=n)
         over = (count > 0) & (n_split > 0) & (count + n_split > _MAX_PANELS)
-        if over.any():
-            j = int(np.argmax(over))
-            raise ConvergenceError(
+        for j in np.flatnonzero(over).tolist():
+            results[j] = ConvergenceError(
                 f"integrate_rows: {_MAX_PANELS}-panel budget exhausted "
                 f"(err={total[j]:.3e}, tol={tols[j]:.3e})"
             )
-        stop = (count > 0) & (n_split == 0)
+        split &= ~over[r]
+        stop = (count > 0) & ((n_split == 0) | over)
         values = np.bincount(r, weights=v, minlength=n)
-        for j in np.flatnonzero(stop).tolist():
+        for j in np.flatnonzero(stop & ~over).tolist():
             value, error = float(values[j]), float(total[j])
             results[j] = QuadResult(value, error, int(evals[j]), bool(error <= tols[j]))
         # each split leaf [a, b] becomes [a, mid] and [mid, b], in row order

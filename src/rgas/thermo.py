@@ -40,10 +40,10 @@ A continuum beta grid is one ``thermo_scan``.  f and eps at every beta
 are transforms at the rate kappa of the one function ln|zeta(s)|, so every
 beta adds rows to one ``quadrature.integrate_rows`` call, which evaluates
 L once per distinct panel of a dyadic tree that all rows share.  Each row
-refines on its own, so every point equals the one computed alone, and on
-failure the scan raises what a beta-by-beta loop raises first.  A discrete
-grid is one zeta pass on all omega_k beta of its finite points; a beta at or
-past the Hagedorn point becomes a flagged point with nan values.
+refines on its own, so every point equals the one computed alone, and the
+points are finished in beta order, so a failure is the first failing beta's.
+A discrete grid is one zeta pass on all omega_k beta of its finite points; a
+beta at or past the Hagedorn point becomes a flagged point with nan values.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, HagedornError, RgasError
+from .errors import AccuracyError, DomainError, HagedornError
 from .numkernel import (
     EULER_GAMMA,
     _B_OVER_FACT,
@@ -216,24 +216,11 @@ def _discrete_points(spec: EnsembleSpec, betas, with_energy: bool) -> list[Therm
     values; a finite point whose f, eps or entropy leaves the float range
     raises AccuracyError.  Without the energy, eps and entropy are nan and
     the value-only call keeps the accuracy gate of zeta; with it the gate is
-    that of zeta'.  On failure it raises what a loop over the betas, one
-    pass each, raises first."""
+    that of zeta'.  Each beta is checked at its turn, so a failure is that
+    of the first failing beta."""
     if spec.kind != "discrete":
         raise DomainError("discrete ensemble required")
     betas = [float(b) for b in betas]
-    try:
-        return _discrete_block(spec, betas, with_energy)
-    except RgasError:
-        if len(betas) > 1:
-            for beta in betas:
-                _discrete_block(spec, [beta], with_energy)
-        raise
-
-
-def _discrete_block(spec: EnsembleSpec, betas: list, with_energy: bool) -> list[ThermoPoint]:
-    for beta in betas:
-        if not beta > 0.0:
-            raise DomainError("beta must be positive")
     omega_1 = float(spec.omegas[0])
     finite = [beta for beta in betas if beta * omega_1 > 1.0]
     with np.errstate(over="ignore"):  # a beta omega_k past the float range reads zeta = 1
@@ -243,6 +230,8 @@ def _discrete_block(spec: EnsembleSpec, betas: list, with_energy: bool) -> list[
     nan = math.nan
     points, row = [], 0
     for beta in betas:
+        if not beta > 0.0:
+            raise DomainError("beta must be positive")
         if beta * omega_1 <= 1.0:
             points.append(ThermoPoint(beta, complex(nan, nan), nan, nan, _DIVERGENT))
             continue
@@ -339,50 +328,35 @@ def _e1_parts(*parts) -> list:
     return [(h[a:b], g[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def _pole_log_window(kappa: np.ndarray, e1=None) -> np.ndarray:
-    """The pole window -int_0^2 e^(-kappa s) ln|s - 1| ds, which equals
-    e^(-kappa) (Ei(kappa) + E1(kappa))/kappa, for an array of kappa > 0,
-    elementwise.  Above kappa = 1 it is
-    (e^(-kappa) Ei(kappa) + e^(-2 kappa) g(kappa)/kappa)/kappa with
-    g = kappa e^kappa E1(kappa), from e1, (h, g) at -k and then k for the
-    kappas k above 1, if given; at or below 1, where Ei and E1 nearly
-    cancel, the same value as 2 e^(-kappa) Shi(kappa)/kappa by its series."""
+def _pole_windows(kappa: np.ndarray, e1=None) -> tuple:
+    """(W, W_eps), the pole windows of f and eps for an array of kappa >= 0,
+    elementwise: W = -int_0^2 e^(-kappa s) ln|s - 1| ds = e^(-kappa) (Ei(kappa)
+    + E1(kappa))/kappa, and W_eps = -int_0^2 (1 - kappa s) e^(-kappa s)
+    ln|s - 1| ds = d/dkappa [kappa W] = (1 - e^(-2 kappa))/kappa - kappa W.
+    Above kappa = 1, with g = kappa e^kappa E1(kappa) and h = g - 1 the E1
+    kernel, from e1, (h, g) at -k and then k for the kappas k above 1, if
+    given, W = (e^(-kappa) Ei(kappa) + e^(-2 kappa) g(kappa)/kappa)/kappa and
+    W_eps = -(Re h(-kappa) + e^(-2 kappa) (1 + g(kappa)))/kappa, terms that do
+    not cancel where the two of W_eps do, to ~ -1/kappa^2.  At or below 1,
+    where Ei and E1 nearly cancel, W is the series of 2 e^(-kappa) Shi(kappa)/kappa."""
     kappa = np.asarray(kappa, dtype=np.float64)
-    out = np.empty_like(kappa)
-    small = kappa <= 1.0
-    if small.any():
-        k2 = kappa[small] ** 2
-        series = np.zeros_like(k2)
-        for c in reversed(_SHI_COEF):
-            series = series * k2 + c
-        out[small] = np.exp(-kappa[small]) * series
-    if not small.all():
-        k = kappa[~small]
-        _, g = _e1_parts(np.concatenate((-k, k)))[0] if e1 is None else e1
-        out[~small] = (g[: k.size].real / k + np.exp(-2.0 * k) * g[k.size :].real / k) / k
-    return out
-
-
-def _energy_pole_window(kappa: np.ndarray, e1=None) -> np.ndarray:
-    """The pole window of eps, -int_0^2 (1 - kappa s) e^(-kappa s) ln|s - 1| ds
-    = d/dkappa [kappa W] = (1 - e^(-2 kappa))/kappa - kappa W, W the window of
-    f, for an array of kappa >= 0, elementwise.  Above kappa = 1, where the two
-    terms cancel to ~ -1/kappa^2, it is -(Re h(-kappa) + e^(-2 kappa) (1 +
-    g(kappa)))/kappa with h = g - 1 the E1 kernel (e1 as in the window of
-    f), terms that do not cancel."""
-    kappa = np.asarray(kappa, dtype=np.float64)
-    out = np.empty_like(kappa)
+    w, w_eps = np.empty_like(kappa), np.empty_like(kappa)
     small = kappa <= 1.0
     if small.any():
         k = kappa[small]
+        series = np.zeros_like(k)
+        for c in reversed(_SHI_COEF):
+            series = series * k**2 + c
+        w[small] = np.exp(-k) * series
         # (1 - e^(-2 kappa))/kappa tends to 2 at kappa = 0
         ratio = np.divide(-np.expm1(-2.0 * k), k, out=np.full_like(k, 2.0), where=k > 0.0)
-        out[small] = ratio - k * _pole_log_window(k)
+        w_eps[small] = ratio - k * w[small]
     if not small.all():
         k = kappa[~small]
         h, g = _e1_parts(np.concatenate((-k, k)))[0] if e1 is None else e1
-        out[~small] = -(h[: k.size].real + np.exp(-2.0 * k) * (1.0 + g[k.size :].real)) / k
-    return out
+        w[~small] = (g[: k.size].real / k + np.exp(-2.0 * k) * g[k.size :].real / k) / k
+        w_eps[~small] = -(h[: k.size].real + np.exp(-2.0 * k) * (1.0 + g[k.size :].real)) / k
+    return w, w_eps
 
 
 # the rows of a continuum point: Re f, eps
@@ -490,12 +464,17 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
     e^(-kappa s) falls by at most e^4, so most rows need one round.  The
     windows -int_0^2 w ln|s - 1| ds are added in closed form, from
     window_e1, (h, g) at _window_z of the kappas of the rows, if given, and
-    Im f is _im_free_energy.  A beta where lam/beta^2 is not finite is refused."""
+    Im f is _im_free_energy.  finish raises, at its beta's turn, a beta's
+    refusal (lam/beta^2 not finite), its rows' errors or its own."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     kappas, ends, edges, rows = [], [], [], []
     for beta in betas:
-        kappa = _kappa(spec.rate, beta)
+        try:
+            kappa = _kappa(spec.rate, beta)
+        except DomainError as refused:
+            kappas.append(refused)
+            continue
         kappas.append(kappa)
         if kappa >= _WATSON_KAPPA:
             continue
@@ -514,15 +493,15 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
         return w
 
     def finish(results):
-        kappa_array = np.array(kappas)
+        kappa_array = np.array([k for k in kappas if not isinstance(k, DomainError)])
         series = kappa_array >= _WATSON_KAPPA
         quad = kappa_array[~series]
-        e1 = _e1_parts(_window_z(quad))[0] if window_e1 is None else window_e1
-        window_f = _pole_log_window(quad, e1).tolist() if _RE in kinds else None
-        window_eps = _energy_pole_window(quad, e1).tolist() if _EPS in kinds else None
+        window_f, window_eps = (w.tolist() for w in _pole_windows(quad, window_e1))
         watson = zip(*(v.tolist() for v in _watson(kappa_array[series]))) if series.any() else None
         points, i = [], 0
         for beta, kappa in zip(betas, kappas):
+            if isinstance(kappa, DomainError):
+                raise kappa
             # kappa I, kappa J and their budgets, I and J the s-integrals, so
             # divide by beta, then by V: an order that cannot overflow beta^2
             if kappa >= _WATSON_KAPPA:
@@ -565,17 +544,8 @@ def _continuum_rows(spec: EnsembleSpec, betas: list, tol: float, kinds: tuple, w
 
 
 def _continuum(spec: EnsembleSpec, beta_grid, tol: float, kinds: tuple) -> list:
-    """The finish of _continuum_rows on a beta grid, from one integrate_rows
-    call.  On failure it raises what a loop over the betas, one call each,
-    raises first."""
-    betas = [float(b) for b in beta_grid]
-    try:
-        return integrate_rows(_continuum_rows(spec, betas, tol, kinds))[0]
-    except RgasError:
-        if len(betas) > 1:
-            for beta in betas:
-                integrate_rows(_continuum_rows(spec, [beta], tol, kinds))
-        raise
+    """The finish of _continuum_rows on a beta grid, from one integrate_rows call."""
+    return integrate_rows(_continuum_rows(spec, [float(b) for b in beta_grid], tol, kinds))[0]
 
 
 def free_energy_continuum(spec: EnsembleSpec, beta: float, tol: float = 1e-10) -> complex:
@@ -783,9 +753,10 @@ def _eps5(beta: float, lam: float, volume: float, e1=None) -> tuple[float, float
         t = _EPS5_SERIES * zk**-_EPS5_M
         d, size, cut = t[:-1].sum(axis=0), np.abs(t[:-1]).sum(axis=0), np.abs(t[-1])
     em, phi, eps = _EPS5_B * np.asarray(d)[::2], 1.0 / z + h, 8.0 * sys.float_info.epsilon
-    total = np.sum(phi[:-1]) + (0.5 * x * (1.0 - (zk - 1.0) * uk) + 0.5 * phi[-1] - np.sum(em[:-1]))
-    sizes = 0.5 * EULER_GAMMA * x + np.sum(1.0 / z + np.abs(h)) + 0.5 * x * (1.0 + abs(zk - 1.0) * uk)
-    bound = abs(em[-1]) + np.abs(_EPS5_B) @ (cut + eps * np.asarray(size))[::2] + eps * sizes
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, refused by the caller
+        total = np.sum(phi[:-1]) + (0.5 * x * (1.0 - (zk - 1.0) * uk) + 0.5 * phi[-1] - np.sum(em[:-1]))
+        sizes = 0.5 * EULER_GAMMA * x + np.sum(1.0 / z + np.abs(h)) + 0.5 * x * (1.0 + abs(zk - 1.0) * uk)
+        bound = abs(em[-1]) + np.abs(_EPS5_B) @ (cut + eps * np.asarray(size))[::2] + eps * sizes
     total, bound = float(total), float(bound)  # a quotient past the float range is inf, unwarned
     return -EULER_GAMMA / (2.0 * lam * volume) + total / (beta * volume), bound / (beta * volume)
 
@@ -804,12 +775,12 @@ def energy_breakdown(
     envelops eps5, so ``printed_truncation_error`` bounds |eps5 - eps5_printed|.
 
     One E1 call makes every E1 value known up front, eps5's head among
-    them, and one integrate_rows call runs the oracle's and the eps3 tail's
-    RowSets, so the values are those of their own entries; on failure it
-    raises what those, one at a time in the order of the sum, raise first.
-    A beta that _kappa refuses, or a lam/beta that puts an E1 argument or
-    the eps3 tail past the float range, is a DomainError; a piece or a
-    printed form past the float range is an AccuracyError."""
+    them, and one integrate_rows call runs the eps3 tail's and the oracle's
+    RowSets; each piece is formed once, in the order of the sum, so a
+    failure is that of the first failing piece.  A beta that _kappa
+    refuses, or a lam/beta that puts an E1 argument or the eps3 tail past
+    the float range, is a DomainError; a piece or a printed form past the
+    float range is an AccuracyError."""
     if spec.kind != "continuum":
         raise DomainError("continuum ensemble required")
     lam, vol = spec.rate, spec.volume
@@ -822,27 +793,21 @@ def energy_breakdown(
         raise AccuracyError(past)
     tail_tol, quad_tol = tol * 0.1 * vol / lam, tol * 0.1
 
-    try:
-        t_star_z = _pair_z([_tail_start(zeros.count)], beta, lam)
-        (pair_h, _), (edge_h, _), (_, ei_g), window, eps5_e1 = _e1_parts(
-            _pair_z(zeros.gammas, beta, lam), t_star_z, [-x, -0.25 * x], _window_z(np.array([x])),
-            _EPS5_K * (2.0 / (beta / lam)),
-        )
-        whole, quarter = _ei_terms(beta, lam, vol, ei_g)
-        pairs = float(np.sum(_pair_integrals(zeros.gammas, beta, lam, pair_h)))
-        rho = sum_inverse_rho(zeros)
-        (point,), (tail, tail_bound) = integrate_rows(
-            _continuum_rows(spec, [beta], quad_tol, (_EPS,), window),
-            _eps3_tail_rows(zeros.count, beta, lam, tail_tol, edge_h),
-        )
-    except RgasError:
-        _ei_terms(beta, lam, vol)
-        _pair_integrals(zeros.gammas, beta, lam)
-        integrate_rows(_eps3_tail_rows(zeros.count, beta, lam, tail_tol))
-        sum_inverse_rho(zeros)
-        _eps5(beta, lam, vol)
-        energy_oracle(spec, beta, quad_tol)
-        raise
+    pair_z = _pair_z(zeros.gammas, beta, lam)
+    t_star_z = _pair_z([_tail_start(zeros.count)], beta, lam)
+    # eps5's E1 arguments reach 64 lam/beta, and the kernel forms |z| + Re z:
+    # past the float range, the eps3 tail's error, the first of the sum there
+    _pair_z([128.0], beta, lam)
+    (pair_h, _), (edge_h, _), (_, ei_g), window, eps5_e1 = _e1_parts(
+        pair_z, t_star_z, [-x, -0.25 * x], _window_z(np.array([x])), _EPS5_K * (2.0 / (beta / lam)),
+    )
+    whole, quarter = _ei_terms(beta, lam, vol, ei_g)
+    pairs = float(np.sum(_pair_integrals(zeros.gammas, beta, lam, pair_h)))
+    rho = sum_inverse_rho(zeros)
+    (tail, tail_bound), (point,) = integrate_rows(
+        _eps3_tail_rows(zeros.count, beta, lam, tail_tol, edge_h),
+        _continuum_rows(spec, [beta], quad_tol, (_EPS,), window),
+    )
     oracle = point[1]
 
     eps1 = -EXPANSION_CONSTANT / lv
@@ -921,11 +886,10 @@ def thermo_scan(spec: EnsembleSpec, beta_grid, tol: float = 1e-9) -> list[Thermo
 
     A continuum grid is one integrate_rows call for the rows of every beta,
     with L evaluated once per distinct panel; a point whose rows miss their
-    tolerance is flagged ``unconverged``, and on failure the scan raises
-    what a beta-by-beta loop raises first.  A discrete grid is one kernel
+    tolerance is flagged ``unconverged``.  A discrete grid is one kernel
     pass on all its finite betas, and its betas at or past the Hagedorn
     point are flagged ``hagedorn_divergent`` with nan values where
-    thermo_point raises."""
+    thermo_point raises.  Either fails with its first failing beta."""
     if spec.kind == "discrete":
         return _discrete_points(spec, beta_grid, with_energy=True)
     betas = [float(b) for b in beta_grid]

@@ -75,11 +75,6 @@ TARGET = 1e-12
 near = st.builds(
     lambda d, sign, im: (sign * d, im), magnitudes(1e-10, 0.1), signs, st.sampled_from([0.0, 1e-9, -1e-6])
 )
-REFLECTION_FOUND = (
-    "FOUND: on Re s < 0 next to s = 0 the reflection formula takes zeta(1 - s) at a rounded 1 - s: "
-    "zeta'(-1.2345e-5) and zeta'/zeta there err by 8e-8 relative, zeta(-1.2345e-9) by 2e-8, "
-    "and zeta(-1e-17) raises PoleError for the pole at s = 1"
-)
 HURWITZ_FOUND = (
     "FOUND: numkernel.hurwitz_zeta misses its 1e-12 target for Re z below about -2 "
     "(hurwitz_zeta(-3, 1) - 1/120 = -4.7e-11, and up to 9e-7 at z = -5.84, q = 0.68), "
@@ -104,11 +99,11 @@ def assert_zeta_family(s):
 
 class TestZetaFamily:
     """zeta, zeta' and zeta'/zeta next to the pole, at and next to the
-    trivial zeros, on Re s < 0 (the reflection formula) and from Re s = 1100
-    on, where zeta is 1 and zeta' is 0; Hurwitz zeta for -6 < Re z < 60 and
-    q log-uniform in [1e-3, 4], all to numkernel's target.  Two domains
-    hold a recorded defect: Re s < 0 next to 0 and Hurwitz zeta left of
-    Re z = -2.  There the test over the whole domain is a strict xfail, and
+    trivial zeros, on Re s < 0 (the reflection formula left of Re s = -1/2)
+    and from Re s = 1100 on, where zeta is 1 and zeta' is 0; Hurwitz zeta
+    for -6 < Re z < 60 and q log-uniform in [1e-3, 4], all to numkernel's
+    target.  One domain holds a recorded defect, Hurwitz zeta left of
+    Re z = -2: there the test over the whole domain is a strict xfail, and
     a test beside it holds the rest to the target.  High in the critical
     strip the Euler-Maclaurin rounding floor is no bound (at 0.5 + 3000i
     zeta errs by 3.0e-12 against an estimate of 4.3e-13, a FOUND in
@@ -138,11 +133,15 @@ class TestZetaFamily:
     def test_reflection_left_of_re_s_minus_0_01(self, x, y, sign):
         assert_zeta_family(complex(x, sign * y))
 
-    @pytest.mark.xfail(strict=True, reason=REFLECTION_FOUND)
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-60.0, max_value=0.0, exclude_max=True),
            st.one_of(st.just(0.0), magnitudes(1e-3, 100.0)), signs)
     @example(-1e-10, 0.0, 1.0)
+    @example(-1e-17, 0.0, 1.0)  # raised PoleError when reflected
+    @example(-1.2345e-9, 0.0, 1.0)
+    @example(-1.2345e-5, 0.0, 1.0)  # zeta' erred by 8e-8 relative when reflected
+    @example(-0.5, 3.0, 1.0)
+    @example(-0.5001, 0.0, 1.0)
     def test_reflection(self, x, y, sign):
         assert_zeta_family(complex(x, sign * y))
 
@@ -370,7 +369,7 @@ class TestRegularLogZeta:
     @settings(max_examples=60, deadline=None)
     @given(magnitudes(5e-4, 2e3))
     def test_pole_window(self, kappa):
-        value = float(th._pole_log_window(np.array([kappa]))[0])
+        value = float(th._pole_windows(np.array([kappa]))[0][0])
         with mp.workdps(30):
             k = mp.mpf(kappa)
             edges = sorted({0.0, 1.0, 2.0} | {c / kappa for c in (1, 5, 20, 60) if c < kappa})
@@ -383,7 +382,7 @@ class TestRegularLogZeta:
         # -int_0^2 (1 - kappa s) e^(-kappa s) ln|s-1| ds; its closed form
         # (1 - e^(-2 kappa))/kappa - kappa W cancels to ~ -1/kappa^2 at large
         # kappa and misses this bound there by up to 3x
-        value = float(th._energy_pole_window(np.array([kappa]))[0])
+        value = float(th._pole_windows(np.array([kappa]))[1][0])
         with mp.workdps(30):
             k = mp.mpf(kappa)
             edges = sorted(

@@ -189,6 +189,21 @@ class TestRealAxisKernel:
             _, d, est, _ = nk._hurwitz_em(arg, 1.0, n, True)
             assert np.all(np.abs(d.real - ref) <= est)
 
+    def test_truncation_is_far_below_the_target_on_the_real_axis(self):
+        # the thermo scans and the breakdown send only real s in [0, 1100)
+        # to the kernel, at the real cutoff 21: there the truncation part of
+        # the estimate (the estimate less its rounding floor) stays below
+        # 1e-29, so the accuracy gate cannot fail them and a scan needs no
+        # per-node attribution of a kernel error
+        gap = np.geomspace(1e-15, 0.1, 500)
+        s = np.concatenate((np.linspace(0.0, 1100.0, 44_001)[:-1], 1.0 - gap, 1.0 + gap))
+        s = s[s != 1.0]
+        for want_derivative in (False, True):
+            _, _, est, floor = nk._zeta_em_batched(s, want_derivative)
+            assert not np.any(est > np.maximum(nk._TARGET_ABS_ERROR, 2.0 * floor))
+        _, _, est, floor = nk._zeta_em_batched(s, False)
+        assert np.max(est - floor) < 1e-29
+
 
 class TestBatchedCalls:
     """_zeta_em_many cuts an array into kernel calls of bounded size: a real

@@ -376,6 +376,33 @@ class TestIntegrateRows:
         assert not res.converged
         assert res.evaluations == 15 * (len(rows.edges[0]) - 1)
 
+    def test_rows_past_the_budget_fail_in_row_order(self, monkeypatch):
+        # two rows of |x - 1/3|^-0.9 on [0, 1]: row 0 starts from one panel
+        # and passes 8 leaves rounds later than row 1, which starts from 8
+        # and passes them in its first round; the rows' errors differ by tol
+        monkeypatch.setattr(q, "_MAX_PANELS", 8)
+        edges = [np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 9)]
+
+        def weight(r, x):
+            return np.abs(x - 1.0 / 3.0) ** -0.9
+
+        def call(finish):
+            return q.integrate_rows(q.RowSet(weight, edges, [1e-12, 1e-11], None, finish))
+
+        alone = []
+        for k in (0, 1):
+            rows = q.RowSet(weight, [edges[k]], [[1e-12, 1e-11][k]], None, list)
+            with pytest.raises(ConvergenceError, match="8-panel budget exhausted") as error:
+                q.integrate_rows(rows)
+            alone.append(str(error.value))
+        assert alone[0] != alone[1]
+        # a finish raises the rows' errors in the order it reads them, and
+        # the call raises the first failed row that its finish did not read
+        for finish, first in ((list, 0), (lambda rows: [rows[1], rows[0]], 1), (lambda rows: None, 0)):
+            with pytest.raises(ConvergenceError) as error:
+                call(finish)
+            assert str(error.value) == alone[first]
+
     def test_tolerance_below_the_rounding_floor(self):
         # int_0^1 1e6 e^x: one panel is at its rounding floor, 50 eps |K15|,
         # far above 1e-12; it is not split, and the row ends unconverged with

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rgas import numkernel as nk
 from rgas import quadrature as q
 from rgas import thermo as th
-from rgas.errors import AccuracyError, ConvergenceError, DomainError, HagedornError
+from rgas.errors import AccuracyError, ConvergenceError, DomainError, HagedornError, RgasError
 from rgas.superzeta import sum_inverse_rho
 
 import oracles
@@ -204,26 +204,21 @@ class TestDiscreteBatching:
             else:
                 assert self.same_point(point, th._finite_point(spec, float(beta), with_energy))
 
-    def test_failure_is_that_of_the_first_failing_beta(self, monkeypatch):
+    def test_failure_is_that_of_the_first_failing_beta(self):
         spec = _random_spec(6, 20)
         edge = 1.0 / float(spec.omegas[0])
         with pytest.raises(DomainError, match="beta must be positive"):
             th.thermo_scan(spec, [2.0 * edge, 0.0, 3.0 * edge])
-        original = th._zeta_em_many
-
-        # fails on any call holding an s past 2 edge omega_K, naming the call's size
-        def failing(s, want_derivative=False):
-            if np.max(s.real) > 2.0 * edge * float(spec.omegas[-1]):
-                raise AccuracyError(f"fails on {s.size} points from {np.min(s.real)!r}")
-            return original(s, want_derivative)
-
-        monkeypatch.setattr(th, "_zeta_em_many", failing)
-        grid = [1.5 * edge, 4.0 * edge, 3.0 * edge]
-        with pytest.raises(AccuracyError) as alone:
-            th._finite_point(spec, grid[1], True)
-        with pytest.raises(AccuracyError) as scan:
-            th.thermo_scan(spec, grid)
-        assert str(scan.value) == str(alone.value)
+        # at V = 1e-320 every finite point leaves the float range: each beta
+        # fails at its turn, a flagged one does not, and the kernel cannot
+        # fail on real s > 1 (TestRealAxisKernel's truncation test)
+        tiny = th.EnsembleSpec.discrete([1.0, 2.0, 3.5], [0.5, 0.3, 0.2], volume=1e-320)
+        for scan in (th.thermo_scan, th.hagedorn_scan):
+            for grid in ([2.0, 0.0], [0.5, 2.0, -1.0]):
+                with pytest.raises(AccuracyError, match=r"beta = 2\.0 exceeds the float range"):
+                    scan(tiny, grid)
+            with pytest.raises(DomainError, match="beta must be positive"):
+                scan(tiny, [0.0, 2.0])
 
 
 def _divergent(point) -> bool:
@@ -745,8 +740,8 @@ class TestBreakdownInOnePass:
 
     def test_failure_is_that_of_the_first_failing_piece(self, monkeypatch, zeros100):
         # with 8 panels per row the eps3 tail row and the oracle's row both
-        # run out: the one pass meets the oracle's row first, and the pieces
-        # in turn meet the eps3 tail's failure first
+        # run out, in one round; the one pass raises the eps3 tail's, the
+        # first in the order of the sum
         monkeypatch.setattr(q, "_MAX_PANELS", 8)
         spec, beta, tol = th.EnsembleSpec.continuum(0.01), 5.0, 1e-8
         with pytest.raises(ConvergenceError) as tail:
@@ -766,12 +761,34 @@ class TestBreakdownInOnePass:
         monkeypatch.setattr(th, "integrate_rows", recorded)
         with pytest.raises(ConvergenceError) as breakdown:
             th.energy_breakdown(spec, beta, zeros100, tol)
-        assert raised[0] == str(oracle.value)
+        assert raised == [str(tail.value)]
         assert str(breakdown.value) == str(tail.value)
 
     def test_small_table_refused_by_tail_start(self, zeros100):
         with pytest.raises(DomainError, match="at least 10 zeros"):
             th.energy_breakdown(CONT, 1.0, zeros100.head(9))
+
+    def test_pair_integrals_come_before_the_tail_start(self, zeros100):
+        # the table's pair integrals precede the eps3 tail in the sum: at
+        # lam/beta = 1e307 the ninth zero's E1 argument leaves the float
+        # range, at 3e306 it does not, and the tail refuses 9 zeros
+        with pytest.raises(DomainError, match="pair integrals' E1 arguments past the float range"):
+            th.energy_breakdown(th.EnsembleSpec.continuum(1e307), 1.0, zeros100.head(9))
+        with pytest.raises(DomainError, match="at least 10 zeros"):
+            th.energy_breakdown(th.EnsembleSpec.continuum(3e306), 1.0, zeros100.head(9))
+
+    # eps5's sums overflow at beta/lam = 3e306, and eps5's E1 arguments,
+    # 64 lam/beta, or the kernel's |z| + Re z, twice that, at the others
+    @pytest.mark.parametrize("lam,beta,error,message", [
+        (1.0, 3e306, AccuracyError, "printed series term 2"),
+        (3e306, 1.0, DomainError, "pair integrals' E1 arguments"),
+        (1.7e308, 100.0, DomainError, "pair integrals' E1 arguments"),
+    ])
+    def test_float_range_edge_is_refused_without_warnings(self, zeros100, lam, beta, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                th.energy_breakdown(th.EnsembleSpec.continuum(lam), beta, zeros100.head(12))
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -855,7 +872,7 @@ def _reference_point(spec, beta, tol):
         return value, sum(r.abs_error for r in parts)
 
     pref = lam / (beta * beta * vol)
-    re, re_err = log_zeta_integral(lambda sv: np.exp(-kappa * sv), th._pole_log_window)
+    re, re_err = log_zeta_integral(lambda sv: np.exp(-kappa * sv), lambda k: th._pole_windows(k)[0])
     def phase(sv):
         return np.exp(-kappa * sv) * np.array([nk.log_zeta_principal(complex(x)).imag for x in sv])
 
@@ -863,7 +880,7 @@ def _reference_point(spec, beta, tol):
     f = complex(-pref * re, -pref * sum(r.value for r in im))
     f_err = pref * (re_err + sum(r.abs_error for r in im))
     total, err = log_zeta_integral(
-        lambda sv: (1.0 - kappa * sv) * np.exp(-kappa * sv), th._energy_pole_window
+        lambda sv: (1.0 - kappa * sv) * np.exp(-kappa * sv), lambda k: th._pole_windows(k)[1]
     )
     decay = kappa + math.log(2.0)
     err += 5.0 / 3.0 * math.exp(-decay * s_max) * (1.0 + kappa * (s_max + 1.0 / decay)) / decay
@@ -1073,6 +1090,34 @@ class TestThermoScan:
             th.energy_oracle(SINGLE, 1.0)
         with pytest.raises(DomainError, match="beta must be positive"):
             th.thermo_scan(CONT, [1.0, -1.0, 2.0])
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run()
+        except RgasError as exc:
+            return type(exc), str(exc)
+
+    # the panel budget cuts rows at several betas, of f and of eps, in
+    # different rounds; at 12 panels, lam in {0.01, 1} and tol 1e-12 the
+    # first row to fail by rounds is not at the first failing beta
+    @pytest.mark.parametrize("panels", [8, 12, 16])
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 30.0])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_panel_budget_fails_in_beta_order(self, monkeypatch, panels, lam, tol):
+        monkeypatch.setattr(q, "_MAX_PANELS", panels)
+        spec, grid = th.EnsembleSpec.continuum(lam), [0.05, 0.3, 2.0, 20.0]
+        scan = self.outcome(lambda: th.thermo_scan(spec, grid, tol))
+        assert scan == self.outcome(lambda: [th.thermo_point(spec, b, tol) for b in grid])
+
+    def test_refused_beta_fails_at_its_turn(self):
+        # beta = 1e-10 leaves the float range at V = 1e-300 before the
+        # refused beta = -1 is reached, and after it the refusal comes first
+        spec = th.EnsembleSpec.continuum(1.0, volume=1e-300)
+        with pytest.raises(AccuracyError, match="thermo at beta = 1e-10 exceeds the float range"):
+            th.thermo_scan(spec, [1e-10, -1.0])
+        with pytest.raises(DomainError, match="beta must be positive"):
+            th.thermo_scan(spec, [-1.0, 1e-10])
 
 
 class TestFreeEnergyConvergence:
